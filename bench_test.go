@@ -12,6 +12,7 @@ package ddgms_test
 // qualitative shapes (who wins, by what factor) that must hold.
 
 import (
+	"context"
 	"io"
 	"net"
 	"os"
@@ -70,7 +71,7 @@ func scanEngine(b *testing.B, patients int) *cube.Engine {
 	e := cube.NewEngine(p.Warehouse(), cube.WithAggregateCache(false))
 	// Warm the memoised attribute columns and bitmaps so iterations
 	// measure aggregation, not one-off materialisation.
-	if _, err := e.Execute(experiments.Fig5Query()); err != nil {
+	if _, err := e.ExecuteCtx(context.Background(), experiments.Fig5Query()); err != nil {
 		b.Fatal(err)
 	}
 	return e
@@ -158,7 +159,7 @@ func BenchmarkFig4CrossTab(b *testing.B) {
 	q := experiments.Fig4Query()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Execute(q); err != nil {
+		if _, err := e.ExecuteCtx(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -175,10 +176,10 @@ func BenchmarkFig5DrillDown(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Execute(coarse); err != nil {
+		if _, err := e.ExecuteCtx(context.Background(), coarse); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := e.Execute(fine); err != nil {
+		if _, err := e.ExecuteCtx(context.Background(), fine); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -195,10 +196,10 @@ func BenchmarkFig6HTYears(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Execute(coarse); err != nil {
+		if _, err := e.ExecuteCtx(context.Background(), coarse); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := e.Execute(fine); err != nil {
+		if _, err := e.ExecuteCtx(context.Background(), fine); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -222,12 +223,11 @@ func BenchmarkFigAllRender(b *testing.B) {
 	}
 }
 
-// --- Execution core: coded kernel vs legacy scalar group-by ---------------
+// --- Execution core: the coded group-by kernel ------------------------------
 
-// kernelGroupBySpec is the shared group-by used to compare the
-// dictionary-coded parallel kernel against the legacy string-keyed scalar
-// path: a realistic multivariate grouping over the full DiScRi attendance
-// fact table with a non-additive and an additive aggregate.
+// kernelGroupBySpec is the reference group-by of the kernel benchmarks: a
+// realistic multivariate grouping over the full DiScRi attendance fact
+// table with a non-additive and an additive aggregate.
 func kernelGroupBySpec() ([]string, []storage.AggSpec) {
 	keys := []string{"AgeBand10", "Gender", "DiabetesStatus"}
 	aggs := []storage.AggSpec{
@@ -249,22 +249,6 @@ func BenchmarkGroupByCoded(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := flat.GroupBy(keys, aggs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGroupByLegacy is the same grouping on the scalar ablation
-// path: per-row tuple-string keys into a hash map, single goroutine.
-func BenchmarkGroupByLegacy(b *testing.B) {
-	flat := platformFor(b, 900).Flat()
-	keys, aggs := kernelGroupBySpec()
-	if _, err := flat.GroupBy(keys, aggs, exec.WithVectorized(false)); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := flat.GroupBy(keys, aggs, exec.WithVectorized(false)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -302,12 +286,12 @@ func BenchmarkGroupByEncoded(b *testing.B) {
 				{Kind: exec.DistinctAgg, Measure: patients},
 				{Kind: exec.AvgAgg, Measure: exec.ValueSlice(fbg)},
 			}
-			if _, err := exec.GroupBy(in); err != nil {
+			if _, err := exec.GroupBy(context.Background(), in); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := exec.GroupBy(in); err != nil {
+				if _, err := exec.GroupBy(context.Background(), in); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -316,40 +300,15 @@ func BenchmarkGroupByEncoded(b *testing.B) {
 	}
 }
 
-// kernelEngine builds a lattice-free engine on the chosen kernel path and
-// warms its attribute caches, mirroring scanEngine.
-func kernelEngine(b *testing.B, vectorized bool) *cube.Engine {
-	b.Helper()
-	p := platformFor(b, 900)
-	e := cube.NewEngine(p.Warehouse(),
-		cube.WithAggregateCache(false), cube.WithVectorized(vectorized))
-	if _, err := e.Execute(experiments.Fig5Query()); err != nil {
-		b.Fatal(err)
-	}
-	return e
-}
-
-// BenchmarkCubeExecuteVectorized measures cube.Engine.Execute with the
-// grouping scan on the coded kernel (the default).
+// BenchmarkCubeExecuteVectorized measures cube.Engine.ExecuteCtx with
+// the lattice off, so every iteration runs the grouping scan on the
+// coded kernel.
 func BenchmarkCubeExecuteVectorized(b *testing.B) {
-	e := kernelEngine(b, true)
+	e := scanEngine(b, 900)
 	q := experiments.Fig5Query()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Execute(q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCubeExecuteLegacy is the same query on the scalar ablation
-// path.
-func BenchmarkCubeExecuteLegacy(b *testing.B) {
-	e := kernelEngine(b, false)
-	q := experiments.Fig5Query()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Execute(q); err != nil {
+		if _, err := e.ExecuteCtx(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -377,14 +336,14 @@ func BenchmarkWarehouseVsFlat(b *testing.B) {
 		}
 		b.Run(benchName("cube", patients), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := e.Execute(cq); err != nil {
+				if _, err := e.ExecuteCtx(context.Background(), cq); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(benchName("flat", patients), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := flatquery.Execute(flat, fq); err != nil {
+				if _, err := flatquery.ExecuteCtx(context.Background(), flat, fq); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -402,12 +361,12 @@ func BenchmarkDGSQLBaseline(b *testing.B) {
 		b.Fatal(err)
 	}
 	const q = "SELECT AgeBand10, Gender, distinct(PatientID) AS patients FROM visits WHERE DiabetesStatus = 'Yes' GROUP BY AgeBand10, Gender"
-	if _, err := db.Query(q); err != nil {
+	if _, err := db.QueryCtx(context.Background(), q); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Query(q); err != nil {
+		if _, err := db.QueryCtx(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -441,15 +400,15 @@ func BenchmarkLattice(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := e.Execute(fine); err != nil { // warm columns (+cache)
+		if _, err := e.ExecuteCtx(context.Background(), fine); err != nil { // warm columns (+cache)
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.Execute(fine); err != nil {
+			if _, err := e.ExecuteCtx(context.Background(), fine); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := e.Execute(coarse); err != nil {
+			if _, err := e.ExecuteCtx(context.Background(), coarse); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -465,12 +424,12 @@ func BenchmarkBitmapSlicer(b *testing.B) {
 	q := experiments.Fig6Query()
 	run := func(b *testing.B, bitmaps bool) {
 		e := cube.NewEngine(p.Warehouse(), cube.WithBitmapIndex(bitmaps), cube.WithAggregateCache(false))
-		if _, err := e.Execute(q); err != nil {
+		if _, err := e.ExecuteCtx(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.Execute(q); err != nil {
+			if _, err := e.ExecuteCtx(context.Background(), q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -536,12 +495,12 @@ func BenchmarkMDX(b *testing.B) {
 		{[PersonalInformation].[AgeBand10].MEMBERS} ON ROWS
 		FROM [MedicalMeasures]
 		WHERE ([MedicalCondition].[DiabetesStatus].[Yes], [Measures].[PatientCount])`
-	if _, err := p.QueryMDX(src); err != nil {
+	if _, err := p.QueryMDXCtx(context.Background(), src); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.QueryMDX(src); err != nil {
+		if _, err := p.QueryMDXCtx(context.Background(), src); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -653,7 +612,7 @@ func BenchmarkRefreshIncremental100(b *testing.B) {
 	// Warm the lattice so iterations measure steady-state delta
 	// maintenance of live aggregates, as in follow mode.
 	m.RLock()
-	_, err = m.Engine().Execute(experiments.Fig5Query())
+	_, err = m.Engine().ExecuteCtx(context.Background(), experiments.Fig5Query())
 	m.RUnlock()
 	if err != nil {
 		b.Fatal(err)

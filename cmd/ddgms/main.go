@@ -214,7 +214,7 @@ func cmdQuery(args []string) error {
 		return err
 	}
 	defer p.Close()
-	cs, err := p.QueryMDX(strings.Join(fs.Args(), " "))
+	cs, err := p.QueryMDXCtx(context.Background(), strings.Join(fs.Args(), " "))
 	if err != nil {
 		return err
 	}
@@ -752,7 +752,7 @@ func cmdSQL(args []string) error {
 	if err := db.Register("visits", tbl); err != nil {
 		return err
 	}
-	out, err := db.Query(strings.Join(fs.Args(), " "))
+	out, err := db.QueryCtx(context.Background(), strings.Join(fs.Args(), " "))
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -26,7 +27,7 @@ func main() {
 	defer p.Close()
 
 	// --- Fig 4: family history of diabetes by age group and gender. ---
-	cs, err := p.Query(cube.Query{
+	cs, err := p.QueryCtx(context.Background(), cube.Query{
 		Rows:    []cube.AttrRef{core.RefAgeBandTbl},
 		Cols:    []cube.AttrRef{core.RefGender},
 		Slicers: []cube.Slicer{{Ref: core.RefFamHist, Values: []value.Value{value.Str("Yes")}}},
@@ -48,7 +49,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fcs, err := p.Query(fine)
+	fcs, err := p.QueryCtx(context.Background(), fine)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package cube
 
 import (
+	"context"
 	"testing"
 
 	"github.com/ddgms/ddgms/internal/storage"
@@ -15,7 +16,7 @@ func TestDrillThroughMatchesCellCounts(t *testing.T) {
 		Slicers: []Slicer{{Ref: refDia, Values: []value.Value{value.Str("Yes")}}},
 		Measure: MeasureRef{Agg: storage.CountAgg},
 	}
-	cs, err := e.Execute(q)
+	cs, err := e.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestDrillThroughErrors(t *testing.T) {
 	if _, err := e.DrillThrough(q, []value.Value{value.Str("x")}, []value.Value{value.Str("y")}); err == nil {
 		t.Error("excess column tuple must fail")
 	}
-	cs, err := e.Execute(q)
+	cs, err := e.ExecuteCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,6 @@ type Engine struct {
 
 	useBitmaps bool
 	useLattice bool
-	execOpts   []exec.Option
 
 	mu          sync.Mutex
 	attrCols    map[AttrRef][]value.Value
@@ -44,13 +43,6 @@ func WithBitmapIndex(on bool) Option { return func(e *Engine) { e.useBitmaps = o
 // (default on). When enabled, additive queries (count/sum) can be answered
 // by rolling up previously computed finer-grained results.
 func WithAggregateCache(on bool) Option { return func(e *Engine) { e.useLattice = on } }
-
-// WithVectorized selects between the dictionary-coded parallel group-by
-// kernel (default) and the legacy scalar string-keyed path — the ablation
-// baseline for the execution-core benchmarks.
-func WithVectorized(on bool) Option {
-	return func(e *Engine) { e.execOpts = append(e.execOpts, exec.WithVectorized(on)) }
-}
 
 // NewEngine creates an engine over a loaded star schema.
 func NewEngine(schema *star.Schema, opts ...Option) *Engine {
@@ -281,30 +273,19 @@ func (e *Engine) measureColumn(m MeasureRef) ([]value.Value, error) {
 	}
 }
 
-// Execute runs a query and returns its cell set. The grouping scan runs on
-// the shared execution kernel (internal/exec): axis columns are
+// ExecuteCtx runs a query and returns its cell set. The grouping scan runs
+// on the shared execution kernel (internal/exec): axis columns are
 // dictionary-encoded once and cached, groups are keyed on packed integer
 // codes, and the slicer bitmap feeds the kernel as its row filter.
-func (e *Engine) Execute(q Query) (*CellSet, error) {
-	return e.ExecuteTracedCtx(context.Background(), q, nil)
-}
-
-// ExecuteCtx is Execute under a caller context: the kernel scan checks
-// ctx cooperatively and charges any govern.Budget it carries, so a
-// cancelled or over-budget query stops mid-scan with no partial result.
+//
+// The kernel scan checks ctx cooperatively and charges any govern.Budget
+// it carries, so a cancelled or over-budget query stops mid-scan with no
+// partial result. When ctx carries a trace span, the stages (cube.encode,
+// cube.filter, cube.group with the kernel phases beneath it,
+// cube.assemble) are recorded under it; without one each stage pays a
+// nil check.
 func (e *Engine) ExecuteCtx(ctx context.Context, q Query) (*CellSet, error) {
-	return e.ExecuteTracedCtx(ctx, q, nil)
-}
-
-// ExecuteTraced is Execute with per-stage spans (cube.encode,
-// cube.filter, cube.group, cube.assemble) hung under sp. A nil sp is
-// the untraced fast path — each stage pays one nil check.
-func (e *Engine) ExecuteTraced(q Query, sp *obs.Span) (*CellSet, error) {
-	return e.ExecuteTracedCtx(context.Background(), q, sp)
-}
-
-// ExecuteTracedCtx combines ExecuteCtx and ExecuteTraced.
-func (e *Engine) ExecuteTracedCtx(ctx context.Context, q Query, sp *obs.Span) (*CellSet, error) {
+	sp := obs.SpanFromContext(ctx)
 	metricQueries.Inc()
 	encode := sp.Start("cube.encode")
 	axes := append(append([]AttrRef{}, q.Rows...), q.Cols...)
@@ -365,16 +346,8 @@ func (e *Engine) ExecuteTracedCtx(ctx context.Context, q Query, sp *obs.Span) (*
 	case mcol != nil:
 		in.Aggs[0].Measure = exec.ValueSlice(mcol)
 	}
-	groupSp := sp.Start("cube.group")
-	// Full-slice append: never mutate the shared opts backing array.
-	opts := e.execOpts[:len(e.execOpts):len(e.execOpts)]
-	if groupSp != nil {
-		opts = append(opts, exec.WithSpan(groupSp))
-	}
-	if ctx != nil {
-		opts = append(opts, exec.WithContext(ctx))
-	}
-	groups, err := exec.GroupBy(in, opts...)
+	gctx, groupSp := obs.StartSpan(ctx, "cube.group")
+	groups, err := exec.GroupBy(gctx, in)
 	groupSp.Annotate("groups", len(groups))
 	groupSp.End()
 	if err != nil {

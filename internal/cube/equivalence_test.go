@@ -1,6 +1,7 @@
 package cube
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -85,7 +86,7 @@ func TestQuickCubeAgreesWithFlatScan(t *testing.T) {
 				measure = MeasureRef{Agg: storage.CountAgg}
 				fqMeasure = ""
 			}
-			cs, err := e.Execute(Query{
+			cs, err := e.ExecuteCtx(context.Background(), Query{
 				Rows:    []AttrRef{{Dim: "DA", Attr: "A"}},
 				Cols:    []AttrRef{{Dim: "DB", Attr: "B"}},
 				Slicers: slicers,
@@ -94,7 +95,7 @@ func TestQuickCubeAgreesWithFlatScan(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			fr, err := flatquery.Execute(flat, flatquery.Query{
+			fr, err := flatquery.ExecuteCtx(context.Background(), flat, flatquery.Query{
 				Rows:    []string{"A"},
 				Cols:    []string{"B"},
 				Filters: filters,

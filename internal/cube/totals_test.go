@@ -1,6 +1,7 @@
 package cube
 
 import (
+	"context"
 	"testing"
 
 	"github.com/ddgms/ddgms/internal/storage"
@@ -10,7 +11,7 @@ import (
 func totalsCellSet(t *testing.T) *CellSet {
 	t.Helper()
 	e := NewEngine(testStar(t))
-	cs, err := e.Execute(Query{
+	cs, err := e.ExecuteCtx(context.Background(), Query{
 		Rows:    []AttrRef{refBand10},
 		Cols:    []AttrRef{refGender},
 		Measure: MeasureRef{Agg: storage.CountAgg},

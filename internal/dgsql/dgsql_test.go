@@ -1,6 +1,7 @@
 package dgsql
 
 import (
+	"context"
 	"testing"
 
 	"github.com/ddgms/ddgms/internal/storage"
@@ -38,7 +39,7 @@ func testDB(t *testing.T) *DB {
 
 func TestSelectProjection(t *testing.T) {
 	db := testDB(t)
-	out, err := db.Query("SELECT PatientID, Gender FROM visits")
+	out, err := db.QueryCtx(context.Background(), "SELECT PatientID, Gender FROM visits")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestSelectWhere(t *testing.T) {
 		{"SELECT PatientID FROM visits WHERE PatientID <= 2", 2},
 	}
 	for _, c := range cases {
-		out, err := db.Query(c.src)
+		out, err := db.QueryCtx(context.Background(), c.src)
 		if err != nil {
 			t.Fatalf("%s: %v", c.src, err)
 		}
@@ -77,7 +78,7 @@ func TestSelectWhere(t *testing.T) {
 
 func TestGroupByAggregates(t *testing.T) {
 	db := testDB(t)
-	out, err := db.Query("SELECT Gender, count(*) AS n, avg(FBG) AS meanfbg FROM visits GROUP BY Gender ORDER BY Gender")
+	out, err := db.QueryCtx(context.Background(), "SELECT Gender, count(*) AS n, avg(FBG) AS meanfbg FROM visits GROUP BY Gender ORDER BY Gender")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestGroupByAggregates(t *testing.T) {
 
 func TestAggregateWithoutGroupBy(t *testing.T) {
 	db := testDB(t)
-	out, err := db.Query("SELECT count(*) AS n, max(FBG) AS peak, distinct(Gender) AS genders FROM visits")
+	out, err := db.QueryCtx(context.Background(), "SELECT count(*) AS n, max(FBG) AS peak, distinct(Gender) AS genders FROM visits")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestAggregateWithoutGroupBy(t *testing.T) {
 
 func TestOrderByAndLimit(t *testing.T) {
 	db := testDB(t)
-	out, err := db.Query("SELECT PatientID, FBG FROM visits WHERE FBG != NULL ORDER BY FBG DESC LIMIT 2")
+	out, err := db.QueryCtx(context.Background(), "SELECT PatientID, FBG FROM visits WHERE FBG != NULL ORDER BY FBG DESC LIMIT 2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,12 +128,12 @@ func TestOrderByAndLimit(t *testing.T) {
 		t.Errorf("order: %v, %v", out.MustValue(0, "FBG"), out.MustValue(1, "FBG"))
 	}
 	// LIMIT larger than result.
-	out, err = db.Query("SELECT PatientID FROM visits LIMIT 100")
+	out, err = db.QueryCtx(context.Background(), "SELECT PatientID FROM visits LIMIT 100")
 	if err != nil || out.Len() != 5 {
 		t.Errorf("big limit: %d, %v", out.Len(), err)
 	}
 	// LIMIT 0.
-	out, err = db.Query("SELECT PatientID FROM visits LIMIT 0")
+	out, err = db.QueryCtx(context.Background(), "SELECT PatientID FROM visits LIMIT 0")
 	if err != nil || out.Len() != 0 {
 		t.Errorf("limit 0: %d, %v", out.Len(), err)
 	}
@@ -140,7 +141,7 @@ func TestOrderByAndLimit(t *testing.T) {
 
 func TestCountColumnSkipsNA(t *testing.T) {
 	db := testDB(t)
-	out, err := db.Query("SELECT count(FBG) AS n FROM visits")
+	out, err := db.QueryCtx(context.Background(), "SELECT count(FBG) AS n FROM visits")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestErrors(t *testing.T) {
 		"SELECT PatientID FROM visits extra",                        // trailing
 	}
 	for _, src := range cases {
-		if _, err := db.Query(src); err == nil {
+		if _, err := db.QueryCtx(context.Background(), src); err == nil {
 			t.Errorf("Query(%q) should fail", src)
 		}
 	}
@@ -186,16 +187,16 @@ func TestRegisterDuplicate(t *testing.T) {
 func TestCrossKindComparisons(t *testing.T) {
 	db := testDB(t)
 	// String literal against an int column: equality false, inequality true.
-	out, err := db.Query("SELECT PatientID FROM visits WHERE PatientID = 'x'")
+	out, err := db.QueryCtx(context.Background(), "SELECT PatientID FROM visits WHERE PatientID = 'x'")
 	if err != nil || out.Len() != 0 {
 		t.Errorf("cross-kind equality: %d, %v", out.Len(), err)
 	}
-	out, err = db.Query("SELECT PatientID FROM visits WHERE PatientID != 'x'")
+	out, err = db.QueryCtx(context.Background(), "SELECT PatientID FROM visits WHERE PatientID != 'x'")
 	if err != nil || out.Len() != 5 {
 		t.Errorf("cross-kind inequality: %d, %v", out.Len(), err)
 	}
 	// Int literal against float column works numerically.
-	out, err = db.Query("SELECT PatientID FROM visits WHERE FBG > 7")
+	out, err = db.QueryCtx(context.Background(), "SELECT PatientID FROM visits WHERE FBG > 7")
 	if err != nil || out.Len() != 2 {
 		t.Errorf("numeric coercion: %d, %v", out.Len(), err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/ddgms/ddgms/internal/exec"
 	"github.com/ddgms/ddgms/internal/obs"
 	"github.com/ddgms/ddgms/internal/storage"
 	"github.com/ddgms/ddgms/internal/value"
@@ -29,52 +28,25 @@ func (db *DB) Register(name string, t *storage.Table) error {
 	return nil
 }
 
-// Query parses and executes a statement, returning the result table.
-func (db *DB) Query(src string) (*storage.Table, error) {
-	return db.QueryTracedCtx(context.Background(), src, nil)
-}
-
-// QueryCtx is Query under a caller context: aggregate scans check ctx
-// cooperatively in the kernel and charge any govern.Budget it carries.
+// QueryCtx parses and executes a statement, returning the result table.
+// Aggregate scans check ctx cooperatively in the kernel and charge any
+// govern.Budget it carries; when ctx carries a trace span, dgsql.parse
+// and dgsql.execute are recorded under it.
 func (db *DB) QueryCtx(ctx context.Context, src string) (*storage.Table, error) {
-	return db.QueryTracedCtx(ctx, src, nil)
-}
-
-// QueryTraced is Query with stage spans (dgsql.parse, dgsql.execute and
-// the kernel phases for aggregate statements) hung under sp.
-func (db *DB) QueryTraced(src string, sp *obs.Span) (*storage.Table, error) {
-	return db.QueryTracedCtx(context.Background(), src, sp)
-}
-
-// QueryTracedCtx combines QueryCtx and QueryTraced.
-func (db *DB) QueryTracedCtx(ctx context.Context, src string, sp *obs.Span) (*storage.Table, error) {
-	parse := sp.Start("dgsql.parse")
+	parse := obs.SpanFromContext(ctx).Start("dgsql.parse")
 	st, err := Parse(src)
 	parse.End()
 	if err != nil {
 		return nil, err
 	}
-	return db.ExecuteTracedCtx(ctx, st, sp)
+	return db.ExecuteCtx(ctx, st)
 }
 
-// Execute runs a parsed statement.
-func (db *DB) Execute(st *Stmt) (*storage.Table, error) {
-	return db.ExecuteTracedCtx(context.Background(), st, nil)
-}
-
-// ExecuteCtx is Execute under a caller context (see QueryCtx).
+// ExecuteCtx runs a parsed statement under a caller context (see
+// QueryCtx). Aggregate statements record dgsql.group, and the kernel
+// phases beneath it, inside the dgsql.execute span.
 func (db *DB) ExecuteCtx(ctx context.Context, st *Stmt) (*storage.Table, error) {
-	return db.ExecuteTracedCtx(ctx, st, nil)
-}
-
-// ExecuteTraced runs a parsed statement with stage spans under sp.
-func (db *DB) ExecuteTraced(st *Stmt, sp *obs.Span) (*storage.Table, error) {
-	return db.ExecuteTracedCtx(context.Background(), st, sp)
-}
-
-// ExecuteTracedCtx combines ExecuteCtx and ExecuteTraced.
-func (db *DB) ExecuteTracedCtx(ctx context.Context, st *Stmt, sp *obs.Span) (*storage.Table, error) {
-	exe := sp.Start("dgsql.execute")
+	ctx, exe := obs.StartSpan(ctx, "dgsql.execute")
 	defer exe.End()
 	t, ok := db.tables[strings.ToLower(st.Table)]
 	if !ok {
@@ -119,7 +91,7 @@ func (db *DB) ExecuteTracedCtx(ctx context.Context, st *Stmt, sp *obs.Span) (*st
 		// The WHERE predicate is pushed into the group-by kernel scan, so
 		// the aggregate path never materialises a filtered copy of the
 		// table.
-		out, err = db.executeAggregate(ctx, st, t, pred, exe)
+		out, err = db.executeAggregate(ctx, st, t, pred)
 	default:
 		filtered := t
 		if pred != nil {
@@ -168,7 +140,7 @@ func (db *DB) ExecuteTracedCtx(ctx context.Context, st *Stmt, sp *obs.Span) (*st
 
 // executeAggregate handles GROUP BY / aggregate projections. The WHERE
 // predicate (nil when absent) is evaluated inside the kernel scan.
-func (db *DB) executeAggregate(ctx context.Context, st *Stmt, t *storage.Table, pred storage.RowPredicate, sp *obs.Span) (*storage.Table, error) {
+func (db *DB) executeAggregate(ctx context.Context, st *Stmt, t *storage.Table, pred storage.RowPredicate) (*storage.Table, error) {
 	var aggs []storage.AggSpec
 	groupSet := make(map[string]bool, len(st.GroupBy))
 	for _, g := range st.GroupBy {
@@ -201,15 +173,8 @@ func (db *DB) executeAggregate(ctx context.Context, st *Stmt, t *storage.Table, 
 		aggs = append(aggs, spec)
 		outNames[i] = name
 	}
-	groupSp := sp.Start("dgsql.group")
-	var opts []exec.Option
-	if groupSp != nil {
-		opts = append(opts, exec.WithSpan(groupSp))
-	}
-	if ctx != nil {
-		opts = append(opts, exec.WithContext(ctx))
-	}
-	grouped, err := t.GroupByFiltered(st.GroupBy, aggs, pred, opts...)
+	ctx, groupSp := obs.StartSpan(ctx, "dgsql.group")
+	grouped, err := t.GroupByFiltered(ctx, st.GroupBy, aggs, pred)
 	groupSp.End()
 	if err != nil {
 		return nil, fmt.Errorf("dgsql: %w", err)

@@ -48,7 +48,7 @@ func TestPreCancelledContextNeverScans(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for name, in := range cancelInputs(10000) {
-		groups, err := GroupBy(in, WithContext(ctx))
+		groups, err := GroupBy(ctx, in)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", name, err)
 		}
@@ -72,7 +72,7 @@ func TestDeadlineCancelsMidScan(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
-	groups, err := GroupBy(in, WithContext(ctx), WithParallelism(4))
+	groups, err := groupBy(ctx, in, 4)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -94,7 +94,7 @@ func TestCancelStressAllPaths(t *testing.T) {
 	for name, in := range inputs {
 		in := in
 		t.Run(name, func(t *testing.T) {
-			want, err := GroupBy(in, WithVectorized(false))
+			want, err := oracleGroupBy(in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +108,7 @@ func TestCancelStressAllPaths(t *testing.T) {
 					time.Sleep(delay)
 					cancel()
 				}()
-				groups, err := GroupBy(in, WithContext(ctx), WithParallelism(4))
+				groups, err := groupBy(ctx, in, 4)
 				wg.Wait()
 				if err != nil {
 					if !errors.Is(err, context.Canceled) {
@@ -126,7 +126,7 @@ func TestCancelStressAllPaths(t *testing.T) {
 			}
 			// Dictionaries are untouched by any number of aborted scans:
 			// a clean run still matches the scalar reference.
-			got, err := GroupBy(in, WithContext(context.Background()), WithParallelism(4))
+			got, err := groupBy(context.Background(), in, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +139,7 @@ func TestRowBudgetAbortsScan(t *testing.T) {
 	for name, in := range cancelInputs(50000) {
 		b := govern.NewBudget(10000, 0, 0)
 		ctx := govern.WithBudget(context.Background(), b)
-		groups, err := GroupBy(in, WithContext(ctx), WithParallelism(4))
+		groups, err := groupBy(ctx, in, 4)
 		if !errors.Is(err, govern.ErrBudgetExceeded) {
 			t.Errorf("%s: err = %v, want ErrBudgetExceeded", name, err)
 		}
@@ -167,7 +167,7 @@ func TestCellBudgetAbortsHighCardinality(t *testing.T) {
 	}
 	b := govern.NewBudget(0, 100, 0)
 	ctx := govern.WithBudget(context.Background(), b)
-	if _, err := GroupBy(in, WithContext(ctx), WithParallelism(4)); !errors.Is(err, govern.ErrBudgetExceeded) {
+	if _, err := groupBy(ctx, in, 4); !errors.Is(err, govern.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
 }
@@ -185,7 +185,7 @@ func TestByteBudgetAbortsWidePath(t *testing.T) {
 	}
 	b := govern.NewBudget(0, 0, 64<<10)
 	ctx := govern.WithBudget(context.Background(), b)
-	groups, err := GroupBy(in, WithContext(ctx), WithParallelism(4))
+	groups, err := groupBy(ctx, in, 4)
 	var be *govern.BudgetError
 	if !errors.As(err, &be) || be.Dim != "bytes" {
 		t.Fatalf("err = %v, want bytes BudgetError", err)
@@ -199,11 +199,11 @@ func TestBudgetWithinLimitsSucceeds(t *testing.T) {
 	in := buildInput(10000)
 	b := govern.NewBudget(1<<20, 1<<20, 1<<30)
 	ctx := govern.WithBudget(context.Background(), b)
-	got, err := GroupBy(in, WithContext(ctx), WithParallelism(4))
+	got, err := groupBy(ctx, in, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := GroupBy(in, WithVectorized(false))
+	want, err := oracleGroupBy(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,19 +211,5 @@ func TestBudgetWithinLimitsSucceeds(t *testing.T) {
 	rows, _, _ := b.Used()
 	if rows != 10000 {
 		t.Fatalf("rows charged = %d, want 10000", rows)
-	}
-}
-
-func TestScalarPathHonorsContextAndBudget(t *testing.T) {
-	in := buildInput(50000)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := GroupBy(in, WithVectorized(false), WithContext(ctx)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("scalar cancel err = %v", err)
-	}
-	b := govern.NewBudget(1000, 0, 0)
-	bctx := govern.WithBudget(context.Background(), b)
-	if _, err := GroupBy(in, WithVectorized(false), WithContext(bctx)); !errors.Is(err, govern.ErrBudgetExceeded) {
-		t.Fatalf("scalar budget err = %v", err)
 	}
 }

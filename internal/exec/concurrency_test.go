@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
@@ -12,7 +13,7 @@ import (
 func TestConcurrentGroupBy(t *testing.T) {
 	in := buildInput(20000)
 	in.Filter = func(i int) bool { return i%3 != 0 }
-	want, err := GroupBy(in, WithVectorized(false))
+	want, err := oracleGroupBy(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +23,7 @@ func TestConcurrentGroupBy(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			for iter := 0; iter < 10; iter++ {
-				got, err := GroupBy(in, WithParallelism(1+(c+iter)%4))
+				got, err := groupBy(context.Background(), in, 1+(c+iter)%4)
 				if err != nil {
 					t.Error(err)
 					return
@@ -43,7 +44,7 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 	in := buildInput(50000)
 	var base []Group
 	for _, workers := range []int{1, 2, 5, 16} {
-		got, err := GroupBy(in, WithParallelism(workers))
+		got, err := groupBy(context.Background(), in, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

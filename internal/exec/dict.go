@@ -18,14 +18,15 @@
 // The kernel picks one of three accumulation paths per invocation from
 // the packed key width: a direct-indexed dense table when the whole
 // tuple fits maxDenseBits, a uint64-keyed hash map when it fits a
-// machine word, and a raw-code byte-string map beyond that. The legacy
-// scalar path (string-keyed map over materialised values) is retained
-// behind WithVectorized(false) as the ablation baseline.
+// machine word, and a raw-code byte-string map beyond that. The
+// pre-vectorization algorithm (string-keyed map over materialised
+// values) lives on in this package's tests as the reference oracle the
+// three paths are compared against.
 //
 // The kernel is instrumented for internal/obs: per-invocation counters
 // (rows scanned, groups produced, path taken, worker fan-out, merge
-// time) and, when WithSpan supplies a parent, exec.scan / exec.merge /
-// exec.sort phase spans. Recording is per invocation, never per row, so
+// time) and, when the context carries a span, exec.scan / exec.merge /
+// exec.sort phase spans under it. Recording is per invocation, never per row, so
 // the hot loops are untouched.
 package exec
 

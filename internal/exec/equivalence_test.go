@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -135,7 +136,7 @@ func TestEncodingEquivalenceRandomSpecs(t *testing.T) {
 			sp := randomSpec(rand.New(rand.NewSource(int64(seed))), path, sorted)
 
 			t.Setenv(ForceEncodingEnv, "flat")
-			legacy, err := GroupBy(sp.input(), WithVectorized(false))
+			legacy, err := oracleGroupBy(sp.input())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,7 +149,7 @@ func TestEncodingEquivalenceRandomSpecs(t *testing.T) {
 					}
 				}
 				for _, workers := range []int{1, 4} {
-					got, err := GroupBy(in, WithParallelism(workers))
+					got, err := groupBy(context.Background(), in, workers)
 					if err != nil {
 						t.Fatalf("%s/%d workers: %v", enc, workers, err)
 					}

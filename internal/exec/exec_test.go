@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -112,12 +113,12 @@ func sameGroups(t *testing.T, got, want []Group) {
 
 func TestVectorizedMatchesScalar(t *testing.T) {
 	in := buildInput(1000)
-	legacy, err := GroupBy(in, WithVectorized(false))
+	legacy, err := oracleGroupBy(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3, 8} {
-		coded, err := GroupBy(in, WithParallelism(workers))
+		coded, err := groupBy(context.Background(), in, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,11 +129,11 @@ func TestVectorizedMatchesScalar(t *testing.T) {
 func TestFilterRestrictsRows(t *testing.T) {
 	in := buildInput(1000)
 	in.Filter = func(i int) bool { return i%2 == 0 }
-	legacy, err := GroupBy(in, WithVectorized(false))
+	legacy, err := oracleGroupBy(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coded, err := GroupBy(in, WithParallelism(4))
+	coded, err := groupBy(context.Background(), in, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestFilterRestrictsRows(t *testing.T) {
 func TestZeroKeysSingleGroup(t *testing.T) {
 	in := buildInput(100)
 	in.Keys = nil
-	groups, err := GroupBy(in)
+	groups, err := GroupBy(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestZeroKeysSingleGroup(t *testing.T) {
 }
 
 func TestZeroRowsNoGroups(t *testing.T) {
-	groups, err := GroupBy(GroupInput{NumRows: 0, Keys: []CodedColumn{Encode(nil)}})
+	groups, err := GroupBy(context.Background(), GroupInput{NumRows: 0, Keys: []CodedColumn{Encode(nil)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +175,11 @@ func TestZeroRowsNoGroups(t *testing.T) {
 func TestZeroAggsActsAsDistinct(t *testing.T) {
 	in := buildInput(200)
 	in.Aggs = nil
-	legacy, err := GroupBy(in, WithVectorized(false))
+	legacy, err := oracleGroupBy(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coded, err := GroupBy(in, WithParallelism(4))
+	coded, err := groupBy(context.Background(), in, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestZeroAggsActsAsDistinct(t *testing.T) {
 }
 
 func TestShortKeyColumnRejected(t *testing.T) {
-	_, err := GroupBy(GroupInput{NumRows: 10, Keys: []CodedColumn{Encode(make([]value.Value, 5))}})
+	_, err := GroupBy(context.Background(), GroupInput{NumRows: 10, Keys: []CodedColumn{Encode(make([]value.Value, 5))}})
 	if err == nil {
 		t.Fatal("expected error for short key column")
 	}
@@ -222,11 +223,11 @@ func TestHashedPathMatchesScalar(t *testing.T) {
 	if l := layoutFor(in.Keys); !l.packable || l.total <= maxDenseBits {
 		t.Fatalf("layout %v does not exercise the hashed path", l)
 	}
-	legacy, err := GroupBy(in, WithVectorized(false))
+	legacy, err := oracleGroupBy(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coded, err := GroupBy(in, WithParallelism(4))
+	coded, err := groupBy(context.Background(), in, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,11 +245,11 @@ func TestWidePathMatchesScalar(t *testing.T) {
 	if l := layoutFor(keys); l.packable {
 		t.Fatalf("layout %v does not exercise the wide path", l)
 	}
-	legacy, err := GroupBy(in, WithVectorized(false))
+	legacy, err := oracleGroupBy(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coded, err := GroupBy(in, WithParallelism(4))
+	coded, err := groupBy(context.Background(), in, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,55 +15,6 @@ import (
 	"github.com/ddgms/ddgms/internal/value"
 )
 
-// Options configures a kernel invocation.
-type Options struct {
-	// Vectorized selects the coded parallel kernel (default). When false
-	// the legacy scalar path runs: one string-keyed map over materialised
-	// values on a single goroutine — the ablation baseline.
-	Vectorized bool
-	// Parallelism bounds the worker pool; 0 means GOMAXPROCS.
-	Parallelism int
-	// Span, when non-nil, receives child spans for the kernel phases
-	// (exec.scan, exec.merge, exec.sort). Nil — the default — costs one
-	// nil check per phase.
-	Span *obs.Span
-	// Ctx, when non-nil, is checked cooperatively every cancelCheckRows
-	// rows by every scan worker (and between merge batches), so a
-	// cancelled query releases its CPU within one check interval instead
-	// of running to completion. The context also carries the optional
-	// per-query resource budget (govern.WithBudget).
-	Ctx context.Context
-}
-
-// Option mutates Options.
-type Option func(*Options)
-
-// WithVectorized enables or disables the coded parallel kernel (default
-// on). Disabling it is the ablation baseline for benchmarks.
-func WithVectorized(on bool) Option { return func(o *Options) { o.Vectorized = on } }
-
-// WithParallelism bounds the kernel's worker pool. 0 (the default) sizes
-// the pool by GOMAXPROCS.
-func WithParallelism(n int) Option { return func(o *Options) { o.Parallelism = n } }
-
-// WithSpan hangs the kernel's phase spans (exec.scan, exec.merge,
-// exec.sort) under a parent trace span.
-func WithSpan(sp *obs.Span) Option { return func(o *Options) { o.Span = sp } }
-
-// WithContext threads the caller's context into the kernel for
-// cooperative cancellation and budget enforcement. All scan workers
-// share one check cadence (cancelCheckRows), so cancellation latency is
-// bounded by a few thousand rows of work per worker, not by query size.
-func WithContext(ctx context.Context) Option { return func(o *Options) { o.Ctx = ctx } }
-
-func buildOptions(opts []Option) Options {
-	o := Options{Vectorized: true}
-	for _, fn := range opts {
-		fn(&o)
-	}
-	return o
-}
-
 // AggInput is one aggregate to compute per group: its kind and the
 // measure it reads. A nil Measure counts rows.
 type AggInput struct {
@@ -130,12 +81,8 @@ type scanCtl struct {
 	err    error
 }
 
-func newScanCtl(o Options) *scanCtl {
-	c := &scanCtl{ctx: o.Ctx}
-	if o.Ctx != nil {
-		c.budget = govern.BudgetFrom(o.Ctx)
-	}
-	return c
+func newScanCtl(ctx context.Context) *scanCtl {
+	return &scanCtl{ctx: ctx, budget: govern.BudgetFrom(ctx)}
 }
 
 // fail records the first abort cause and stops every worker.
@@ -162,11 +109,9 @@ func (c *scanCtl) next(nRows int) bool {
 	if c.stop.Load() {
 		return false
 	}
-	if c.ctx != nil {
-		if err := c.ctx.Err(); err != nil {
-			c.fail(err)
-			return false
-		}
+	if err := c.ctx.Err(); err != nil {
+		c.fail(err)
+		return false
 	}
 	if err := c.budget.AddRows(int64(nRows)); err != nil {
 		c.fail(err)
@@ -218,42 +163,39 @@ func (c *scanCtl) checkEvery(i int) bool {
 // key tuple (value.Compare, lexicographic), which makes the result
 // deterministic regardless of worker count or merge order.
 //
-// When the options carry a context (WithContext), the scan is
-// cooperatively cancellable: workers re-check the context every
+// The scan is cooperatively cancellable: workers re-check ctx every
 // cancelCheckRows rows and the call returns the context's error with no
-// partial result. A budget attached to that context (govern.WithBudget)
-// is charged as the scan proceeds and aborts the call with an error
-// matching govern.ErrBudgetExceeded when a ceiling is crossed.
-func GroupBy(in GroupInput, opts ...Option) ([]Group, error) {
-	o := buildOptions(opts)
+// partial result. A budget attached to ctx (govern.WithBudget) is
+// charged as the scan proceeds and aborts the call with an error
+// matching govern.ErrBudgetExceeded when a ceiling is crossed. When ctx
+// carries a trace span (obs.ContextWithSpan), the kernel phases
+// (exec.scan, exec.merge, exec.sort) are recorded under it.
+func GroupBy(ctx context.Context, in GroupInput) ([]Group, error) {
+	return groupBy(ctx, in, 0)
+}
+
+// groupBy is GroupBy with the worker pool bounded by parallelism; 0
+// sizes it by GOMAXPROCS.
+func groupBy(ctx context.Context, in GroupInput, parallelism int) ([]Group, error) {
 	for k, key := range in.Keys {
 		if key.Len() < in.NumRows {
 			return nil, fmt.Errorf("exec: key column %d has %d rows, input has %d", k, key.Len(), in.NumRows)
 		}
 	}
-	c := newScanCtl(o)
+	c := newScanCtl(ctx)
 	if !c.next(0) { // already-cancelled contexts never start scanning
 		return nil, abortErr(c)
 	}
 	metricRowsScanned.Add(uint64(in.NumRows))
-	var groups []Group
-	var err error
-	if !o.Vectorized {
-		invokeScalar.Inc()
-		scan := o.Span.Start("exec.scan")
-		scan.Annotate("rows", in.NumRows)
-		groups, err = groupScalar(in, c)
-		scan.End()
-	} else {
-		groups, err = groupVectorized(in, o, c)
-	}
+	sp := obs.SpanFromContext(ctx)
+	groups, err := groupVectorized(in, parallelism, c, sp)
 	if err != nil {
 		return nil, err
 	}
 	if !c.next(0) {
 		return nil, abortErr(c)
 	}
-	sortSp := o.Span.Start("exec.sort")
+	sortSp := sp.Start("exec.sort")
 	sort.Slice(groups, func(a, b int) bool {
 		return CompareTuples(groups[a].Tuple, groups[b].Tuple) < 0
 	})
@@ -276,54 +218,6 @@ func abortErr(c *scanCtl) error {
 	return fmt.Errorf("exec: group-by aborted: %w", err)
 }
 
-// --- legacy scalar path ----------------------------------------------------
-
-// groupScalar is the pre-vectorization algorithm kept as the ablation
-// baseline: materialise the key tuple of every row, encode it to a string
-// and accumulate in one map on the calling goroutine. It shares the
-// vectorized paths' cancellation cadence and budget.
-func groupScalar(in GroupInput, c *scanCtl) ([]Group, error) {
-	type entry struct {
-		tuple  []value.Value
-		states []*AggState
-	}
-	groups := make(map[string]*entry)
-	keyBuf := make([]value.Value, len(in.Keys))
-	for lo := 0; lo < in.NumRows; {
-		hi := lo + cancelCheckRows
-		if hi > in.NumRows {
-			hi = in.NumRows
-		}
-		if !c.next(hi - lo) {
-			return nil, abortErr(c)
-		}
-		for i := lo; i < hi; i++ {
-			if in.Filter != nil && !in.Filter(i) {
-				continue
-			}
-			for k, key := range in.Keys {
-				keyBuf[k] = key.Value(i)
-			}
-			gk := EncodeTuple(keyBuf)
-			g, ok := groups[gk]
-			if !ok {
-				if !c.cell() {
-					return nil, abortErr(c)
-				}
-				g = &entry{tuple: append([]value.Value(nil), keyBuf...), states: newStates(in.Aggs)}
-				groups[gk] = g
-			}
-			observeRow(g.states, in.Aggs, i)
-		}
-		lo = hi
-	}
-	out := make([]Group, 0, len(groups))
-	for _, g := range groups {
-		out = append(out, Group{Tuple: g.tuple, States: g.states})
-	}
-	return out, nil
-}
-
 func newStates(aggs []AggInput) []*AggState {
 	states := make([]*AggState, len(aggs))
 	for k, a := range aggs {
@@ -341,8 +235,6 @@ func observeRow(states []*AggState, aggs []AggInput, i int) {
 		}
 	}
 }
-
-// --- vectorized path -------------------------------------------------------
 
 // keyLayout packs one code per key column into a uint64: column k
 // occupies width[k] bits at shift[k]. Packable reports whether the whole
@@ -392,10 +284,10 @@ func (l keyLayout) unpack(packed uint64, keys []CodedColumn) []value.Value {
 	return tuple
 }
 
-// workerCount sizes the pool: bounded by Parallelism (or GOMAXPROCS) and
-// by the number of minimum-size row chunks available.
-func workerCount(numRows int, o Options) int {
-	p := o.Parallelism
+// workerCount sizes the pool: bounded by parallelism (or GOMAXPROCS when
+// that is 0) and by the number of minimum-size row chunks available.
+func workerCount(numRows, parallelism int) int {
+	p := parallelism
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
 	}
@@ -408,20 +300,20 @@ func workerCount(numRows int, o Options) int {
 	return p
 }
 
-func groupVectorized(in GroupInput, o Options, c *scanCtl) ([]Group, error) {
+func groupVectorized(in GroupInput, parallelism int, c *scanCtl, sp *obs.Span) ([]Group, error) {
 	layout := layoutFor(in.Keys)
-	workers := workerCount(in.NumRows, o)
+	workers := workerCount(in.NumRows, parallelism)
 	metricWorkers.Observe(float64(workers))
 	switch {
 	case layout.packable && layout.total <= maxDenseBits:
 		invokeDense.Inc()
-		return groupDense(in, layout, workers, c, o.Span)
+		return groupDense(in, layout, workers, c, sp)
 	case layout.packable:
 		invokeHashed.Inc()
-		return groupHashed(in, layout, workers, c, o.Span)
+		return groupHashed(in, layout, workers, c, sp)
 	default:
 		invokeWide.Inc()
-		return groupWide(in, workers, c, o.Span)
+		return groupWide(in, workers, c, sp)
 	}
 }
 

@@ -36,7 +36,6 @@ var (
 	invokeDense  = metricInvocations.WithLabelValues("dense")
 	invokeHashed = metricInvocations.WithLabelValues("hashed")
 	invokeWide   = metricInvocations.WithLabelValues("wide")
-	invokeScalar = metricInvocations.WithLabelValues("scalar")
 )
 
 // DictLookupCounters returns the (hit, miss) counters of the dictionary

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/ddgms/ddgms/internal/core"
+	"github.com/ddgms/ddgms/internal/cube"
 	"github.com/ddgms/ddgms/internal/discri"
 )
 
@@ -86,5 +87,36 @@ func TestCDCPopulatedFiguresMatchBatch(t *testing.T) {
 	sameCellSet(t, "fig6 fine", gotFig6.Fine, wantFig6.Fine)
 	if err := CheckFig6Shape(gotFig6); err != nil {
 		t.Errorf("cdc Fig6 shape: %v", err)
+	}
+}
+
+// sameCellSet requires two cell sets to agree exactly: same axes, same
+// headers in the same order, same cells (NA matching NA).
+func sameCellSet(t *testing.T, name string, got, want *cube.CellSet) {
+	t.Helper()
+	if got.Rows() != want.Rows() || got.Columns() != want.Columns() {
+		t.Fatalf("%s: shape %dx%d, want %dx%d", name, got.Rows(), got.Columns(), want.Rows(), want.Columns())
+	}
+	for i := range want.RowHeaders {
+		for k := range want.RowHeaders[i] {
+			if !got.RowHeaders[i][k].Equal(want.RowHeaders[i][k]) {
+				t.Fatalf("%s: row header %d = %v, want %v", name, i, got.RowHeaders[i], want.RowHeaders[i])
+			}
+		}
+	}
+	for j := range want.ColHeaders {
+		for k := range want.ColHeaders[j] {
+			if !got.ColHeaders[j][k].Equal(want.ColHeaders[j][k]) {
+				t.Fatalf("%s: col header %d = %v, want %v", name, j, got.ColHeaders[j], want.ColHeaders[j])
+			}
+		}
+	}
+	for i := 0; i < want.Rows(); i++ {
+		for j := 0; j < want.Columns(); j++ {
+			g, w := got.Cell(i, j), want.Cell(i, j)
+			if g.IsNA() != w.IsNA() || (!w.IsNA() && !g.Equal(w)) {
+				t.Fatalf("%s: cell (%d,%d) = %v, want %v", name, i, j, g, w)
+			}
+		}
 	}
 }

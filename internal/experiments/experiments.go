@@ -5,6 +5,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -148,7 +149,7 @@ func Fig2(w io.Writer, p *core.Platform) error {
 	fmt.Fprintf(w, "  Transformation:         %d columns after discretisation/cardinality\n", p.Flat().Schema().Len())
 	fmt.Fprintf(w, "  Data warehouse:         %d facts, %d dimensions\n",
 		p.Warehouse().Fact().Len(), len(p.Warehouse().Dimensions()))
-	cs, err := p.Query(cube.Query{
+	cs, err := p.QueryCtx(context.TODO(), cube.Query{
 		Rows:    []cube.AttrRef{core.RefDiabetes},
 		Measure: core.PatientCountMeasure(),
 	})
@@ -196,7 +197,7 @@ func Fig2(w io.Writer, p *core.Platform) error {
 func Fig3(w io.Writer, p *core.Platform) error {
 	fmt.Fprintln(w, "FIG 3 — dimensional model used in the prototypical trial")
 	fmt.Fprint(w, p.Warehouse().Describe())
-	cs, err := p.Query(cube.Query{
+	cs, err := p.QueryCtx(context.TODO(), cube.Query{
 		Rows:    []cube.AttrRef{core.RefVisitNo},
 		Measure: core.PatientCountMeasure(),
 	})

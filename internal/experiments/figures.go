@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -24,7 +25,7 @@ func Fig4Query() cube.Query {
 
 // Fig4 executes and renders the Fig 4 crosstab.
 func Fig4(w io.Writer, p *core.Platform) (*cube.CellSet, error) {
-	cs, err := p.Query(Fig4Query())
+	cs, err := p.QueryCtx(context.TODO(), Fig4Query())
 	if err != nil {
 		return nil, err
 	}
@@ -56,7 +57,7 @@ type Fig5Result struct {
 // 5-year bands, renders both, and returns the cell sets for shape checks.
 func Fig5(w io.Writer, p *core.Platform) (*Fig5Result, error) {
 	q := Fig5Query()
-	coarse, err := p.Query(q)
+	coarse, err := p.QueryCtx(context.TODO(), q)
 	if err != nil {
 		return nil, err
 	}
@@ -64,7 +65,7 @@ func Fig5(w io.Writer, p *core.Platform) (*Fig5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	fineCS, err := p.Query(fine)
+	fineCS, err := p.QueryCtx(context.TODO(), fine)
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +122,7 @@ type Fig6Result struct {
 // bands, renders both, and returns the cell sets for shape checks.
 func Fig6(w io.Writer, p *core.Platform) (*Fig6Result, error) {
 	q := Fig6Query()
-	coarse, err := p.Query(q)
+	coarse, err := p.QueryCtx(context.TODO(), q)
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +130,7 @@ func Fig6(w io.Writer, p *core.Platform) (*Fig6Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	fineCS, err := p.Query(fine)
+	fineCS, err := p.QueryCtx(context.TODO(), fine)
 	if err != nil {
 		return nil, err
 	}

@@ -39,34 +39,25 @@ type Result struct {
 	AggName string
 }
 
-// Execute answers the query with a single filtered scan on the shared
+// ExecuteCtx answers the query with a single filtered scan on the shared
 // execution kernel: no warehouse, no bitmap indexes, no aggregate caching.
 // Filters are evaluated as allowed-code sets over each column's cached
 // dictionary (one set lookup per row instead of per-row value equality),
 // and no intermediate filtered table is materialised. Rows with NA in any
-// grouping column are dropped, matching the cube engine's default. Extra
-// opts (e.g. exec.WithVectorized(false)) select the kernel path.
-func Execute(t *storage.Table, q Query, opts ...exec.Option) (*Result, error) {
-	return ExecuteTraced(t, q, nil, opts...)
-}
-
-// ExecuteCtx is Execute under a caller context: the kernel scan checks
-// ctx cooperatively and charges any govern.Budget it carries, so a
-// cancelled or over-budget baseline scan stops mid-flight.
-func ExecuteCtx(ctx context.Context, t *storage.Table, q Query, opts ...exec.Option) (*Result, error) {
-	opts = append(opts[:len(opts):len(opts)], exec.WithContext(ctx))
-	return ExecuteTraced(t, q, nil, opts...)
-}
-
-// ExecuteTraced is Execute with per-stage spans (flatquery.compile for
-// filter compilation, then the kernel's phases under flatquery.group)
-// hung beneath sp. A nil sp traces nothing.
-func ExecuteTraced(t *storage.Table, q Query, sp *obs.Span, opts ...exec.Option) (*Result, error) {
+// grouping column are dropped, matching the cube engine's default.
+//
+// The kernel scan checks ctx cooperatively and charges any govern.Budget
+// it carries, so a cancelled or over-budget baseline scan stops
+// mid-flight. When ctx carries a trace span, flatquery.compile (filter
+// compilation) and flatquery.group (the kernel's phases beneath it) are
+// recorded under it.
+func ExecuteCtx(ctx context.Context, t *storage.Table, q Query) (*Result, error) {
 	type codeFilter struct {
 		codes   []uint32
 		allowed []bool // indexed by dictionary code
 	}
-	compile := sp.Start("flatquery.compile")
+	compile := obs.SpanFromContext(ctx).Start("flatquery.compile")
+	defer compile.End() // no-op after the explicit End below; closes the span on error returns
 	filters := make([]codeFilter, len(q.Filters))
 	for k, f := range q.Filters {
 		if len(f.Values) == 0 {
@@ -114,13 +105,10 @@ func ExecuteTraced(t *storage.Table, q Query, sp *obs.Span, opts ...exec.Option)
 	}
 
 	aggName := "agg"
-	groupSp := sp.Start("flatquery.group")
-	if groupSp != nil {
-		opts = append(opts[:len(opts):len(opts)], exec.WithSpan(groupSp))
-	}
-	grouped, err := t.GroupByFiltered(groupCols, []storage.AggSpec{
+	gctx, groupSp := obs.StartSpan(ctx, "flatquery.group")
+	grouped, err := t.GroupByFiltered(gctx, groupCols, []storage.AggSpec{
 		{Kind: q.Agg, Column: q.Measure, As: aggName},
-	}, pred, opts...)
+	}, pred)
 	groupSp.End()
 	if err != nil {
 		return nil, fmt.Errorf("flatquery: %w", err)

@@ -1,6 +1,7 @@
 package flatquery
 
 import (
+	"context"
 	"testing"
 
 	"github.com/ddgms/ddgms/internal/storage"
@@ -33,7 +34,7 @@ func flatTable(t *testing.T) *storage.Table {
 }
 
 func TestExecuteCount(t *testing.T) {
-	r, err := Execute(flatTable(t), Query{
+	r, err := ExecuteCtx(context.Background(), flatTable(t), Query{
 		Rows: []string{"Band"},
 		Cols: []string{"Gender"},
 		Agg:  storage.CountAgg,
@@ -54,7 +55,7 @@ func TestExecuteCount(t *testing.T) {
 }
 
 func TestExecuteFilteredAvg(t *testing.T) {
-	r, err := Execute(flatTable(t), Query{
+	r, err := ExecuteCtx(context.Background(), flatTable(t), Query{
 		Rows:    []string{"Gender"},
 		Filters: []Filter{{Column: "Diabetes", Values: []value.Value{value.Str("Yes")}}},
 		Agg:     storage.AvgAgg,
@@ -89,14 +90,14 @@ func TestExecuteErrors(t *testing.T) {
 		{Rows: []string{"Gender"}, Agg: storage.SumAgg}, // sum without measure
 	}
 	for i, q := range cases {
-		if _, err := Execute(tbl, q); err == nil {
+		if _, err := ExecuteCtx(context.Background(), tbl, q); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
 }
 
 func TestMultiValueFilter(t *testing.T) {
-	r, err := Execute(flatTable(t), Query{
+	r, err := ExecuteCtx(context.Background(), flatTable(t), Query{
 		Rows:    []string{"Diabetes"},
 		Filters: []Filter{{Column: "Gender", Values: []value.Value{value.Str("M"), value.Str("F")}}},
 		Agg:     storage.CountAgg,

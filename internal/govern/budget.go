@@ -102,9 +102,6 @@ func WithBudget(ctx context.Context, b *Budget) context.Context {
 // BudgetFrom extracts the query budget, or nil (charge-nothing) when
 // the context carries none.
 func BudgetFrom(ctx context.Context) *Budget {
-	if ctx == nil {
-		return nil
-	}
 	b, _ := ctx.Value(budgetKey{}).(*Budget)
 	return b
 }

@@ -39,11 +39,14 @@
 // start/duration (time.Time's monotonic reading, so wall-clock steps
 // cannot corrupt timings), optional key/value annotations, and child
 // spans. Starting a child of a nil span returns nil, and every method
-// of a nil *Span or *Trace is a no-op — instrumented code threads one
-// optional parent span through and pays only a nil check when tracing
-// is off. The server starts a trace per /query, the MDX evaluator, cube
-// engine and execution kernel hang their stage spans under it
+// of a nil *Span or *Trace is a no-op. The current span rides the
+// context.Context (ContextWithSpan, SpanFromContext, StartSpan): each
+// instrumented layer takes its parent from the context it was handed
+// and pays one lookup and nil checks when there is none. The server
+// starts a trace per query request and, when the client asks with
+// ?trace=1, attaches its root to the request context; the front-ends,
+// cube engine and execution kernel hang their stage spans under it
 // (mdx.parse → cube.group → exec.scan/exec.merge), and the finished
-// tree is served as JSON on /debug/traces and, when the client asks
-// with ?trace=1, attached to the query response itself.
+// tree is served as JSON on /debug/traces and attached to the query
+// response itself.
 package obs

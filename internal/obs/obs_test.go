@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"math"
 	"strings"
 	"sync"
@@ -253,6 +254,64 @@ func TestNilSafety(t *testing.T) {
 	tr.Finish()
 	if docs := tracer.Recent(); docs != nil {
 		t.Errorf("nil tracer Recent = %v", docs)
+	}
+}
+
+// TestSpanRidesContext: StartSpan hangs a child under the span the
+// context carries and hands back a context carrying the child, so stages
+// started further down nest beneath it.
+func TestSpanRidesContext(t *testing.T) {
+	tr := NewTracer(1).StartTrace("query")
+	ctx := ContextWithSpan(context.Background(), tr.Root())
+	if SpanFromContext(ctx) != tr.Root() {
+		t.Fatal("SpanFromContext did not return the attached span")
+	}
+	gctx, group := StartSpan(ctx, "group")
+	_, scan := StartSpan(gctx, "scan")
+	scan.End()
+	group.End()
+	_, assemble := StartSpan(ctx, "assemble") // ctx still carries the root
+	assemble.End()
+	tr.Finish()
+
+	root := tr.Doc().Root
+	if len(root.Children) != 2 || root.Children[0].Name != "group" || root.Children[1].Name != "assemble" {
+		t.Fatalf("root children = %+v", root.Children)
+	}
+	if g := root.Children[0]; len(g.Children) != 1 || g.Children[0].Name != "scan" {
+		t.Fatalf("group children = %+v", g.Children)
+	}
+}
+
+// TestSpanlessContextIsFree: on a context carrying no span — every
+// untraced request — StartSpan must return that same context and a nil
+// span without allocating, and the nil span must stay inert when
+// attached and looked up again.
+func TestSpanlessContextIsFree(t *testing.T) {
+	type key struct{}
+	ctx := context.WithValue(context.Background(), key{}, 1) // not the empty ctx: a lookup has a chain to walk
+	if SpanFromContext(ctx) != nil {
+		t.Fatal("span-less context produced a span")
+	}
+	got, sp := StartSpan(ctx, "stage")
+	if got != ctx || sp != nil {
+		t.Fatalf("StartSpan on a span-less context = (%v, %v), want the same context and a nil span", got, sp)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		c, sp := StartSpan(ctx, "stage")
+		sp.Annotate("k", "v")
+		sp.End()
+		_ = c
+	}); allocs != 0 {
+		t.Errorf("StartSpan on a span-less context allocates %.0f times, want 0", allocs)
+	}
+	// An explicitly attached nil span behaves like no span at all.
+	nilCtx := ContextWithSpan(ctx, nil)
+	if SpanFromContext(nilCtx) != nil {
+		t.Fatal("attached nil span came back non-nil")
+	}
+	if c, sp := StartSpan(nilCtx, "stage"); c != nilCtx || sp != nil {
+		t.Fatal("StartSpan under an attached nil span started a span")
 	}
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"sync"
@@ -11,9 +12,9 @@ import (
 // duration, optional key/value annotations and nested child spans.
 //
 // Every method is safe on a nil *Span and does nothing, and Start on a
-// nil span returns nil — so instrumented code threads an optional
-// parent span through unconditionally and pays only a nil check when
-// tracing is off.
+// nil span returns nil — so instrumented code takes its optional parent
+// from the context (SpanFromContext, StartSpan) unconditionally and pays
+// only a nil check when tracing is off.
 type Span struct {
 	name  string
 	start time.Time
@@ -67,6 +68,35 @@ func (sp *Span) Annotate(key string, val any) {
 	sp.mu.Lock()
 	sp.attrs = append(sp.attrs, attr{key: key, val: val})
 	sp.mu.Unlock()
+}
+
+// spanKey is the context key the current span rides under.
+type spanKey struct{}
+
+// ContextWithSpan returns ctx carrying sp as the current span: the
+// parent every instrumented layer below hangs its stage spans under.
+func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
+	return context.WithValue(ctx, spanKey{}, sp)
+}
+
+// SpanFromContext returns the span ctx carries, or nil — which the
+// whole Span API tolerates — when the request is not traced.
+func SpanFromContext(ctx context.Context) *Span {
+	sp, _ := ctx.Value(spanKey{}).(*Span)
+	return sp
+}
+
+// StartSpan begins a child of the span ctx carries and returns a
+// context carrying the child, so stages started further down nest under
+// it. On a span-less ctx it returns ctx itself and a nil span without
+// allocating: an untraced request pays one context lookup and nil
+// checks.
+func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
+	sp := SpanFromContext(ctx).Start(name)
+	if sp == nil {
+		return ctx, nil
+	}
+	return ContextWithSpan(ctx, sp), sp
 }
 
 // Trace is one query's span tree plus its identity in the ring buffer.

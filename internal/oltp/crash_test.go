@@ -2,12 +2,12 @@ package oltp
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/ddgms/ddgms/internal/faultfs"
@@ -30,8 +30,6 @@ import (
 // operation of the workload covers torn record writes (partial-write
 // fractions), failed syncs, segment rotation, checkpoint publication and
 // old-segment truncation.
-
-func walLegacyPath(dir string) string { return filepath.Join(dir, legacyWALName) }
 
 // crashOpts keeps segments and checkpoints small so a modest workload
 // crosses both thresholds many times.
@@ -321,76 +319,47 @@ func TestCrashRecoverySurvivesCheckpoints(t *testing.T) {
 	verifyRecovered(t, "checkpointed", dir, out)
 }
 
-// TestFaultLegacyV1FormatRecovered writes a format-1 wal.log byte stream
-// (bare records, no frames or checksums) and opens the store on it: the
-// old clean log must replay, migrate to format 2 and keep working.
-func TestFaultLegacyV1FormatRecovered(t *testing.T) {
-	dir := t.TempDir()
-	var buf bytes.Buffer
-	appendRec := func(rec walRecord) {
-		var p bytes.Buffer
-		if err := encodeRecordPayload(&p, rec); err != nil {
+// TestFaultV1WALRefused: no reader for the format-1 wal.log (bare
+// records, no frames or checksums) remains, so a store directory holding
+// one — even an empty one — must be refused with an error naming the
+// file, and left exactly as found. Starting empty over it would silently
+// hide every row it holds.
+func TestFaultV1WALRefused(t *testing.T) {
+	var v1 bytes.Buffer
+	for _, rec := range []walRecord{
+		{tx: 1, op: opInsert, id: 1, row: row(10, 5.5, "F")},
+		{tx: 1, op: opCommit},
+	} {
+		if err := encodeRecordPayload(&v1, rec); err != nil {
 			t.Fatal(err)
 		}
-		buf.Write(p.Bytes())
 	}
-	// tx 1: insert rows 1 and 2, committed.
-	appendRec(walRecord{tx: 1, op: opInsert, id: 1, row: row(10, 5.5, "F")})
-	appendRec(walRecord{tx: 1, op: opInsert, id: 2, row: row(11, 6.5, "M")})
-	appendRec(walRecord{tx: 1, op: opCommit})
-	// tx 2: update row 1, delete row 2, committed.
-	appendRec(walRecord{tx: 2, op: opUpdate, id: 1, row: row(10, 7.5, "F")})
-	appendRec(walRecord{tx: 2, op: opDelete, id: 2})
-	appendRec(walRecord{tx: 2, op: opCommit})
-	// tx 3: uncommitted tail, torn mid-record.
-	var torn bytes.Buffer
-	if err := encodeRecordPayload(&torn, walRecord{tx: 3, op: opInsert, id: 3, row: row(12, 9, "X")}); err != nil {
-		t.Fatal(err)
-	}
-	buf.Write(torn.Bytes()[:torn.Len()/2])
-	if err := os.WriteFile(walLegacyPath(dir), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := Open(dir, testSchema())
-	if err != nil {
-		t.Fatalf("opening legacy WAL: %v", err)
-	}
-	if s.Len() != 1 {
-		t.Fatalf("recovered %d rows from legacy WAL, want 1", s.Len())
-	}
-	tx := s.Begin()
-	r, ok := tx.Get(1)
-	if !ok || r[1].Float() != 7.5 {
-		t.Fatalf("legacy row = %v, %v", r, ok)
-	}
-	if _, ok := tx.Get(2); ok {
-		t.Fatal("legacy-deleted row resurrected")
-	}
-	tx.Rollback()
-	// New transactions must not collide with recovered tx ids.
-	tx2 := s.Begin()
-	id4, err := tx2.Insert(row(13, 1, "F"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tx2.Commit(); err != nil {
-		t.Fatalf("commit after migration: %v", err)
-	}
-	if id4 <= 2 {
-		t.Errorf("RowID %d reused after legacy recovery", id4)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The old log is gone; the new layout carries the state.
-	if _, err := os.Stat(walLegacyPath(dir)); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("wal.log still present after migration (err=%v)", err)
-	}
-	s2 := mustOpen(t, dir)
-	if s2.Len() != 2 {
-		t.Errorf("post-migration reopen: %d rows, want 2", s2.Len())
+	for name, content := range map[string][]byte{"committed rows": v1.Bytes(), "empty": nil} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "wal.log")
+			if err := os.WriteFile(path, content, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(dir, testSchema())
+			if err == nil {
+				s.Close()
+				t.Fatal("store opened over a format-1 wal.log")
+			}
+			if !strings.Contains(err.Error(), path) {
+				t.Errorf("refusal %q does not name %s", err, path)
+			}
+			names, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(names) != 1 || names[0].Name() != "wal.log" {
+				t.Errorf("refused open changed the directory: %v", names)
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, content) {
+				t.Errorf("wal.log altered by the refused open (err=%v)", err)
+			}
+		})
 	}
 }
 

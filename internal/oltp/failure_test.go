@@ -123,21 +123,6 @@ func TestFaultWALTruncatedToEveryPrefix(t *testing.T) {
 	}
 }
 
-func TestFaultEmptyLegacyWALFile(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(walLegacyPath(dir), nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(dir, testSchema())
-	if err != nil {
-		t.Fatalf("empty WAL: %v", err)
-	}
-	defer s.Close()
-	if s.Len() != 0 {
-		t.Errorf("rows = %d", s.Len())
-	}
-}
-
 // TestConflictRetryConverges exercises the documented retry pattern: many
 // goroutines increment the same logical counter; with retries every
 // increment must eventually land.

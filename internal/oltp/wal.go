@@ -41,8 +41,9 @@ type walRecord struct {
 	row Row
 }
 
-// On-disk format, version 2 (format 1 is the legacy unframed wal.log; see
-// replayLegacy). The log is a sequence of numbered segment files
+// On-disk format, version 2 (format 1 was a single unframed wal.log; no
+// reader for it remains, and a directory holding one is refused — see
+// scanWalDir). The log is a sequence of numbered segment files
 // wal-NNNNNNNN.seg, each starting with an 8-byte magic and containing
 // framed records:
 //
@@ -76,8 +77,6 @@ const (
 
 	frameHeader = 8       // uint32 length + uint32 crc
 	maxFrame    = 1 << 26 // sanity bound on one record
-
-	legacyWALName = "wal.log"
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -331,7 +330,6 @@ func (s *Store) replaySegment(fs faultfs.FS, dir string, seq uint64, last bool, 
 type walLayout struct {
 	segs     []uint64 // sorted segment sequence numbers
 	ckpts    []uint64 // sorted checkpoint numbers
-	legacy   bool     // wal.log present
 	tmpFiles []string // leftover temp files to sweep
 }
 
@@ -343,8 +341,11 @@ func scanWalDir(fs faultfs.FS, dir string) (walLayout, error) {
 	}
 	for _, n := range names {
 		switch {
-		case n == legacyWALName:
-			lay.legacy = true
+		case n == "wal.log":
+			// Opening empty beside a format-1 log would silently hide
+			// every row it holds.
+			return lay, fmt.Errorf("oltp: %s is a format-1 log, which this version cannot read; refusing to open the store over it",
+				filepath.Join(dir, n))
 		case strings.HasSuffix(n, ".tmp"):
 			lay.tmpFiles = append(lay.tmpFiles, n)
 		default:
@@ -361,9 +362,8 @@ func scanWalDir(fs faultfs.FS, dir string) (walLayout, error) {
 }
 
 // recover rebuilds committed state from the directory and leaves s.wal
-// open on the tail segment, ready to append. It handles all three
-// layouts: fresh directory, format-2 segments (+ optional checkpoint),
-// and a format-1 wal.log which is migrated to format 2 on first open.
+// open on the tail segment, ready to append. It handles both layouts:
+// fresh directory, and format-2 segments (+ optional checkpoint).
 func (s *Store) recover(fs faultfs.FS, dir string) error {
 	lay, err := scanWalDir(fs, dir)
 	if err != nil {
@@ -374,17 +374,6 @@ func (s *Store) recover(fs faultfs.FS, dir string) error {
 	for _, n := range lay.tmpFiles {
 		if err := fs.Remove(filepath.Join(dir, n)); err != nil {
 			return fmt.Errorf("oltp: sweeping %s: %w", n, err)
-		}
-	}
-
-	if lay.legacy {
-		if len(lay.ckpts) == 0 && len(lay.segs) == 0 {
-			return s.migrateLegacy(fs, dir)
-		}
-		// A crash between checkpoint rename and wal.log removal during a
-		// previous migration: the checkpoint already owns the state.
-		if err := fs.Remove(filepath.Join(dir, legacyWALName)); err != nil {
-			return fmt.Errorf("oltp: removing migrated %s: %w", legacyWALName, err)
 		}
 	}
 
@@ -470,60 +459,6 @@ func (s *Store) recover(fs faultfs.FS, dir string) error {
 			return err
 		}
 		s.wal = w
-	}
-	return nil
-}
-
-// migrateLegacy replays a format-1 wal.log, snapshots the result as a
-// format-2 checkpoint, opens segment 1 and removes the old log. A crash
-// anywhere in this sequence is safe: before the checkpoint rename the old
-// log is still authoritative; after it, recovery deletes the leftover
-// wal.log.
-func (s *Store) migrateLegacy(fs faultfs.FS, dir string) error {
-	if err := s.replayLegacy(fs, filepath.Join(dir, legacyWALName)); err != nil {
-		return err
-	}
-	if _, err := s.writeCheckpoint(fs, dir, 1); err != nil {
-		return fmt.Errorf("oltp: migrating legacy WAL: %w", err)
-	}
-	w, err := createSegment(fs, dir, 1)
-	if err != nil {
-		return err
-	}
-	s.wal = w
-	if err := fs.Remove(filepath.Join(dir, legacyWALName)); err != nil {
-		return fmt.Errorf("oltp: removing legacy WAL: %w", err)
-	}
-	if err := fs.SyncDir(dir); err != nil {
-		return fmt.Errorf("oltp: syncing store dir: %w", err)
-	}
-	return nil
-}
-
-// replayLegacy reads the unframed format-1 log. Format 1 has no
-// checksums, so — as before this format existed — replay is lenient: the
-// first unparsable byte is treated as the torn tail and everything
-// committed before it survives.
-func (s *Store) replayLegacy(fs faultfs.FS, path string) error {
-	f, err := fs.Open(path)
-	if err != nil {
-		return fmt.Errorf("oltp: opening legacy WAL for replay: %w", err)
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-
-	st := newReplayState()
-	for {
-		rec, err := readRecord(br)
-		if err != nil {
-			// io.EOF is the clean end; anything else is a torn tail, which
-			// format 1 cannot distinguish from corruption.
-			break
-		}
-		s.applyRecord(st, rec)
-	}
-	if st.maxTx > s.nextTx {
-		s.nextTx = st.maxTx
 	}
 	return nil
 }

@@ -8,6 +8,7 @@
 package refresh_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -79,11 +80,11 @@ func assertCaughtUpEquivalent(t *testing.T, label string, m *refresh.Maintainer,
 	m.RLock()
 	defer m.RUnlock()
 	for qi, q := range queryBattery() {
-		got, err := m.Engine().Execute(q)
+		got, err := m.Engine().ExecuteCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: maintained query %d: %v", label, qi, err)
 		}
-		want, err := ref.Execute(q)
+		want, err := ref.ExecuteCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: reference query %d: %v", label, qi, err)
 		}
@@ -255,7 +256,7 @@ func (env *interleaveEnv) step(t *testing.T) {
 		env.refreshN++
 	default:
 		env.m.RLock()
-		_, err := env.m.Engine().Execute(cube.Query{
+		_, err := env.m.Engine().ExecuteCtx(context.Background(), cube.Query{
 			Rows: []cube.AttrRef{core.RefGender}, Measure: cube.MeasureRef{Agg: storage.CountAgg}})
 		env.m.RUnlock()
 		if err != nil {

@@ -7,6 +7,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -61,7 +62,7 @@ func Write(w io.Writer, p *core.Platform, opts Options) error {
 
 func demographics(w io.Writer, p *core.Platform) error {
 	fmt.Fprintln(w, "\n--- cohort demographics ---")
-	cs, err := p.Query(cube.Query{
+	cs, err := p.QueryCtx(context.TODO(), cube.Query{
 		Rows:    []cube.AttrRef{core.RefAgeBand10},
 		Cols:    []cube.AttrRef{core.RefGender},
 		Measure: core.PatientCountMeasure(),
@@ -74,7 +75,7 @@ func demographics(w io.Writer, p *core.Platform) error {
 
 func conditions(w io.Writer, p *core.Platform) error {
 	fmt.Fprintln(w, "\n--- condition burden ---")
-	cs, err := p.Query(cube.Query{
+	cs, err := p.QueryCtx(context.TODO(), cube.Query{
 		Rows:    []cube.AttrRef{core.RefDiabetes},
 		Cols:    []cube.AttrRef{core.RefHTStatus},
 		Measure: core.PatientCountMeasure(),
@@ -162,7 +163,7 @@ func trajectory(w io.Writer, p *core.Platform) error {
 // currentStateMix reads the latest FBG band distribution from the
 // warehouse as the projection's starting point.
 func currentStateMix(p *core.Platform) (map[string]float64, error) {
-	cs, err := p.Query(cube.Query{
+	cs, err := p.QueryCtx(context.TODO(), cube.Query{
 		Rows:    []cube.AttrRef{core.RefFBGBand},
 		Measure: core.PatientCountMeasure(),
 	})
@@ -206,7 +207,7 @@ func findings(w io.Writer, p *core.Platform) {
 // from reporting to decision optimisation.
 func Interventions(p *core.Platform) (map[string]float64, error) {
 	exposure := func(ref cube.AttrRef, val string) (float64, error) {
-		cs, err := p.Query(cube.Query{
+		cs, err := p.QueryCtx(context.TODO(), cube.Query{
 			Rows:    []cube.AttrRef{ref},
 			Slicers: []cube.Slicer{{Ref: ref, Values: []value.Value{value.Str(val)}}},
 			Measure: core.PatientCountMeasure(),

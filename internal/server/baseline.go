@@ -12,6 +12,7 @@ import (
 	"net/http"
 
 	"github.com/ddgms/ddgms/internal/flatquery"
+	"github.com/ddgms/ddgms/internal/obs"
 	"github.com/ddgms/ddgms/internal/storage"
 	"github.com/ddgms/ddgms/internal/value"
 )
@@ -30,15 +31,19 @@ type FlatQuerier interface {
 	QueryFlatCtx(ctx context.Context, q flatquery.Query) (*flatquery.Result, error)
 }
 
-// tableDoc is the JSON form of a grouped result table.
+// tableDoc is the JSON form of a grouped result table. Trace is attached
+// only when the request asked for ?trace=1.
 type tableDoc struct {
-	Columns []string `json:"columns"`
-	Rows    [][]any  `json:"rows"` // numbers, strings, or null for NA
-	Agg     string   `json:"agg,omitempty"`
+	Columns []string      `json:"columns"`
+	Rows    [][]any       `json:"rows"` // numbers, strings, or null for NA
+	Agg     string        `json:"agg,omitempty"`
+	Trace   *obs.TraceDoc `json:"trace,omitempty"`
 }
 
-func tableToDoc(t *storage.Table) tableDoc {
-	doc := tableDoc{Columns: t.Schema().Names()}
+func (d *tableDoc) setTrace(td *obs.TraceDoc) { d.Trace = td }
+
+func tableToDoc(t *storage.Table) *tableDoc {
+	doc := &tableDoc{Columns: t.Schema().Names()}
 	doc.Rows = make([][]any, t.Len())
 	for i := 0; i < t.Len(); i++ {
 		row := t.Row(i)
@@ -82,7 +87,7 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "missing sql field")
 		return
 	}
-	s.runGoverned(w, r, "/sql", func(ctx context.Context) (any, error) {
+	s.runGoverned(w, r, "sql", req.SQL, func(ctx context.Context) (traceCarrier, error) {
 		t, err := sq.QuerySQLCtx(ctx, req.SQL)
 		if err != nil {
 			return nil, err
@@ -147,7 +152,7 @@ func (s *Server) handleFlatQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		q.Filters = append(q.Filters, flatquery.Filter{Column: f.Column, Values: vals})
 	}
-	s.runGoverned(w, r, "/flatquery", func(ctx context.Context) (any, error) {
+	s.runGoverned(w, r, "flatquery", req, func(ctx context.Context) (traceCarrier, error) {
 		res, err := fq.QueryFlatCtx(ctx, q)
 		if err != nil {
 			return nil, err

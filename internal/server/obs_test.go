@@ -1,9 +1,11 @@
 package server
 
 import (
+	"encoding/json"
 	"io"
 	"log"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -16,46 +18,93 @@ const genderMDX = `
 	SELECT {[PersonalInformation].[Gender].MEMBERS} ON COLUMNS
 	FROM [MedicalMeasures]`
 
-// TestQueryTraceSpans: ?trace=1 must return a span tree covering the
-// whole execution path — parse, encode, filter, then the kernel's
-// scan -> merge -> sort inside the group stage.
+// spanPaths flattens a span tree into slash-joined paths in start order,
+// so a test can assert both which stages ran and what they nest under.
+func spanPaths(d obs.SpanDoc, prefix string) []string {
+	path := prefix + d.Name
+	out := []string{path}
+	for _, c := range d.Children {
+		out = append(out, spanPaths(c, path+"/")...)
+	}
+	return out
+}
+
+// TestQueryTraceSpans: on every query route ?trace=1 must return a span
+// tree covering the whole execution path, each stage under the layer
+// that started it and the kernel's scan -> merge -> sort inside the
+// route's group stage; without the flag the body carries no trace key.
 func TestQueryTraceSpans(t *testing.T) {
 	ts := testServer(t)
-	var doc cellSetDoc
-	if code := postJSON(t, ts.URL+"/query?trace=1", queryRequest{MDX: genderMDX}, &doc); code != http.StatusOK {
-		t.Fatalf("status = %d", code)
-	}
-	if doc.Trace == nil {
-		t.Fatal("?trace=1 response has no trace")
-	}
-	root := doc.Trace.Root
-	if root.Name != "query" {
-		t.Errorf("root span = %q", root.Name)
-	}
-	for _, name := range []string{
-		"mdx.parse", "cube.encode", "cube.filter", "cube.group",
-		"exec.scan", "exec.merge", "exec.sort", "cube.assemble",
+	for _, tc := range []struct {
+		route string
+		body  any
+		want  []string
+	}{
+		{"/query", queryRequest{MDX: genderMDX}, []string{
+			"query",
+			"query/mdx.parse",
+			"query/cube.encode",
+			"query/cube.filter",
+			"query/cube.group",
+			"query/cube.group/exec.scan",
+			"query/cube.group/exec.merge",
+			"query/cube.group/exec.sort",
+			"query/cube.assemble",
+		}},
+		{"/sql", sqlRequest{SQL: "SELECT Gender, count(*) AS n FROM visits GROUP BY Gender"}, []string{
+			"query",
+			"query/dgsql.parse",
+			"query/dgsql.execute",
+			"query/dgsql.execute/dgsql.group",
+			"query/dgsql.execute/dgsql.group/exec.scan",
+			"query/dgsql.execute/dgsql.group/exec.merge",
+			"query/dgsql.execute/dgsql.group/exec.sort",
+		}},
+		{"/flatquery", flatQueryRequest{
+			Rows:    []string{"Gender"},
+			Filters: []flatFilterDoc{{Column: "DiabetesStatus", Values: []string{"Yes"}}},
+		}, []string{
+			"query",
+			"query/flatquery.compile",
+			"query/flatquery.group",
+			"query/flatquery.group/exec.scan",
+			"query/flatquery.group/exec.merge",
+			"query/flatquery.group/exec.sort",
+		}},
 	} {
-		if _, ok := root.FindSpan(name); !ok {
-			t.Errorf("span %q missing from trace", name)
-		}
-	}
-	scan, _ := root.FindSpan("exec.scan")
-	if scan.Attrs["rows"] == nil {
-		t.Errorf("exec.scan has no rows annotation: %v", scan.Attrs)
-	}
-	grp, _ := root.FindSpan("cube.group")
-	if grp.DurationUS > doc.Trace.DurationUS {
-		t.Errorf("cube.group %dus exceeds trace %dus", grp.DurationUS, doc.Trace.DurationUS)
-	}
+		t.Run(tc.route, func(t *testing.T) {
+			var doc struct {
+				Trace *obs.TraceDoc `json:"trace"`
+			}
+			if code := postJSON(t, ts.URL+tc.route+"?trace=1", tc.body, &doc); code != http.StatusOK {
+				t.Fatalf("status = %d", code)
+			}
+			if doc.Trace == nil {
+				t.Fatal("?trace=1 response has no trace")
+			}
+			root := doc.Trace.Root
+			if got := spanPaths(root, ""); !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("span tree =\n  %s\nwant\n  %s", strings.Join(got, "\n  "), strings.Join(tc.want, "\n  "))
+			}
+			scan, _ := root.FindSpan("exec.scan")
+			if scan.Attrs["rows"] == nil {
+				t.Errorf("exec.scan has no rows annotation: %v", scan.Attrs)
+			}
+			for _, c := range root.Children {
+				if c.DurationUS > doc.Trace.DurationUS {
+					t.Errorf("%s %dus exceeds trace %dus", c.Name, c.DurationUS, doc.Trace.DurationUS)
+				}
+			}
 
-	// Without the flag, no trace document rides on the response.
-	var plain cellSetDoc
-	if code := postJSON(t, ts.URL+"/query", queryRequest{MDX: genderMDX}, &plain); code != http.StatusOK {
-		t.Fatalf("untraced status = %d", code)
-	}
-	if plain.Trace != nil {
-		t.Error("untraced response carries a trace")
+			// Without the flag, no trace key rides on the response.
+			var plain map[string]json.RawMessage
+			if code := postJSON(t, ts.URL+tc.route, tc.body, &plain); code != http.StatusOK {
+				t.Fatalf("untraced status = %d", code)
+			}
+			if _, ok := plain["trace"]; ok {
+				t.Error("untraced response carries a trace key")
+			}
+		})
 	}
 }
 

@@ -10,6 +10,8 @@
 //	GET  /healthz            liveness; ?deep=1 adds readiness (warehouse built, OLTP store open)
 //	GET  /schema             the star schema: dimensions, attributes, hierarchies, measures
 //	POST /query              {"mdx": "SELECT ..."} -> cell set as JSON; ?trace=1 attaches a span tree
+//	POST /sql                {"sql": "SELECT ..."} -> DG-SQL over the flat table as JSON; ?trace=1 likewise
+//	POST /flatquery          {"rows","cols","filters","agg","measure"} -> flat-scan baseline; ?trace=1 likewise
 //	GET  /freshness          follow-mode lag: transactions and wall-clock behind the OLTP store
 //	GET  /replication        WAL-shipping health: per-follower lag on a primary, cursor/connection on a replica
 //	GET  /findings?q=term    knowledge-base search
@@ -56,7 +58,11 @@ import (
 // deliberately slow cube) to exercise degradation paths.
 type Platform interface {
 	Warehouse() *star.Schema
-	QueryMDX(src string) (*cube.CellSet, error)
+	// QueryMDXCtx evaluates inline under the request context: a timeout,
+	// client disconnect or server shutdown cancels the scan inside the
+	// execution kernel, and a span the context carries (?trace=1)
+	// collects the stage spans.
+	QueryMDXCtx(ctx context.Context, src string) (*cube.CellSet, error)
 	KB() *kb.Base
 	RecordFinding(topic, statement, source string) (string, error)
 	Store() *oltp.Store
@@ -99,29 +105,6 @@ type PromoteListenDefaulter interface {
 // platforms without it fall back to mutating the in-memory base.
 type FindingsReinforcer interface {
 	ReinforceFinding(id string) error
-}
-
-// TracedQuerier is the optional platform surface behind ?trace=1.
-// It is checked only for traced requests, so a test wrapper that
-// overrides QueryMDX (but embeds a type promoting QueryMDXTraced) still
-// intercepts every untraced query.
-type TracedQuerier interface {
-	QueryMDXTraced(src string, sp *obs.Span) (*cube.CellSet, error)
-}
-
-// CtxQuerier is the optional context-aware query surface. When the
-// platform implements it (as *core.Platform does), /query evaluates
-// inline under the request context: a timeout, client disconnect or
-// server shutdown cancels the scan inside the execution kernel instead
-// of abandoning a goroutine that keeps burning CPU to completion.
-type CtxQuerier interface {
-	QueryMDXCtx(ctx context.Context, src string) (*cube.CellSet, error)
-}
-
-// TracedCtxQuerier combines CtxQuerier and TracedQuerier for ?trace=1
-// requests.
-type TracedCtxQuerier interface {
-	QueryMDXTracedCtx(ctx context.Context, src string, sp *obs.Span) (*cube.CellSet, error)
 }
 
 // Option customises a Server.
@@ -507,6 +490,13 @@ type queryRequest struct {
 	MDX string `json:"mdx"`
 }
 
+// traceCarrier is a 200 document of a governed route: runGoverned
+// attaches the request's span tree to it when the client asked for
+// ?trace=1.
+type traceCarrier interface {
+	setTrace(td *obs.TraceDoc)
+}
+
 // cellSetDoc is the JSON form of a query result. Trace is attached only
 // when the request asked for ?trace=1.
 type cellSetDoc struct {
@@ -517,8 +507,10 @@ type cellSetDoc struct {
 	Trace      *obs.TraceDoc `json:"trace,omitempty"`
 }
 
-func cellSetToDoc(cs *cube.CellSet) cellSetDoc {
-	doc := cellSetDoc{Measure: cs.Measure.String()}
+func (d *cellSetDoc) setTrace(td *obs.TraceDoc) { d.Trace = td }
+
+func cellSetToDoc(cs *cube.CellSet) *cellSetDoc {
+	doc := &cellSetDoc{Measure: cs.Measure.String()}
 	for i := 0; i < cs.Rows(); i++ {
 		doc.RowHeaders = append(doc.RowHeaders, cs.RowLabel(i))
 	}
@@ -553,34 +545,15 @@ var errQueryPanic = fmt.Errorf("query panicked")
 // the body.
 const statusClientClosedRequest = 499
 
-// evalQuery dispatches one MDX evaluation to the richest surface the
-// platform offers. Context-aware surfaces are preferred — they make the
-// query actually cancellable — with graceful fallback for platforms (or
-// test doubles) that only implement the plain interface.
-func (s *Server) evalQuery(ctx context.Context, src string, wantTrace bool, root *obs.Span) (*cube.CellSet, error) {
-	if wantTrace {
-		if tq, ok := s.platform.(TracedCtxQuerier); ok {
-			return tq.QueryMDXTracedCtx(ctx, src, root)
-		}
-		if tq, ok := s.platform.(TracedQuerier); ok {
-			return tq.QueryMDXTraced(src, root)
-		}
-	}
-	if cq, ok := s.platform.(CtxQuerier); ok {
-		return cq.QueryMDXCtx(ctx, src)
-	}
-	return s.platform.QueryMDX(src)
-}
-
 // governedEval is one query-shaped evaluation running under the
 // governance pipeline: it returns the 200 response document, or an
 // error the shared status mapping in runGoverned translates.
-type governedEval func(ctx context.Context) (any, error)
+type governedEval func(ctx context.Context) (traceCarrier, error)
 
 // safeEval runs eval with panic containment: an evaluator bug answers
 // 500 (and counts as a breaker failure) without unwinding the whole
 // request path.
-func safeEval(ctx context.Context, eval governedEval) (doc any, err error) {
+func safeEval(ctx context.Context, eval governedEval) (doc traceCarrier, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			doc, err = nil, fmt.Errorf("%w: %v", errQueryPanic, rec)
@@ -601,7 +574,14 @@ func safeEval(ctx context.Context, eval governedEval) (doc any, err error) {
 // the admission slot is released immediately — under overload the
 // server sheds (429/503) instead of stacking up zombie evaluations
 // behind 504s.
-func (s *Server) runGoverned(w http.ResponseWriter, r *http.Request, route string, eval governedEval) {
+//
+// Every evaluation is one trace in the /debug/traces ring, its root
+// annotated with the query as the client sent it under lang ("mdx",
+// "sql", "flatquery"). The root span rides the context — where every
+// layer below looks for its parent — only under ?trace=1, so an
+// untraced request records no stage spans and pays only nil checks;
+// a traced one gets the finished tree attached to its response.
+func (s *Server) runGoverned(w http.ResponseWriter, r *http.Request, lang string, query any, eval governedEval) {
 	// Admission first: a shed request must cost nothing downstream, and
 	// the breaker's half-open probe accounting requires that every
 	// successful Allow is matched by a recorded outcome.
@@ -659,20 +639,32 @@ func (s *Server) runGoverned(w http.ResponseWriter, r *http.Request, route strin
 		ctx = govern.WithBudget(ctx, s.newBudget())
 	}
 
+	tr := s.tracer.StartTrace("query")
+	tr.Root().Annotate(lang, query)
+	wantTrace := tr != nil && r.URL.Query().Get("trace") == "1"
+	if wantTrace {
+		ctx = obs.ContextWithSpan(ctx, tr.Root())
+	}
+
 	doc, err := safeEval(ctx, eval)
+	tr.Finish() // safeEval contains panics, so the ring keeps their partial traces too
 	switch {
 	case err == nil:
 		failed = false
+		if wantTrace {
+			td := tr.Doc()
+			doc.setTrace(&td)
+		}
 		s.writeJSON(w, http.StatusOK, doc)
 	case errors.Is(err, errQueryPanic):
-		s.log.Printf("server: %s: %v", route, err)
+		s.log.Printf("server: %s: %v", r.URL.Path, err)
 		s.writeError(w, http.StatusInternalServerError, "%v", err)
 	case errors.Is(err, govern.ErrBudgetExceeded):
 		failed = false
 		s.writeError(w, http.StatusUnprocessableEntity, "%v", err)
 	case errors.Is(err, context.DeadlineExceeded):
 		govern.CountCancelled("deadline")
-		s.log.Printf("server: %s cancelled: %v", route, err)
+		s.log.Printf("server: %s cancelled: %v", r.URL.Path, err)
 		s.writeError(w, http.StatusGatewayTimeout, "query timed out after %s", s.queryTimeout)
 	case errors.Is(err, context.Canceled):
 		failed = false
@@ -700,25 +692,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "missing mdx field")
 		return
 	}
-
-	// Tracing is opt-in per request. The platform's traced surface is
-	// consulted only for traced requests, so test doubles overriding
-	// QueryMDX keep intercepting everything else.
-	wantTrace := r.URL.Query().Get("trace") == "1"
-	s.runGoverned(w, r, "/query", func(ctx context.Context) (any, error) {
-		tr := s.tracer.StartTrace("query")
-		tr.Root().Annotate("mdx", req.MDX)
-		defer tr.Finish() // also on panic, so the ring keeps the partial trace
-		cs, err := s.evalQuery(ctx, req.MDX, wantTrace, tr.Root())
+	s.runGoverned(w, r, "mdx", req.MDX, func(ctx context.Context) (traceCarrier, error) {
+		cs, err := s.platform.QueryMDXCtx(ctx, req.MDX)
 		if err != nil {
 			return nil, err
 		}
-		doc := cellSetToDoc(cs)
-		if wantTrace && tr != nil {
-			td := tr.Doc()
-			doc.Trace = &td
-		}
-		return doc, nil
+		return cellSetToDoc(cs), nil
 	})
 }
 

@@ -62,17 +62,11 @@ func (p *slowPlatform) QueryMDXCtx(ctx context.Context, src string) (*cube.CellS
 	return p.Platform.QueryMDXCtx(ctx, src)
 }
 
-func (p *slowPlatform) QueryMDX(src string) (*cube.CellSet, error) {
-	return p.QueryMDXCtx(context.Background(), src)
-}
-
 // panicPlatform blows up in the evaluator or in the schema handler.
 type panicPlatform struct {
 	*core.Platform
 	panicWarehouse bool
 }
-
-func (p *panicPlatform) QueryMDX(string) (*cube.CellSet, error) { panic("cube exploded") }
 
 func (p *panicPlatform) QueryMDXCtx(context.Context, string) (*cube.CellSet, error) {
 	panic("cube exploded")

@@ -14,7 +14,7 @@ import (
 // Binary persistence format, little-endian with varint lengths:
 //
 //	magic   "DDGT" (4 bytes)
-//	version uvarint (currently 2; version 1 is still readable)
+//	version uvarint (2; any other version is refused)
 //	nfields uvarint
 //	fields  nfields × { name: uvarint len + bytes, kind: 1 byte }
 //	nrows   uvarint
@@ -26,17 +26,15 @@ import (
 //	values, valid rows only, by kind:
 //	  int/bool/time: zig-zag varint
 //	  float:         8-byte IEEE-754 bits
-//	  string (v1):   uvarint len + bytes
-//	  string (v2):   dictionary-compressed — snapshots carry the same
+//	  string:        dictionary-compressed — snapshots carry the same
 //	    dictionary + packed-code shape the execution kernels operate on:
 //	      ndict   uvarint   distinct strings, first-appearance order
 //	      dict    ndict × { uvarint len + bytes }
 //	      width   1 byte    bits per code, ceil(log2(ndict)); 0 when ndict <= 1
 //	      codes   ceil(nvalid*width/8) bytes, LSB-first continuous bitstream
 const (
-	binaryMagic    = "DDGT"
-	binaryVersion  = 2
-	binaryVersion1 = 1
+	binaryMagic   = "DDGT"
+	binaryVersion = 2
 )
 
 // WriteBinary serialises the table to the compact binary format.
@@ -176,7 +174,7 @@ func ReadBinary(r io.Reader) (*Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: reading version: %w", err)
 	}
-	if ver != binaryVersion && ver != binaryVersion1 {
+	if ver != binaryVersion {
 		return nil, fmt.Errorf("storage: unsupported version %d", ver)
 	}
 	nf, err := binary.ReadUvarint(br)
@@ -206,7 +204,7 @@ func ReadBinary(r io.Reader) (*Table, error) {
 	t := MustTable(schema)
 	cols := make([][]value.Value, nf)
 	for j := range cols {
-		col, err := readColumn(br, fields[j].Kind, int(nrows), ver)
+		col, err := readColumn(br, fields[j].Kind, int(nrows))
 		if err != nil {
 			return nil, fmt.Errorf("storage: reading column %q: %w", fields[j].Name, err)
 		}
@@ -224,12 +222,12 @@ func ReadBinary(r io.Reader) (*Table, error) {
 	return t, nil
 }
 
-func readColumn(br *bufio.Reader, k value.Kind, n int, ver uint64) ([]value.Value, error) {
+func readColumn(br *bufio.Reader, k value.Kind, n int) ([]value.Value, error) {
 	bitmap := make([]byte, (n+7)/8)
 	if _, err := io.ReadFull(br, bitmap); err != nil {
 		return nil, fmt.Errorf("reading validity bitmap: %w", err)
 	}
-	if k == value.StringKind && ver >= 2 {
+	if k == value.StringKind {
 		return readPackedStrings(br, bitmap, n)
 	}
 	out := make([]value.Value, n)
@@ -263,12 +261,6 @@ func readColumn(br *bufio.Reader, k value.Kind, n int, ver uint64) ([]value.Valu
 				return nil, err
 			}
 			out[i] = value.Float(math.Float64frombits(binary.LittleEndian.Uint64(buf[:])))
-		case value.StringKind:
-			s, err := readString(br)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = value.Str(s)
 		default:
 			return nil, fmt.Errorf("unsupported kind %v", k)
 		}
@@ -276,7 +268,7 @@ func readColumn(br *bufio.Reader, k value.Kind, n int, ver uint64) ([]value.Valu
 	return out, nil
 }
 
-// readPackedStrings decodes the v2 string payload back to per-row values.
+// readPackedStrings decodes the dictionary-compressed string payload back to per-row values.
 // The validity bitmap fixes how many codes the packed stream holds.
 func readPackedStrings(br *bufio.Reader, bitmap []byte, n int) ([]value.Value, error) {
 	ndict, err := binary.ReadUvarint(br)

@@ -135,11 +135,11 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// ReadBinary must keep accepting version-1 snapshots, which carry string
-// columns as raw per-row strings instead of the v2 dictionary + packed
-// codes. The payload here is hand-assembled v1 bytes: one string column,
-// three rows, middle row NA.
-func TestReadBinaryVersion1Strings(t *testing.T) {
+// No reader for version-1 snapshots (string columns as raw per-row
+// strings) remains: a version-1 header must be refused by version, not
+// misread as the dictionary-compressed payload. The bytes are a complete,
+// well-formed v1 table — one string column, three rows, middle row NA.
+func TestReadBinaryRefusesVersion1(t *testing.T) {
 	var buf bytes.Buffer
 	buf.WriteString("DDGT")
 	buf.WriteByte(1)                      // version
@@ -153,18 +153,9 @@ func TestReadBinaryVersion1Strings(t *testing.T) {
 	buf.WriteString("hi")
 	buf.WriteByte(2) // len("ho")
 	buf.WriteString("ho")
-	back, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatalf("ReadBinary v1: %v", err)
-	}
-	want := []value.Value{value.Str("hi"), value.NA(), value.Str("ho")}
-	if back.Len() != len(want) {
-		t.Fatalf("rows: got %d want %d", back.Len(), len(want))
-	}
-	for i, w := range want {
-		if got := back.Row(i)[0]; !got.Equal(w) {
-			t.Errorf("row %d: got %v want %v", i, got, w)
-		}
+	_, err := ReadBinary(&buf)
+	if err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("ReadBinary v1 = %v, want unsupported version 1", err)
 	}
 }
 

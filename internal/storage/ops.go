@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -146,17 +147,18 @@ type AggSpec struct {
 //
 // Grouping runs on the shared execution kernel: key columns are
 // dictionary-encoded (cached on the column), groups are keyed on packed
-// integer codes and aggregated in parallel. Pass
-// exec.WithVectorized(false) for the legacy single-goroutine scalar path.
-func (t *Table) GroupBy(keys []string, aggs []AggSpec, opts ...exec.Option) (*Table, error) {
-	return t.GroupByFiltered(keys, aggs, nil, opts...)
+// integer codes and aggregated in parallel.
+func (t *Table) GroupBy(keys []string, aggs []AggSpec) (*Table, error) {
+	return t.GroupByFiltered(context.TODO(), keys, aggs, nil)
 }
 
 // GroupByFiltered is GroupBy restricted to the rows for which pred is
-// true. Filtering happens inside the kernel scan, so no intermediate
-// filtered table is materialised (the DG-SQL aggregate path relies on
-// this).
-func (t *Table) GroupByFiltered(keys []string, aggs []AggSpec, pred RowPredicate, opts ...exec.Option) (*Table, error) {
+// true (nil keeps every row), under a caller context: the kernel scan
+// checks ctx cooperatively, charges any govern.Budget it carries and
+// records its phases under any span it carries. Filtering happens
+// inside the kernel scan, so no intermediate filtered table is
+// materialised (the DG-SQL aggregate path relies on this).
+func (t *Table) GroupByFiltered(ctx context.Context, keys []string, aggs []AggSpec, pred RowPredicate) (*Table, error) {
 	keyIdx := make([]int, len(keys))
 	for k, name := range keys {
 		j, ok := t.schema.Lookup(name)
@@ -198,7 +200,7 @@ func (t *Table) GroupByFiltered(keys []string, aggs []AggSpec, pred RowPredicate
 		in.Filter = func(i int) bool { return pred(t, i) }
 	}
 
-	groups, err := exec.GroupBy(in, opts...)
+	groups, err := exec.GroupBy(ctx, in)
 	if err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}

@@ -14,6 +14,21 @@ go build ./...
 echo "== go test -race ./..."
 go test -race ./...
 
+echo "== frozen benchmark harness builds and smokes against the internal API"
+(cd benchmark && go vet ./... && go test -short ./...)
+
+echo "== one entry point per query layer (no new *Traced twin, no kernel-path option)"
+# etl.Pipeline.RunTraced is the write path, which has no ctx to carry a span.
+if grep -rnE '^func .*Traced\(' --include='*.go' internal cmd examples |
+	grep -v '_test\.go:' | grep -v 'internal/etl/pipeline\.go:.*) RunTraced('; then
+	echo "check: a *Traced twin is back; carry the span in the context (obs.StartSpan)" >&2
+	exit 1
+fi
+if grep -rn 'WithVectorized' --include='*.go' . | grep -v '_test\.go:'; then
+	echo "check: WithVectorized is back; the scalar path is a test oracle (internal/exec/oracle_test.go)" >&2
+	exit 1
+fi
+
 echo "== fault suite (crash recovery + WAL corruption, -count=2)"
 go test -race -run 'Crash|Fault' -count=2 ./internal/oltp/ ./internal/faultfs/
 

@@ -16,6 +16,7 @@ package ddgms_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math/rand"
 	"net"
@@ -77,7 +78,7 @@ func churnVisit(t *testing.T, p *core.Platform, rng *rand.Rand) {
 
 func soakFigure(t *testing.T, p *core.Platform) []byte {
 	t.Helper()
-	cs, err := p.QueryMDX(`SELECT {[PersonalInformation].[Gender].MEMBERS} ON COLUMNS,
+	cs, err := p.QueryMDXCtx(context.Background(), `SELECT {[PersonalInformation].[Gender].MEMBERS} ON COLUMNS,
 		{[MedicalCondition].[DiabetesStatus].MEMBERS} ON ROWS FROM [MedicalMeasures]`)
 	if err != nil {
 		t.Fatalf("QueryMDX: %v", err)
