@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/ddgms/ddgms/internal/exec"
-	"github.com/ddgms/ddgms/internal/value"
 )
 
 // TestGroupByCodedAllocBudget is the allocation-regression gate for the
@@ -47,11 +46,8 @@ func TestEncodedColumnBytesReduction(t *testing.T) {
 	flat := platformFor(t, 900).Flat()
 	flatBytes, codedBytes := 0, 0
 	for _, name := range []string{"AgeBand10", "Gender", "DiabetesStatus"} {
-		vals := make([]value.Value, flat.Len())
-		for i := range vals {
-			vals[i] = flat.MustValue(i, name)
-		}
-		cc := exec.Encode(vals)
+		col := flat.MustColumn(name)
+		cc := exec.EncodeFunc(col.Len(), col.Value)
 		if cc.Encoding() == exec.EncFlat {
 			t.Errorf("column %q chose flat encoding (card %d over %d rows)", name, cc.Card(), cc.Len())
 		}

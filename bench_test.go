@@ -262,29 +262,25 @@ func BenchmarkGroupByCoded(b *testing.B) {
 func BenchmarkGroupByEncoded(b *testing.B) {
 	flat := platformFor(b, 900).Flat()
 	keyNames, _ := kernelGroupBySpec()
-	materialise := func(name string) []value.Value {
-		vals := make([]value.Value, flat.Len())
-		for i := range vals {
-			vals[i] = flat.MustValue(i, name)
-		}
-		return vals
+	encode := func(name string) exec.CodedColumn {
+		col := flat.MustColumn(name)
+		return exec.EncodeFunc(col.Len(), col.Value)
 	}
-	fbg := materialise("FBG")
 	for _, enc := range []string{"flat", "packed", "rle"} {
 		b.Run(enc, func(b *testing.B) {
 			b.Setenv(exec.ForceEncodingEnv, enc)
 			in := exec.GroupInput{NumRows: flat.Len()}
 			columnBytes := 0
 			for _, name := range keyNames {
-				cc := exec.Encode(materialise(name))
+				cc := encode(name)
 				in.Keys = append(in.Keys, cc)
 				columnBytes += cc.CodeBytes()
 			}
-			patients := exec.Encode(materialise("PatientID"))
+			patients := encode("PatientID")
 			columnBytes += patients.CodeBytes()
 			in.Aggs = []exec.AggInput{
 				{Kind: exec.DistinctAgg, Measure: patients},
-				{Kind: exec.AvgAgg, Measure: exec.ValueSlice(fbg)},
+				{Kind: exec.AvgAgg, Measure: flat.MustColumn("FBG")},
 			}
 			if _, err := exec.GroupBy(context.Background(), in); err != nil {
 				b.Fatal(err)
@@ -415,27 +411,6 @@ func BenchmarkLattice(b *testing.B) {
 	}
 	b.Run("lattice=on", func(b *testing.B) { run(b, true) })
 	b.Run("lattice=off", func(b *testing.B) { run(b, false) })
-}
-
-// BenchmarkBitmapSlicer measures slicer evaluation with bitmap member
-// indexes on versus off (direct column scans).
-func BenchmarkBitmapSlicer(b *testing.B) {
-	p := platformFor(b, 900)
-	q := experiments.Fig6Query()
-	run := func(b *testing.B, bitmaps bool) {
-		e := cube.NewEngine(p.Warehouse(), cube.WithBitmapIndex(bitmaps), cube.WithAggregateCache(false))
-		if _, err := e.ExecuteCtx(context.Background(), q); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := e.ExecuteCtx(context.Background(), q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("bitmap=on", func(b *testing.B) { run(b, true) })
-	b.Run("bitmap=off", func(b *testing.B) { run(b, false) })
 }
 
 // --- B3: mining over an OLAP-isolated subset -------------------------------

@@ -13,9 +13,11 @@ import (
 // and then calls ApplyDelta, which folds the change into every memoised
 // structure instead of discarding it:
 //
-//   - attribute/coded columns and member bitmaps are extended with the
+//   - coded columns and code-indexed member bitmaps are extended with the
 //     appended rows (retired rows stay physically present and are masked
 //     by filterBitmap, so those caches need no change for retirement);
+//     exec.ExtendCoded only appends to a dictionary, so existing codes —
+//     and the bitmaps indexed by them — stay valid;
 //   - lattice entries have the per-row partial aggregates of retired
 //     rows retracted (exec.AggState.Unmerge) and of appended rows merged
 //     (exec.AggState.Merge). Only additive measures live in the lattice,
@@ -41,7 +43,7 @@ type Delta struct {
 type DeltaStats struct {
 	EntriesMerged  int // lattice entries maintained in place
 	EntriesDropped int // lattice entries dropped (next query re-scans)
-	ColumnsGrown   int // cached attribute columns extended
+	ColumnsGrown   int // cached coded columns extended
 }
 
 // ApplyDelta folds a fact-table delta into the engine's caches. It must
@@ -65,83 +67,24 @@ func (e *Engine) ApplyDelta(d Delta) (DeltaStats, error) {
 		}
 	}
 
-	// Appended attribute values per referenced attr, computed once.
-	appended := make(map[AttrRef][]value.Value)
-	appendVals := func(ref AttrRef) ([]value.Value, error) {
-		if vals, ok := appended[ref]; ok {
-			return vals, nil
-		}
-		dim, ok := e.schema.Dimension(ref.Dim)
-		if !ok {
-			return nil, fmt.Errorf("cube: unknown dimension %q", ref.Dim)
-		}
-		keys, err := fact.KeyColumn(ref.Dim)
-		if err != nil {
-			return nil, err
-		}
-		vals := make([]value.Value, 0, d.Appended)
-		for i := oldN; i < n; i++ {
-			if keys[i] == star.NoKey {
-				vals = append(vals, value.NA())
-				continue
-			}
-			v, err := dim.Attr(keys[i], ref.Attr)
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, v)
-		}
-		appended[ref] = vals
-		return vals, nil
-	}
-
 	if d.Appended > 0 {
-		for ref, col := range e.attrCols {
-			if len(col) != oldN {
+		for ref, cc := range e.codedCols {
+			if cc.Len() != oldN {
 				// Cache inconsistent with the delta (should not happen);
 				// drop rather than corrupt.
 				e.dropAttrLocked(ref)
 				continue
 			}
-			vals, err := appendVals(ref)
+			vals, err := e.appendedValues(ref, oldN)
 			if err != nil {
 				return stats, err
 			}
-			// Full-slice append: the old column may be held by readers.
-			e.attrCols[ref] = append(col[:len(col):len(col)], vals...)
+			grown := exec.ExtendCoded(cc, vals)
+			e.codedCols[ref] = grown
 			stats.ColumnsGrown++
-		}
-		for ref, cc := range e.codedCols {
-			if cc.Len() != oldN {
-				e.dropAttrLocked(ref)
-				continue
+			if members, ok := e.bitmaps[ref]; ok {
+				e.bitmaps[ref] = growBitmaps(members, grown, oldN)
 			}
-			vals, err := appendVals(ref)
-			if err != nil {
-				return stats, err
-			}
-			e.codedCols[ref] = exec.ExtendCoded(cc, vals)
-		}
-		for ref, members := range e.bitmaps {
-			vals, err := appendVals(ref)
-			if err != nil {
-				return stats, err
-			}
-			grown := make(map[value.Value]*Bitmap, len(members)+4)
-			for v, b := range members {
-				nb := NewBitmap(n)
-				copy(nb.words, b.words)
-				grown[v] = nb
-			}
-			for j, v := range vals {
-				b := grown[v]
-				if b == nil {
-					b = NewBitmap(n)
-					grown[v] = b
-				}
-				b.Set(oldN + j)
-			}
-			e.bitmaps[ref] = grown
 		}
 	}
 
@@ -166,9 +109,52 @@ func (e *Engine) ApplyDelta(d Delta) (DeltaStats, error) {
 	return stats, nil
 }
 
+// appendedValues resolves ref for the fact rows appended from oldN on.
+func (e *Engine) appendedValues(ref AttrRef, oldN int) ([]value.Value, error) {
+	dim, keys, err := e.attrSource(ref)
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]value.Value, 0, len(keys)-oldN)
+	for _, k := range keys[oldN:] {
+		if k == star.NoKey {
+			vals = append(vals, value.NA())
+			continue
+		}
+		v, err := dim.Attr(k, ref.Attr)
+		if err != nil {
+			return nil, err
+		}
+		vals = append(vals, v)
+	}
+	return vals, nil
+}
+
+// growBitmaps extends code-indexed member bitmaps over the grown column
+// cc: existing bitmaps are copied at the new length, and each appended
+// row sets its bit under its code, which may be one the append added to
+// the dictionary.
+func growBitmaps(members []*Bitmap, cc exec.CodedColumn, oldN int) []*Bitmap {
+	n := cc.Len()
+	grown := make([]*Bitmap, cc.Card())
+	for code, b := range members {
+		if b != nil {
+			grown[code] = NewBitmap(n)
+			copy(grown[code].words, b.words)
+		}
+	}
+	for j, code := range cc.AppendCodes(nil, oldN, n) {
+		if grown[code] == nil {
+			grown[code] = NewBitmap(n)
+		}
+		grown[code].Set(oldN + j)
+	}
+	return grown
+}
+
 // deltaEntryLocked maintains one lattice entry in place, reporting false
 // when the entry cannot be maintained and must be dropped. Caller holds
-// e.mu and has already extended the attribute caches.
+// e.mu and has already extended the coded columns.
 func (e *Engine) deltaEntryLocked(entry *latticeEntry, d Delta, oldN int) bool {
 	if !exec.Mergeable(entry.measure.Agg) {
 		return false
@@ -178,55 +164,49 @@ func (e *Engine) deltaEntryLocked(entry *latticeEntry, d Delta, oldN int) bool {
 	// Every referenced column must be cached (they were, when the entry
 	// was stored; targeted invalidation removes entries with their
 	// columns).
-	attrCol := func(ref AttrRef) ([]value.Value, bool) {
-		col, ok := e.attrCols[ref]
-		return col, ok && len(col) == fact.Len()
+	coded := func(ref AttrRef) (exec.CodedColumn, bool) {
+		cc, ok := e.codedCols[ref]
+		return cc, ok && cc.Len() == fact.Len()
 	}
-	axisCols := make([][]value.Value, len(entry.attrs))
+	axisCols := make([]exec.CodedColumn, len(entry.attrs))
 	for i, ref := range entry.attrs {
-		col, ok := attrCol(ref)
+		cc, ok := coded(ref)
 		if !ok {
 			return false
 		}
-		axisCols[i] = col
+		axisCols[i] = cc
 	}
 	type sliceSet struct {
-		col  []value.Value
-		want map[value.Value]struct{}
+		col  exec.CodedColumn
+		want []bool // by code
 	}
 	slicers := make([]sliceSet, len(entry.slicers))
 	for i, s := range entry.slicers {
-		col, ok := attrCol(s.Ref)
+		cc, ok := coded(s.Ref)
 		if !ok {
 			return false
 		}
-		want := make(map[value.Value]struct{}, len(s.Values))
-		for _, v := range s.Values {
-			want[v] = struct{}{}
-		}
-		slicers[i] = sliceSet{col: col, want: want}
+		slicers[i] = sliceSet{col: cc, want: wantedCodes(cc.Values(), s.Values)}
 	}
-	var measureAt func(i int) (value.Value, bool)
+	var measure exec.Measure
 	switch {
 	case entry.measure.Column != "":
 		col, err := fact.Measure(entry.measure.Column)
 		if err != nil {
 			return false
 		}
-		measureAt = func(i int) (value.Value, bool) { return col.Value(i), true }
+		measure = col
 	case entry.measure.Attr != nil:
-		col, ok := attrCol(*entry.measure.Attr)
+		cc, ok := coded(*entry.measure.Attr)
 		if !ok {
 			return false
 		}
-		measureAt = func(i int) (value.Value, bool) { return col[i], true }
-	default:
-		measureAt = func(int) (value.Value, bool) { return value.NA(), false }
+		measure = cc
 	}
 
 	matches := func(i int) bool {
 		for _, s := range slicers {
-			if _, ok := s.want[s.col[i]]; !ok {
+			if !s.want[s.col.Code(i)] {
 				return false
 			}
 		}
@@ -234,8 +214,8 @@ func (e *Engine) deltaEntryLocked(entry *latticeEntry, d Delta, oldN int) bool {
 	}
 	rowState := func(i int) *exec.AggState {
 		st := exec.NewAggState(entry.measure.Agg)
-		if v, ok := measureAt(i); ok {
-			st.Observe(v)
+		if measure != nil {
+			st.Observe(measure.Value(i))
 		} else {
 			st.ObserveRow()
 		}
@@ -243,8 +223,8 @@ func (e *Engine) deltaEntryLocked(entry *latticeEntry, d Delta, oldN int) bool {
 	}
 	tupleAt := func(i int) []value.Value {
 		tuple := make([]value.Value, len(axisCols))
-		for a, col := range axisCols {
-			tuple[a] = col[i]
+		for a, cc := range axisCols {
+			tuple[a] = cc.Values()[cc.Code(i)]
 		}
 		return tuple
 	}
@@ -285,7 +265,6 @@ func (e *Engine) deltaEntryLocked(entry *latticeEntry, d Delta, oldN int) bool {
 // dropAttrLocked removes every per-attribute cache of ref. Caller holds
 // e.mu.
 func (e *Engine) dropAttrLocked(ref AttrRef) {
-	delete(e.attrCols, ref)
 	delete(e.codedCols, ref)
 	delete(e.bitmaps, ref)
 }
@@ -306,7 +285,7 @@ func entryReferences(entry *latticeEntry, ref AttrRef) bool {
 }
 
 // InvalidateAttr drops exactly the caches that could reference one
-// attribute: its materialised/coded column, its member bitmaps, and
+// attribute: its coded column, its member bitmaps, and
 // every lattice entry whose axes, slicers or measure touch it. Use after
 // mutating one attribute's values (an SCD type-1 rewrite); blanket
 // InvalidateCaches remains the fallback for anything broader.
@@ -326,11 +305,6 @@ func (e *Engine) InvalidateAttr(ref AttrRef) {
 func (e *Engine) InvalidateDimension(dim string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for ref := range e.attrCols {
-		if ref.Dim == dim {
-			delete(e.attrCols, ref)
-		}
-	}
 	for ref := range e.codedCols {
 		if ref.Dim == dim {
 			delete(e.codedCols, ref)

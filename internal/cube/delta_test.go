@@ -54,6 +54,11 @@ var deltaQueries = []Query{
 	{Rows: []AttrRef{refDia}, Measure: MeasureRef{Agg: storage.MaxAgg, Column: "FBG"}},
 	{Rows: []AttrRef{refGender}, Slicers: []Slicer{{Ref: refDia, Values: []value.Value{value.Str("Yes")}}},
 		Measure: MeasureRef{Agg: storage.CountAgg}},
+	// "X" first appears in an appended row: the Gender bitmaps must grow a
+	// bitmap under the dictionary code the append adds. Max is never
+	// latticed, so the maintained engine answers it through those bitmaps.
+	{Rows: []AttrRef{refDia}, Slicers: []Slicer{{Ref: refGender, Values: []value.Value{value.Str("X")}}},
+		Measure: MeasureRef{Agg: storage.MaxAgg, Column: "FBG"}},
 }
 
 // sameCells compares two cell sets exactly: shape, axis labels, and

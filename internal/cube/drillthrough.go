@@ -3,6 +3,7 @@ package cube
 import (
 	"fmt"
 
+	"github.com/ddgms/ddgms/internal/exec"
 	"github.com/ddgms/ddgms/internal/value"
 )
 
@@ -12,8 +13,9 @@ import (
 // use it to move from an aggregate anomaly to the underlying attendances.
 
 // DrillThrough returns the fact-row ordinals contributing to the cell at
-// (rowTuple, colTuple) of the query's result. Tuples are matched by value
-// against the query's axis attributes; the query's slicers apply.
+// (rowTuple, colTuple) of the query's result. Tuple values resolve to
+// dictionary codes of the query's axis attributes, and rows are matched
+// by code; the query's slicers apply.
 func (e *Engine) DrillThrough(q Query, rowTuple, colTuple []value.Value) ([]int, error) {
 	if len(rowTuple) != len(q.Rows) {
 		return nil, fmt.Errorf("cube: drill-through row tuple has %d values, query has %d row attrs",
@@ -25,13 +27,15 @@ func (e *Engine) DrillThrough(q Query, rowTuple, colTuple []value.Value) ([]int,
 	}
 	axes := append(append([]AttrRef{}, q.Rows...), q.Cols...)
 	want := append(append([]value.Value{}, rowTuple...), colTuple...)
-	axisCols := make([][]value.Value, len(axes))
-	for i, ref := range axes {
-		col, err := e.attrColumn(ref)
+	axisCodes := make([][]uint32, len(axes))
+	wanted := make([][]bool, len(axes))
+	for a, ref := range axes {
+		cc, err := e.attrCoded(ref)
 		if err != nil {
 			return nil, err
 		}
-		axisCols[i] = col
+		axisCodes[a] = exec.MaterializeCodes(cc)
+		wanted[a] = wantedCodes(cc.Values(), want[a:a+1])
 	}
 	filter, err := e.filterBitmap(q.Slicers)
 	if err != nil {
@@ -45,7 +49,7 @@ func (e *Engine) DrillThrough(q Query, rowTuple, colTuple []value.Value) ([]int,
 		}
 		match := true
 		for a := range axes {
-			if !axisCols[a][i].Equal(want[a]) {
+			if !wanted[a][axisCodes[a][i]] {
 				match = false
 				break
 			}

@@ -9,35 +9,28 @@ import (
 	"github.com/ddgms/ddgms/internal/exec"
 	"github.com/ddgms/ddgms/internal/obs"
 	"github.com/ddgms/ddgms/internal/star"
-	"github.com/ddgms/ddgms/internal/storage"
 	"github.com/ddgms/ddgms/internal/value"
 )
 
 // Engine executes OLAP queries against a star schema. It memoises
-// materialised attribute columns, bitmap member indexes and (optionally) a
-// partial aggregate lattice, so repeated interactive exploration of the
-// same warehouse is fast. Engine is safe for concurrent query execution.
+// dictionary-coded attribute columns, code-indexed bitmap member indexes
+// and (optionally) a partial aggregate lattice, so repeated interactive
+// exploration of the same warehouse is fast. Engine is safe for concurrent
+// query execution.
 type Engine struct {
 	schema *star.Schema
 
-	useBitmaps bool
 	useLattice bool
 
 	mu          sync.Mutex
-	attrCols    map[AttrRef][]value.Value
 	codedCols   map[AttrRef]exec.CodedColumn
-	bitmaps     map[AttrRef]map[value.Value]*Bitmap
+	bitmaps     map[AttrRef][]*Bitmap // member bitmaps indexed by dictionary code
 	lattice     map[string][]*latticeEntry
 	memberOrder map[AttrRef]map[value.Value]int
 }
 
 // Option configures an Engine.
 type Option func(*Engine)
-
-// WithBitmapIndex enables or disables bitmap member indexes for slicer
-// evaluation (default on). Disabling falls back to direct column scans —
-// the B2 ablation baseline.
-func WithBitmapIndex(on bool) Option { return func(e *Engine) { e.useBitmaps = on } }
 
 // WithAggregateCache enables or disables the partial aggregate lattice
 // (default on). When enabled, additive queries (count/sum) can be answered
@@ -48,11 +41,9 @@ func WithAggregateCache(on bool) Option { return func(e *Engine) { e.useLattice 
 func NewEngine(schema *star.Schema, opts ...Option) *Engine {
 	e := &Engine{
 		schema:      schema,
-		useBitmaps:  true,
 		useLattice:  true,
-		attrCols:    make(map[AttrRef][]value.Value),
 		codedCols:   make(map[AttrRef]exec.CodedColumn),
-		bitmaps:     make(map[AttrRef]map[value.Value]*Bitmap),
+		bitmaps:     make(map[AttrRef][]*Bitmap),
 		lattice:     make(map[string][]*latticeEntry),
 		memberOrder: make(map[AttrRef]map[value.Value]int),
 	}
@@ -84,96 +75,82 @@ func (e *Engine) SetMemberOrder(ref AttrRef, members []value.Value) {
 func (e *Engine) InvalidateCaches() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.attrCols = make(map[AttrRef][]value.Value)
 	e.codedCols = make(map[AttrRef]exec.CodedColumn)
-	e.bitmaps = make(map[AttrRef]map[value.Value]*Bitmap)
+	e.bitmaps = make(map[AttrRef][]*Bitmap)
 	e.lattice = make(map[string][]*latticeEntry)
 }
 
-// attrColumn materialises (and caches) the value of ref for every fact
-// row; facts with NoKey get NA.
-func (e *Engine) attrColumn(ref AttrRef) ([]value.Value, error) {
-	e.mu.Lock()
-	if col, ok := e.attrCols[ref]; ok {
-		e.mu.Unlock()
-		return col, nil
-	}
-	e.mu.Unlock()
-
+// attrSource resolves ref to its dimension and the fact key column into
+// that dimension, from which every per-fact value of ref derives.
+func (e *Engine) attrSource(ref AttrRef) (*star.Dimension, []star.Key, error) {
 	dim, ok := e.schema.Dimension(ref.Dim)
 	if !ok {
-		return nil, fmt.Errorf("cube: unknown dimension %q", ref.Dim)
+		return nil, nil, fmt.Errorf("cube: unknown dimension %q", ref.Dim)
 	}
 	if !dim.HasAttr(ref.Attr) {
-		return nil, fmt.Errorf("cube: dimension %q has no attribute %q", ref.Dim, ref.Attr)
+		return nil, nil, fmt.Errorf("cube: dimension %q has no attribute %q", ref.Dim, ref.Attr)
 	}
 	keys, err := e.schema.Fact().KeyColumn(ref.Dim)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	// Pre-resolve member attributes once, then fan out to facts.
-	memberVals := make([]value.Value, dim.Len())
-	for k := 0; k < dim.Len(); k++ {
-		v, err := dim.Attr(star.Key(k), ref.Attr)
-		if err != nil {
-			return nil, err
-		}
-		memberVals[k] = v
-	}
-	col := make([]value.Value, len(keys))
-	for i, k := range keys {
-		if k == star.NoKey {
-			col[i] = value.NA()
-			continue
-		}
-		col[i] = memberVals[k]
-	}
-	e.mu.Lock()
-	e.attrCols[ref] = col
-	e.mu.Unlock()
-	return col, nil
+	return dim, keys, nil
 }
 
-// attrCoded materialises (and caches) the dictionary-encoded form of an
-// attribute column — the key representation the execution kernel groups
-// on.
+// attrCoded materialises (and caches) the dictionary-encoded column of an
+// attribute — the engine's only per-fact form of it, and the key
+// representation the execution kernel groups on. Codes are interned
+// straight from the fact key column through the member attribute values;
+// facts with NoKey get NA.
 func (e *Engine) attrCoded(ref AttrRef) (exec.CodedColumn, error) {
 	e.mu.Lock()
-	if cc, ok := e.codedCols[ref]; ok {
-		e.mu.Unlock()
+	cc, ok := e.codedCols[ref]
+	e.mu.Unlock()
+	if ok {
 		cubeDictHit.Inc()
 		return cc, nil
 	}
-	e.mu.Unlock()
 	cubeDictMiss.Inc()
 
-	col, err := e.attrColumn(ref)
+	dim, keys, err := e.attrSource(ref)
 	if err != nil {
 		return nil, err
 	}
-	cc := exec.Encode(col)
+	memberVals := make([]value.Value, dim.Len())
+	for k := range memberVals {
+		if memberVals[k], err = dim.Attr(star.Key(k), ref.Attr); err != nil {
+			return nil, err
+		}
+	}
+	cc = exec.EncodeFunc(len(keys), func(i int) value.Value {
+		if keys[i] == star.NoKey {
+			return value.NA()
+		}
+		return memberVals[keys[i]]
+	})
 	e.mu.Lock()
 	e.codedCols[ref] = cc
 	e.mu.Unlock()
 	return cc, nil
 }
 
-// bitmapFor returns (building if needed) the member bitmaps of ref. The
-// bitmaps are built from the coded column — one pass over dense uint32
-// codes rather than per-row value hashing.
-func (e *Engine) bitmapFor(ref AttrRef) (map[value.Value]*Bitmap, error) {
+// bitmapFor returns (building if needed) the member bitmaps of ref,
+// indexed by dictionary code, together with the coded column whose
+// dictionary resolves values to those codes. A code no fact row carries
+// has a nil bitmap.
+func (e *Engine) bitmapFor(ref AttrRef) ([]*Bitmap, exec.CodedColumn, error) {
 	e.mu.Lock()
-	if m, ok := e.bitmaps[ref]; ok {
-		e.mu.Unlock()
-		return m, nil
-	}
+	perCode, cc := e.bitmaps[ref], e.codedCols[ref]
 	e.mu.Unlock()
+	if perCode != nil && cc != nil {
+		return perCode, cc, nil
+	}
 
 	cc, err := e.attrCoded(ref)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	perCode := make([]*Bitmap, cc.Card())
+	perCode = make([]*Bitmap, cc.Card())
 	for i, code := range exec.MaterializeCodes(cc) {
 		b := perCode[code]
 		if b == nil {
@@ -182,17 +159,25 @@ func (e *Engine) bitmapFor(ref AttrRef) (map[value.Value]*Bitmap, error) {
 		}
 		b.Set(i)
 	}
-	m := make(map[value.Value]*Bitmap, len(perCode))
-	values := cc.Values()
-	for code, b := range perCode {
-		if b != nil {
-			m[values[code]] = b
-		}
-	}
 	e.mu.Lock()
-	e.bitmaps[ref] = m
+	e.bitmaps[ref] = perCode
 	e.mu.Unlock()
-	return m, nil
+	return perCode, cc, nil
+}
+
+// wantedCodes marks the dictionary codes whose value is one of vals: how
+// slicer and drill-through values resolve to codes. A value the
+// dictionary lacks marks nothing.
+func wantedCodes(dict, vals []value.Value) []bool {
+	want := make(map[value.Value]struct{}, len(vals))
+	for _, v := range vals {
+		want[v] = struct{}{}
+	}
+	out := make([]bool, len(dict))
+	for code, v := range dict {
+		_, out[code] = want[v]
+	}
+	return out
 }
 
 // filterBitmap evaluates all slicers into one fact-row bitmap. Retired
@@ -210,73 +195,52 @@ func (e *Engine) filterBitmap(slicers []Slicer) (*Bitmap, error) {
 		if len(s.Values) == 0 {
 			return nil, fmt.Errorf("cube: slicer on %s has no values", s.Ref)
 		}
-		if e.useBitmaps {
-			members, err := e.bitmapFor(s.Ref)
-			if err != nil {
-				return nil, err
-			}
-			union := NewBitmap(n)
-			for _, v := range s.Values {
-				if b, ok := members[v]; ok {
-					union.Or(b)
-				}
-			}
-			out.And(union)
-			continue
-		}
-		// Scan fallback.
-		col, err := e.attrColumn(s.Ref)
+		members, cc, err := e.bitmapFor(s.Ref)
 		if err != nil {
 			return nil, err
 		}
-		match := NewBitmap(n)
-		want := make(map[value.Value]struct{}, len(s.Values))
-		for _, v := range s.Values {
-			want[v] = struct{}{}
-		}
-		for i, v := range col {
-			if _, ok := want[v]; ok {
-				match.Set(i)
+		union := NewBitmap(n)
+		for code, ok := range wantedCodes(cc.Values(), s.Values) {
+			if ok && members[code] != nil {
+				union.Or(members[code])
 			}
 		}
-		out.And(match)
+		out.And(union)
 	}
 	return out, nil
 }
 
-// measureColumn resolves the values the measure aggregates over, or nil
-// for a plain fact count.
-func (e *Engine) measureColumn(m MeasureRef) ([]value.Value, error) {
+// measureInput resolves what the kernel aggregates: the fact measure
+// column as stored (int and float columns implement exec.FloatMeasure,
+// so the kernel reads them without boxing), the coded column of an
+// attribute, or nil for a plain fact count.
+func (e *Engine) measureInput(m MeasureRef) (exec.Measure, error) {
+	if err := m.check(); err != nil {
+		return nil, err
+	}
 	switch {
-	case m.Column != "" && m.Attr != nil:
-		return nil, fmt.Errorf("cube: measure cannot name both a column and an attribute")
 	case m.Column != "":
 		col, err := e.schema.Fact().Measure(m.Column)
 		if err != nil {
 			return nil, fmt.Errorf("cube: %w", err)
 		}
-		out := make([]value.Value, col.Len())
-		for i := range out {
-			out[i] = col.Value(i)
-		}
-		return out, nil
+		return col, nil
 	case m.Attr != nil:
-		if m.Agg != storage.CountAgg && m.Agg != storage.DistinctAgg {
-			return nil, fmt.Errorf("cube: attribute measures support count/distinct only, got %s", m.Agg)
+		cc, err := e.attrCoded(*m.Attr)
+		if err != nil {
+			return nil, err
 		}
-		return e.attrColumn(*m.Attr)
-	default:
-		if m.Agg != storage.CountAgg {
-			return nil, fmt.Errorf("cube: aggregate %s requires a measure column", m.Agg)
-		}
-		return nil, nil
+		return cc, nil
 	}
+	return nil, nil
 }
 
-// ExecuteCtx runs a query and returns its cell set. The grouping scan runs
-// on the shared execution kernel (internal/exec): axis columns are
-// dictionary-encoded once and cached, groups are keyed on packed integer
-// codes, and the slicer bitmap feeds the kernel as its row filter.
+// ExecuteCtx runs a query and returns its cell set. The aggregate lattice
+// is consulted first, so a hit resolves no column at all. A miss runs the
+// grouping scan on the shared execution kernel (internal/exec): axis
+// columns are dictionary-encoded once and cached, groups are keyed on
+// packed integer codes, and the slicer bitmap feeds the kernel as its row
+// filter.
 //
 // The kernel scan checks ctx cooperatively and charges any govern.Budget
 // it carries, so a cancelled or over-budget query stops mid-scan with no
@@ -287,6 +251,14 @@ func (e *Engine) measureColumn(m MeasureRef) ([]value.Value, error) {
 func (e *Engine) ExecuteCtx(ctx context.Context, q Query) (*CellSet, error) {
 	sp := obs.SpanFromContext(ctx)
 	metricQueries.Inc()
+	if e.useLattice {
+		if cs, ok := e.latticeLookup(q); ok {
+			latticeHit.Inc()
+			sp.Annotate("lattice", "hit")
+			return cs, nil
+		}
+	}
+
 	encode := sp.Start("cube.encode")
 	axes := append(append([]AttrRef{}, q.Rows...), q.Cols...)
 	axisCoded := make([]exec.CodedColumn, len(axes))
@@ -298,20 +270,13 @@ func (e *Engine) ExecuteCtx(ctx context.Context, q Query) (*CellSet, error) {
 		}
 		axisCoded[i] = cc
 	}
-	mcol, err := e.measureColumn(q.Measure)
+	measure, err := e.measureInput(q.Measure)
 	encode.Annotate("axes", len(axes))
 	encode.End()
 	if err != nil {
 		return nil, err
 	}
-
-	// Try the aggregate lattice before scanning facts.
 	if e.useLattice {
-		if cs, ok := e.latticeLookup(q); ok {
-			latticeHit.Inc()
-			sp.Annotate("lattice", "hit")
-			return cs, nil
-		}
 		latticeMiss.Inc()
 	}
 
@@ -330,21 +295,8 @@ func (e *Engine) ExecuteCtx(ctx context.Context, q Query) (*CellSet, error) {
 	in := exec.GroupInput{
 		NumRows: e.schema.Fact().Len(),
 		Keys:    axisCoded,
-		Aggs:    []exec.AggInput{{Kind: q.Measure.Agg}},
+		Aggs:    []exec.AggInput{{Kind: q.Measure.Agg, Measure: measure}},
 		Filter:  filter.Get,
-	}
-	switch {
-	case q.Measure.Attr != nil && q.Measure.Agg == storage.DistinctAgg:
-		// Distinct attribute measures hand the kernel the coded column so
-		// the dense path can count distinct dictionary codes in bitsets
-		// instead of materialising Seen maps per group.
-		cc, err := e.attrCoded(*q.Measure.Attr)
-		if err != nil {
-			return nil, err
-		}
-		in.Aggs[0].Measure = cc
-	case mcol != nil:
-		in.Aggs[0].Measure = exec.ValueSlice(mcol)
 	}
 	gctx, groupSp := obs.StartSpan(ctx, "cube.group")
 	groups, err := exec.GroupBy(gctx, in)

@@ -41,22 +41,23 @@ type latticeGroup struct {
 // latticeable reports whether a measure can be cached, rolled up and
 // incrementally maintained: count, sum and avg carry their full state in
 // (Sum, Count); min/max/distinct would need the raw rows, so they always
-// re-scan.
+// re-scan. An invalid measure is never latticeable, so it reaches the
+// scan path and its error.
 func latticeable(m MeasureRef) bool {
-	return exec.Mergeable(m.Agg)
+	return exec.Mergeable(m.Agg) && m.check() == nil
 }
 
 // latticeBase canonically encodes the parts of a query that must match a
-// cached entry exactly: slicers (order-insensitive) and measure.
+// cached entry exactly: slicers (order-insensitive) and measure. Slicer
+// values are kind-tagged and NUL-separated by exec.EncodeTuple, so
+// {"a", "b"} and {"a|b"}, or Int(1) and Str("1"), key different entries
+// just as the bitmap filter treats them as different members.
 func latticeBase(q Query) string {
 	slicers := make([]string, len(q.Slicers))
 	for i, s := range q.Slicers {
-		vals := make([]string, len(s.Values))
-		for j, v := range s.Values {
-			vals[j] = v.String()
-		}
-		sort.Strings(vals)
-		slicers[i] = s.Ref.String() + "=" + strings.Join(vals, "|")
+		vals := append([]value.Value(nil), s.Values...)
+		sort.Slice(vals, func(a, b int) bool { return vals[a].Compare(vals[b]) < 0 })
+		slicers[i] = s.Ref.String() + "=" + exec.EncodeTuple(vals)
 	}
 	sort.Strings(slicers)
 	return strings.Join(slicers, ";") + "#" + q.Measure.String()

@@ -2,6 +2,7 @@ package cube
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -194,6 +195,101 @@ func TestLatticeSumRollUp(t *testing.T) {
 		if aok != bok || (aok && !approx(af, bf)) {
 			t.Errorf("row %s: rolled %v vs scanned %v", cs.RowLabel(i), a, b)
 		}
+	}
+}
+
+// TestLatticeHitResolvesNoColumn: the lattice is consulted before any
+// axis, slicer or measure column is resolved, so a hit leaves dropped
+// coded columns unbuilt.
+func TestLatticeHitResolvesNoColumn(t *testing.T) {
+	e := NewEngine(testStar(t))
+	q := Query{
+		Rows:    []AttrRef{refGender},
+		Slicers: []Slicer{{Ref: refDia, Values: []value.Value{value.Str("Yes")}}},
+		Measure: MeasureRef{Agg: storage.AvgAgg, Column: "FBG"},
+	}
+	want, err := e.ExecuteCtx(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.mu.Lock()
+	delete(e.codedCols, refGender)
+	delete(e.codedCols, refDia)
+	e.mu.Unlock()
+
+	hits := latticeHit.Value()
+	got, err := e.ExecuteCtx(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if latticeHit.Value() != hits+1 {
+		t.Fatal("repeated avg query missed the lattice")
+	}
+	if len(e.codedCols) != 0 {
+		t.Errorf("lattice hit resolved %d coded columns", len(e.codedCols))
+	}
+	sameCells(t, "hit", got, want)
+}
+
+// TestLatticeSlicerKeysDistinguishMembers: slicer sets that render alike
+// as strings but name different members ({"a", "b"} vs {"a|b"}, NA vs
+// the string "NA") must not share a lattice entry.
+func TestLatticeSlicerKeysDistinguishMembers(t *testing.T) {
+	flat := storage.MustTable(storage.MustSchema(
+		storage.Field{Name: "S", Kind: value.StringKind},
+		storage.Field{Name: "G", Kind: value.StringKind},
+	))
+	for _, row := range [][]value.Value{
+		{value.Str("a"), value.Str("x")},
+		{value.Str("b"), value.Str("x")},
+		{value.Str("a|b"), value.Str("y")},
+		{value.Str("NA"), value.Str("y")},
+		{value.NA(), value.Str("x")},
+	} {
+		if err := flat.AppendRow(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := star.NewBuilder("F").
+		Dimension("DS", []storage.Field{{Name: "S", Kind: value.StringKind}}, []string{"S"}).
+		Dimension("DG", []storage.Field{{Name: "G", Kind: value.StringKind}}, []string{"G"}).
+		Build(flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refS := AttrRef{Dim: "DS", Attr: "S"}
+	cached := NewEngine(s)
+	scan := NewEngine(s, WithAggregateCache(false))
+	sets := []struct {
+		vals  []value.Value
+		facts float64 // a multi-value slicer is the union of its members
+	}{
+		{[]value.Value{value.Str("a"), value.Str("b")}, 2},
+		{[]value.Value{value.Str("a|b")}, 1},
+		{[]value.Value{value.NA()}, 1},
+		{[]value.Value{value.Str("NA")}, 1},
+	}
+	for _, set := range sets {
+		q := Query{
+			Rows:    []AttrRef{{Dim: "DG", Attr: "G"}},
+			Slicers: []Slicer{{Ref: refS, Values: set.vals}},
+			Measure: MeasureRef{Agg: storage.CountAgg},
+		}
+		got, err := cached.ExecuteCtx(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := scan.ExecuteCtx(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameCells(t, fmt.Sprint(set.vals), got, want)
+		if got.Total() != set.facts {
+			t.Errorf("slicer %v counts %g facts, want %g", set.vals, got.Total(), set.facts)
+		}
+	}
+	if n := cached.LatticeSize(); n != len(sets) {
+		t.Errorf("lattice holds %d entries for %d distinct slicer sets", n, len(sets))
 	}
 }
 

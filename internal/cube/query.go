@@ -46,6 +46,22 @@ func (m MeasureRef) String() string {
 	return "count(*)"
 }
 
+// check reports a measure the engine cannot aggregate. It reads no fact
+// data, so the lattice applies it before matching: an invalid measure
+// renders the same String as a valid one (sum with no column reads
+// "count(*)") and must not be answered from that one's cached groups.
+func (m MeasureRef) check() error {
+	switch {
+	case m.Column != "" && m.Attr != nil:
+		return fmt.Errorf("cube: measure cannot name both a column and an attribute")
+	case m.Attr != nil && m.Agg != storage.CountAgg && m.Agg != storage.DistinctAgg:
+		return fmt.Errorf("cube: attribute measures support count/distinct only, got %s", m.Agg)
+	case m.Column == "" && m.Attr == nil && m.Agg != storage.CountAgg:
+		return fmt.Errorf("cube: aggregate %s requires a measure column", m.Agg)
+	}
+	return nil
+}
+
 // Query is one multidimensional aggregation: attribute tuples on the row
 // and column axes, slicers restricting the fact set, and a measure.
 type Query struct {
@@ -57,28 +73,6 @@ type Query struct {
 	// under an "NA" coordinate; by default such facts are dropped, matching
 	// BI-tool behaviour.
 	IncludeMissing bool
-}
-
-// signature canonically encodes the query for the aggregate cache.
-func (q Query) signature() string {
-	var sb strings.Builder
-	for _, r := range q.Rows {
-		sb.WriteString("r" + r.String())
-	}
-	for _, r := range q.Cols {
-		sb.WriteString("c" + r.String())
-	}
-	for _, s := range q.Slicers {
-		sb.WriteString("s" + s.Ref.String() + "=")
-		for _, v := range s.Values {
-			sb.WriteString(v.String() + "|")
-		}
-	}
-	sb.WriteString("m" + q.Measure.String())
-	if q.IncludeMissing {
-		sb.WriteString("+na")
-	}
-	return sb.String()
 }
 
 // CellSet is the result of a query: one header tuple per row and column

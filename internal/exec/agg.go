@@ -94,12 +94,6 @@ type FloatMeasure interface {
 	AllFloat() bool
 }
 
-// ValueSlice adapts a materialised value slice to the Measure accessor.
-type ValueSlice []value.Value
-
-// Value returns element i.
-func (s ValueSlice) Value(i int) value.Value { return s[i] }
-
 // AggState accumulates one aggregate over one group. Its semantics are
 // the single source of truth previously duplicated as storage.aggState
 // and cube.cellAgg: NA measure values are ignored; Count counts observed

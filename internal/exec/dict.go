@@ -124,19 +124,10 @@ func (b *dictBuilder) finish() CodedColumn {
 	return NewCodedColumn(b.codes, b.values)
 }
 
-// Encode dictionary-encodes a materialised value slice. It is the generic
-// path used for the cube engine's attribute columns; the storage layer
-// builds its dictionaries directly from typed column payloads.
-func Encode(vals []value.Value) CodedColumn {
-	b := newDictBuilder(len(vals))
-	for _, v := range vals {
-		b.append(v)
-	}
-	return b.finish()
-}
-
-// EncodeFunc dictionary-encodes n rows produced by at(i). It lets typed
-// columns encode without first materialising a []value.Value.
+// EncodeFunc dictionary-encodes n rows produced by at(i). Storage columns
+// encode their typed payloads through it, and the cube engine its
+// attribute columns straight from fact keys, neither materialising a
+// []value.Value first.
 func EncodeFunc(n int, at func(i int) value.Value) CodedColumn {
 	b := newDictBuilder(n)
 	for i := 0; i < n; i++ {

@@ -9,6 +9,17 @@ import (
 	"github.com/ddgms/ddgms/internal/value"
 )
 
+// Encode dictionary-encodes a materialised value slice.
+func Encode(vals []value.Value) CodedColumn {
+	return EncodeFunc(len(vals), func(i int) value.Value { return vals[i] })
+}
+
+// ValueSlice adapts a materialised value slice to the Measure accessor.
+type ValueSlice []value.Value
+
+// Value returns element i.
+func (s ValueSlice) Value(i int) value.Value { return s[i] }
+
 func TestEncodeRoundTrip(t *testing.T) {
 	vals := []value.Value{
 		value.Str("a"), value.NA(), value.Str("b"), value.Str("a"),

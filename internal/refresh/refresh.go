@@ -66,8 +66,6 @@ type Config struct {
 	CursorDir string
 	// FS is the filesystem for cursor persistence (tests inject faults).
 	FS faultfs.FS
-	// EngineOptions configure each cube engine the maintainer builds.
-	EngineOptions []cube.Option
 	// MaxBatchTx caps transactions per refresh batch (default 256).
 	MaxBatchTx int
 	// CompactFraction is the tombstone fraction that triggers a rebuild;
@@ -297,7 +295,7 @@ func (m *Maintainer) rebuildLocked(src *storage.Table) error {
 	if err != nil {
 		return err
 	}
-	engine := cube.NewEngine(schema, m.cfg.EngineOptions...)
+	engine := cube.NewEngine(schema)
 	facts := make(map[value.Value][]int)
 	for j := 0; j < flat.Len(); j++ {
 		p := flat.MustValue(j, m.cfg.PatientCol)

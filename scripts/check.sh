@@ -41,9 +41,13 @@ go test -race -run 'TestRefresh' -count=2 ./internal/refresh/
 go test -race -run 'TestTailWAL|TestTailer' ./internal/oltp/ ./internal/cdc/
 
 echo "== refresh-equivalence soak per column encoding (flat/packed/rle forced)"
+# The cube reads raw codes in ApplyDelta, DrillThrough and bitmap
+# construction, so its delta, lattice and drill-through suites run per
+# encoding too.
 for enc in flat packed rle; do
 	echo "   -- DDGMS_FORCE_ENCODING=$enc"
 	DDGMS_FORCE_ENCODING=$enc go test -race -run 'TestRefresh' ./internal/refresh/
+	DDGMS_FORCE_ENCODING=$enc go test -race -run 'TestApplyDelta|TestQuick|TestLattice|TestDrillThrough' ./internal/cube/
 done
 
 echo "== encoding equivalence battery (coded kernels vs scalar oracle)"
