@@ -1,15 +1,56 @@
 package ddgms_test
 
 import (
+	"sync"
 	"testing"
 
+	"github.com/ddgms/ddgms/internal/core"
+	"github.com/ddgms/ddgms/internal/discri"
 	"github.com/ddgms/ddgms/internal/exec"
+	"github.com/ddgms/ddgms/internal/storage"
 )
 
+// Shared fixtures: platforms are expensive to build (generate + ETL +
+// warehouse load), so each cohort size is constructed once.
+var (
+	platforms   = map[int]*core.Platform{}
+	platformsMu sync.Mutex
+)
+
+func platformFor(b testing.TB, patients int) *core.Platform {
+	b.Helper()
+	platformsMu.Lock()
+	defer platformsMu.Unlock()
+	if p, ok := platforms[patients]; ok {
+		return p
+	}
+	dcfg := discri.DefaultConfig()
+	dcfg.Patients = patients
+	p, err := core.NewDiScRiPlatform(core.Config{}, dcfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	platforms[patients] = p
+	return p
+}
+
+// kernelGroupBySpec is the reference group-by of the allocation gate: a
+// realistic multivariate grouping over the full DiScRi attendance fact
+// table with a non-additive and an additive aggregate.
+func kernelGroupBySpec() ([]string, []storage.AggSpec) {
+	keys := []string{"AgeBand10", "Gender", "DiabetesStatus"}
+	aggs := []storage.AggSpec{
+		{Kind: storage.DistinctAgg, Column: "PatientID", As: "patients"},
+		{Kind: storage.AvgAgg, Column: "FBG", As: "avg_fbg"},
+	}
+	return keys, aggs
+}
+
 // TestGroupByCodedAllocBudget is the allocation-regression gate for the
-// arena-based dense kernel: the reference grouping (BenchmarkGroupByCoded)
-// ran at 424 allocs/op on the pre-arena kernel, and the compressed-
-// execution rework brought it under a quarter of that. The budget holds
+// arena-based dense kernel: the reference grouping (kernelGroupBySpec
+// through storage.Table.GroupBy) ran at 424 allocs/op on the pre-arena
+// kernel, and the compressed-execution rework brought it under a quarter
+// of that. The budget holds
 // slack over the measured ~91 so unrelated churn doesn't trip it, while
 // still catching any return to per-group heap allocation.
 func TestGroupByCodedAllocBudget(t *testing.T) {

@@ -1,15 +1,12 @@
-// Command loadgen is the open-loop load generator and
-// capacity-planning harness for ddgms serve.
+// Command loadgen is the open-loop load generator for ddgms serve.
 //
 // It drives seeded scenarios (endpoint mixes over MDX, DG-SQL,
 // flatquery and /freshness, under constant/poisson/ramp arrivals)
-// against a target server — or an in-process self-serve target when
-// -target is empty — and reports per-endpoint latency percentiles,
-// achieved vs offered rate and shed rate. With -sweep it walks each
-// scenario across a rate grid to produce a BENCH_8.json capacity
-// surface; with -recommend it derives suggested -max-concurrent,
-// -queue and -scan-budget serve flags from the knee of that surface.
-// See docs/CAPACITY.md for the full methodology.
+// against a remote server given by -target — or an in-process
+// self-serve target when -target is empty — and reports per-endpoint
+// latency percentiles, achieved vs offered rate and shed rate. -smoke
+// is the CI gate scripts/loadgen_smoke.sh runs. Engine performance is
+// measured by the frozen benchmark (benchmark/, BENCHMARK.json).
 package main
 
 import (
@@ -27,22 +24,6 @@ import (
 	"github.com/ddgms/ddgms/internal/loadgen"
 )
 
-// benchDoc is the BENCH_8.json layout: per-scenario surfaces plus the
-// recommendation derived from them.
-type benchDoc struct {
-	GeneratedBy    string                  `json:"generated_by"`
-	Config         benchConfig             `json:"config"`
-	Scenarios      []*loadgen.Surface      `json:"scenarios"`
-	Recommendation *loadgen.Recommendation `json:"recommendation,omitempty"`
-}
-
-type benchConfig struct {
-	Target    string    `json:"target"`
-	Rates     []float64 `json:"rates,omitempty"`
-	DurationS float64   `json:"duration_s"`
-	SelfServe bool      `json:"self_serve"`
-}
-
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
@@ -56,23 +37,10 @@ func run() error {
 		"comma-separated scenario names ("+strings.Join(loadgen.Builtins(), ", ")+") or JSON scenario file paths")
 	target := fs.String("target", "", "base URL of the server under test; empty boots an in-process self-serve target")
 	duration := fs.Duration("duration", 0, "per-run duration; 0 uses each scenario's duration_s (fallback 5s)")
-	rps := fs.Float64("rps", 0, "override the scenario's offered rate for a single run (ignored with -sweep)")
-	sweep := fs.String("sweep", "", "comma-separated offered rates to sweep (e.g. 10,25,50,100,200); produces a capacity surface per scenario")
-	settle := fs.Duration("settle", time.Second, "pause between sweep points so queued work drains")
-	out := fs.String("out", "", "write the BENCH JSON document (surfaces + recommendation) to this path")
-	recommend := fs.Bool("recommend", false, "derive and print suggested serve flags from the swept surfaces")
+	rps := fs.Float64("rps", 0, "override the scenario's offered rate")
+	out := fs.String("out", "", "write the reports, one JSON array entry per scenario, to this path")
 	smoke := fs.Bool("smoke", false, "tiny CI run: constant low rate, fail on zero throughput or any 5xx")
 	seed := fs.Int64("seed", 0, "override every scenario's seed (0 keeps scenario seeds)")
-
-	// Self-serve target knobs; they mirror the `ddgms serve` governance
-	// flags so the knee found here maps one-to-one onto a deployment.
-	patients := fs.Int("patients", 120, "self-serve: synthetic cohort size")
-	maxConcurrent := fs.Int("max-concurrent", 8, "self-serve: admission concurrency limit")
-	queue := fs.Int("queue", 16, "self-serve: admission wait-queue depth")
-	queueWait := fs.Duration("queue-wait", 200*time.Millisecond, "self-serve: max admission wait before 503")
-	scanBudget := fs.Int64("scan-budget", 0, "self-serve: per-query scanned-row budget (0 disables)")
-	queryTimeout := fs.Duration("query-timeout", 5*time.Second, "self-serve: per-query deadline")
-	serviceTime := fs.Duration("service-time", 0, "self-serve: artificial per-query service time (manufactures a knee at max-concurrent/service-time rps)")
 	fs.Parse(os.Args[1:])
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -85,99 +53,35 @@ func run() error {
 
 	base := *target
 	if base == "" {
-		ss, err := loadgen.StartSelfServe(loadgen.SelfServeConfig{
-			Patients:      *patients,
-			MaxConcurrent: *maxConcurrent,
-			Queue:         *queue,
-			QueueWait:     *queueWait,
-			ScanBudget:    *scanBudget,
-			QueryTimeout:  *queryTimeout,
-			ServiceTime:   *serviceTime,
-		})
+		ss, err := loadgen.StartSelfServe()
 		if err != nil {
 			return err
 		}
 		defer ss.Close()
 		base = ss.URL
-		fmt.Fprintf(os.Stderr, "loadgen: self-serve target at %s (max-concurrent %d, queue %d, service-time %s)\n",
-			base, *maxConcurrent, *queue, *serviceTime)
+		fmt.Fprintf(os.Stderr, "loadgen: self-serve target at %s\n", base)
 	}
 
 	if *smoke {
 		return runSmoke(ctx, base, scens[0], *duration)
 	}
 
-	if *sweep == "" {
-		// Single-rate mode: one run per scenario, human-readable report.
-		for _, sc := range scens {
-			rep, err := loadgen.Run(ctx, loadgen.RunConfig{
-				Target:       base,
-				Scenario:     sc,
-				Duration:     *duration,
-				RateOverride: *rps,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Println(rep.String())
-			if *out != "" {
-				// Without a sweep there is no surface; dump the raw
-				// reports instead so -out always yields something.
-				if err := writeJSON(*out, rep); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-
-	rates, err := parseRates(*sweep)
-	if err != nil {
-		return err
-	}
-	doc := benchDoc{
-		GeneratedBy: "cmd/loadgen",
-		Config: benchConfig{
-			Target:    base,
-			Rates:     rates,
-			DurationS: duration.Seconds(),
-			SelfServe: *target == "",
-		},
-	}
+	var reps []*loadgen.Report
 	for _, sc := range scens {
-		fmt.Fprintf(os.Stderr, "loadgen: sweeping %q across %v rps\n", sc.Name, rates)
-		surf, err := loadgen.SweepRates(ctx, loadgen.RunConfig{
-			Target:   base,
-			Scenario: sc,
-			Duration: *duration,
-		}, rates, *settle)
+		rep, err := loadgen.Run(ctx, loadgen.RunConfig{
+			Target:       base,
+			Scenario:     sc,
+			Duration:     *duration,
+			RateOverride: *rps,
+		})
 		if err != nil {
 			return err
 		}
-		doc.Config.DurationS = surf.DurationS
-		doc.Scenarios = append(doc.Scenarios, surf)
-		for _, p := range surf.Points {
-			fmt.Fprintf(os.Stderr, "  %7.1f rps -> achieved %7.1f, p50 %6.1fms p99 %7.1fms, shed %5.1f%%\n",
-				p.OfferedRPS, p.AchievedRPS, p.P50ms, p.P99ms, 100*p.ShedRate)
-		}
-	}
-
-	if *recommend {
-		rec, err := loadgen.Recommend(doc.Scenarios)
-		if err != nil {
-			return err
-		}
-		doc.Recommendation = rec
-		fmt.Println("suggested serve flags:", rec.Flags())
-		for _, n := range rec.Notes {
-			fmt.Println("  #", n)
-		}
+		fmt.Println(rep.String())
+		reps = append(reps, rep)
 	}
 	if *out != "" {
-		if err := writeJSON(*out, doc); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "loadgen: wrote %s\n", *out)
+		return writeJSON(*out, reps)
 	}
 	return nil
 }
@@ -240,25 +144,6 @@ func loadScenarios(list string, seed int64) ([]loadgen.Scenario, error) {
 		return nil, fmt.Errorf("no scenarios given")
 	}
 	return scens, nil
-}
-
-func parseRates(s string) ([]float64, error) {
-	var rates []float64
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad sweep rate %q", f)
-		}
-		rates = append(rates, v)
-	}
-	if len(rates) == 0 {
-		return nil, fmt.Errorf("-sweep needs at least one rate")
-	}
-	return rates, nil
 }
 
 func writeJSON(path string, v any) error {

@@ -1,7 +1,4 @@
-// Package loadgen is the open-loop load generator and
-// capacity-planning harness: the instrument that turns the governance
-// knobs (-max-concurrent, -queue, -scan-budget) from guesses into
-// measurements.
+// Package loadgen is the open-loop load generator for ddgms serve.
 //
 // Open-loop means non-coordinating: requests are fired on a schedule
 // fixed before the run starts — the arrival process — regardless of how
@@ -10,8 +7,7 @@
 // its offered load to whatever the server sustains, which hides
 // overload entirely: the coordinated-omission trap. Under an open-loop
 // driver, a server at capacity visibly sheds (429/503) or queues
-// (latency grows), which is exactly the surface capacity planning needs
-// to see.
+// (latency grows).
 //
 // The pieces:
 //
@@ -25,16 +21,9 @@
 //     server, producing a Report — per-endpoint p50/p95/p99, achieved
 //     vs offered RPS, shed rate, and server-side counter deltas scraped
 //     from /metrics.
-//   - SweepRates: repeat Run over a grid of offered rates, producing a
-//     Surface — the latency/throughput/shed-rate capacity surface a
-//     BENCH_8.json records.
-//   - Recommend: find the knee of the surface and derive suggested
-//     -max-concurrent / -queue / -scan-budget settings from it via
-//     Little's law and the observed per-query scan volume.
-//   - StartSelfServe: a hermetic in-process target (synthetic cohort,
-//     governed server, optional artificial service time) so smoke tests
-//     and benches need no external process.
+//   - StartSelfServe: a hermetic in-process target (small synthetic
+//     cohort, governed server) so smoke tests need no external process.
 //
-// docs/CAPACITY.md is the operator-facing guide to running sweeps and
-// reading the output.
+// Engine performance is measured by the frozen benchmark (benchmark/,
+// BENCHMARK.json), not here.
 package loadgen

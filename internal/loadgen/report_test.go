@@ -125,66 +125,3 @@ ddgms_unrelated_total 999
 		t.Fatal("unrelated family leaked into sums")
 	}
 }
-
-func TestRecommendFromSurfaces(t *testing.T) {
-	surf := &Surface{
-		Scenario: "synthetic",
-		Points: []SurfacePoint{
-			{OfferedRPS: 20, P50ms: 25, P99ms: 30, ShedRate: 0},
-			{OfferedRPS: 100, P50ms: 25, P99ms: 40, ShedRate: 0.002, RowsPerOK: 200},
-			{OfferedRPS: 200, P50ms: 26, P99ms: 300, ShedRate: 0.15},
-		},
-	}
-	rec, err := Recommend([]*Surface{surf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Knee is the 100 rps point: the 200 rps point sheds 15% and blows
-	// the 4x-baseline p99 bound.
-	if rec.KneeRPS["synthetic"] != 100 {
-		t.Fatalf("knee %v, want 100", rec.KneeRPS["synthetic"])
-	}
-	// Little's law: ceil(1.25 * 100 rps * 0.025 s) = ceil(3.125) = 4.
-	if rec.MaxConcurrent != 4 {
-		t.Fatalf("max concurrent %d, want 4", rec.MaxConcurrent)
-	}
-	// Queue: max(4, ceil(0.5 * 100)) = 50.
-	if rec.Queue != 50 {
-		t.Fatalf("queue %d, want 50", rec.Queue)
-	}
-	// Scan budget: ceil(8 * 200) = 1600.
-	if rec.ScanBudget != 1600 {
-		t.Fatalf("scan budget %d, want 1600", rec.ScanBudget)
-	}
-	if !strings.Contains(rec.Flags(), "-max-concurrent 4 -queue 50 -scan-budget 1600") {
-		t.Fatalf("flags: %s", rec.Flags())
-	}
-}
-
-// With several scenarios, the lowest knee binds — the server has to
-// survive its least favourable advertised mix.
-func TestRecommendBindingScenario(t *testing.T) {
-	fast := &Surface{Scenario: "fast", Points: []SurfacePoint{
-		{OfferedRPS: 50, P50ms: 10, P99ms: 15},
-		{OfferedRPS: 400, P50ms: 10, P99ms: 20},
-	}}
-	slow := &Surface{Scenario: "slow", Points: []SurfacePoint{
-		{OfferedRPS: 50, P50ms: 40, P99ms: 60},
-		{OfferedRPS: 80, P50ms: 42, P99ms: 70},
-		{OfferedRPS: 160, P50ms: 45, P99ms: 500, ShedRate: 0.3},
-	}}
-	rec, err := Recommend([]*Surface{fast, slow})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.KneeRPS["fast"] != 400 || rec.KneeRPS["slow"] != 80 {
-		t.Fatalf("knees: %v", rec.KneeRPS)
-	}
-	// Binding scenario is "slow": ceil(1.25 * 80 * 0.040) = 4.
-	if rec.MaxConcurrent != 4 {
-		t.Fatalf("max concurrent %d, want 4 (derived from the slow mix)", rec.MaxConcurrent)
-	}
-	if rec.ScanBudget != 0 {
-		t.Fatalf("scan budget %d, want 0 without telemetry", rec.ScanBudget)
-	}
-}

@@ -23,8 +23,7 @@ type RunConfig struct {
 	// the scenario's, and then to 5s.
 	Duration time.Duration
 	// RateOverride, when positive, re-rates the arrival process (ramps
-	// scale proportionally) — the sweep driver uses it to walk one
-	// scenario across a grid of offered rates.
+	// scale proportionally); cmd/loadgen -rps sets it.
 	RateOverride float64
 	// Client is the HTTP client to fire with; nil uses a pooled default
 	// sized for open-loop bursts.

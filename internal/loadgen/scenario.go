@@ -155,10 +155,10 @@ func ParseScenario(data []byte) (Scenario, error) {
 }
 
 // builtins are the named scenario mixes shipped with the tool. Two
-// deliberately different shapes so a capacity sweep sees both the
-// interactive (cheap, bursty, poisson) and the analytic (heavier
-// queries, steady rate) faces of the workload; rampup exists to watch
-// the knee get crossed within a single run.
+// deliberately different shapes cover both the interactive (cheap,
+// bursty, poisson) and the analytic (heavier queries, steady rate) faces
+// of the workload; rampup walks the offered rate up within a single run
+// to watch a server cross its capacity.
 var builtins = map[string]Scenario{
 	"interactive": {
 		Name:    "interactive",

@@ -26,7 +26,7 @@ func TestParseScenarioRoundTrip(t *testing.T) {
 
 // A typoed key must fail loudly, not silently fall back to defaults:
 // a scenario that decodes to the wrong workload produces a
-// plausible-looking but meaningless capacity surface.
+// plausible-looking but meaningless report.
 func TestParseScenarioRejectsUnknownFields(t *testing.T) {
 	_, err := ParseScenario([]byte(`{
 		"name": "typo",
@@ -83,7 +83,7 @@ func TestScenarioValidate(t *testing.T) {
 func TestBuiltinsValidate(t *testing.T) {
 	names := Builtins()
 	if len(names) < 2 {
-		t.Fatalf("want at least two builtin scenarios for the capacity sweep, got %v", names)
+		t.Fatalf("want at least two builtin scenarios, got %v", names)
 	}
 	for _, n := range names {
 		sc, ok := Builtin(n)

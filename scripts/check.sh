@@ -5,19 +5,24 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-echo "== go vet ./..."
+# stage closes the running stage with its elapsed seconds and, given a
+# title, opens the next one.
+start=$(date +%s) last=
+stage() { now=$(date +%s); [ -z "$last" ] || echo "   ($((now - last))s)"; last=$now; [ $# -eq 0 ] || echo "== $*"; }
+
+stage "go vet ./..."
 go vet ./...
 
-echo "== go build ./..."
+stage "go build ./..."
 go build ./...
 
-echo "== go test -race ./..."
+stage "go test -race ./..."
 go test -race ./...
 
-echo "== frozen benchmark harness builds and smokes against the internal API"
+stage "frozen benchmark harness builds and smokes against the internal API"
 (cd benchmark && go vet ./... && go test -short ./...)
 
-echo "== one entry point per query layer (no new *Traced twin, no kernel-path option)"
+stage "one entry point per query layer (no new *Traced twin, no kernel-path option)"
 # etl.Pipeline.RunTraced is the write path, which has no ctx to carry a span.
 if grep -rnE '^func .*Traced\(' --include='*.go' internal cmd examples |
 	grep -v '_test\.go:' | grep -v 'internal/etl/pipeline\.go:.*) RunTraced('; then
@@ -29,18 +34,18 @@ if grep -rn 'WithVectorized' --include='*.go' . | grep -v '_test\.go:'; then
 	exit 1
 fi
 
-echo "== fault suite (crash recovery + WAL corruption, -count=2)"
+stage "fault suite (crash recovery + WAL corruption, -count=2)"
 go test -race -run 'Crash|Fault' -count=2 ./internal/oltp/ ./internal/faultfs/
 
-echo "== metrics suite (registry + trace + exposition under race, -count=2)"
+stage "metrics suite (registry + trace + exposition under race, -count=2)"
 go test -race -count=2 ./internal/obs/
 go test -race -run 'Trace|Metrics|ErrorCounter' ./internal/server/
 
-echo "== refresh-equivalence soak (randomized commit/refresh interleavings, -count=2)"
+stage "refresh-equivalence soak (randomized commit/refresh interleavings, -count=2)"
 go test -race -run 'TestRefresh' -count=2 ./internal/refresh/
 go test -race -run 'TestTailWAL|TestTailer' ./internal/oltp/ ./internal/cdc/
 
-echo "== refresh-equivalence soak per column encoding (flat/packed/rle forced)"
+stage "refresh-equivalence soak per column encoding (flat/packed/rle forced)"
 # The cube reads raw codes in ApplyDelta, DrillThrough and bitmap
 # construction, so its delta, lattice and drill-through suites run per
 # encoding too.
@@ -50,29 +55,30 @@ for enc in flat packed rle; do
 	DDGMS_FORCE_ENCODING=$enc go test -race -run 'TestApplyDelta|TestQuick|TestLattice|TestDrillThrough' ./internal/cube/
 done
 
-echo "== encoding equivalence battery (coded kernels vs scalar oracle)"
+stage "encoding equivalence battery (coded kernels vs scalar oracle)"
 go test -race -run 'TestEncodingEquivalence|Fuzz' ./internal/exec/
 
-echo "== allocation regression gate (arena kernel, no race detector)"
+stage "allocation regression gate (arena kernel, no race detector)"
 go test -run 'TestGroupByCodedAllocBudget|TestEncodedColumnBytesReduction' .
 
-echo "== replication partition soak (fault sweep, kill/restart, figure equivalence)"
+stage "replication partition soak (fault sweep, kill/restart, figure equivalence)"
 go test -race -run 'TestFaultSweep|TestFollowerRestart|TestPrimaryDiskBounded|TestSnapshotBootstrap' -count=2 ./internal/repl/
 go test -race -count=1 ./internal/faultnet/
 go test -race -run 'TestReplicaFiguresMatchPrimary' -count=1 ./internal/core/
 go test -race -run 'TestApplyReplicated|TestPinWALAtDurable|TestRetentionFloor' -count=1 ./internal/oltp/
 
-echo "== failover suite (promotion, fencing, routing front smoke)"
+stage "failover suite (promotion, fencing, routing front smoke)"
 go test -race -count=2 ./internal/router/
 go test -race -run 'TestRouterClassifiesEveryRoute|TestHandlePromote' ./internal/server/
 sh scripts/failover_soak.sh -auto
 
-echo "== governance suite (cancellation, admission, budgets, breaker)"
+stage "governance suite (cancellation, admission, budgets, breaker)"
 go test -race -run 'Cancel|Budget|Admission|Breaker|Timeout|Shutdown' \
 	./internal/exec/ ./internal/govern/ ./internal/server/ ./internal/refresh/
 sh scripts/soak.sh
 
-echo "== loadgen smoke (open-loop run against self-serve target, zero 5xx)"
+stage "loadgen smoke (open-loop run against self-serve target, zero 5xx)"
 sh scripts/loadgen_smoke.sh
 
-echo "check: OK"
+stage
+echo "check: OK ($(($(date +%s) - start))s)"

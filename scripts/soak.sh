@@ -8,8 +8,8 @@
 #   - goroutine count returns to baseline after the storm
 #   - admitted-query p99 stays bounded by queue wait + service time
 #
-# The harness lives in internal/experiments (RunSoak); this script is
-# the operator entry point and the check.sh gate.
+# The harness lives in internal/experiments/soak_test.go (RunSoak); this
+# script is the operator entry point and the check.sh gate.
 set -eu
 cd "$(dirname "$0")/.."
 
