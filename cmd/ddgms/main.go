@@ -346,8 +346,8 @@ func cmdServe(args []string) error {
 	replFrom := fs.String("replicate-from", "", "run as a read replica of the primary's -replicate-listen address (implies follow mode; requires -data)")
 	replicaID := fs.String("replica-id", "", "stable follower identity at the primary (required with -replicate-from)")
 	replMaxLag := fs.Uint64("repl-max-lag-segments", 0, "with -replicate-listen, evict followers lagging more than this many WAL segments (0 = default)")
-	promoteListen := fs.String("promote-listen", "", "replication listen address this node binds if promoted; advertised to auto-failover routers and used when POST /promote omits a listen field")
-	peers := fs.String("peers", "", "comma-separated peer base URLs enabling self-healing role recovery: a fenced ex-primary (or a follower stranded on a dead primary) discovers the new primary through them and re-homes itself")
+	promoteListen := fs.String("promote-listen", "", "replication listen address this node binds if promoted: used when POST /promote omits a listen field and, with -peers, lets the node stand for election (give it to every node of a self-electing cluster)")
+	peers := fs.String("peers", "", "comma-separated base URLs of the cluster's OTHER nodes (not a routing front) enabling self-healing and election: a follower whose primary stays silent re-homes to a successor or, with -promote-listen, stands for election by a strict majority of these nodes plus itself; a superseded ex-primary demotes and rejoins")
 	fs.Parse(args)
 	if *replFrom != "" && *follow {
 		return fmt.Errorf("-replicate-from implies follow mode; drop -follow")
@@ -507,6 +507,8 @@ func cmdServe(args []string) error {
 // are balanced over followers within the staleness bound, and the
 // /cluster endpoint shows the resolved view. After a promotion the
 // front re-homes client traffic on its own — no client reconfiguration.
+// The front keeps no state and decides no failover (serve -peers nodes
+// elect among themselves), so several fronts may run side by side.
 func cmdRoute(args []string) error {
 	fs := flag.NewFlagSet("route", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8350", "listen address")
@@ -516,11 +518,6 @@ func cmdRoute(args []string) error {
 	probeTimeout := fs.Duration("probe-timeout", 2*time.Second, "per-probe request deadline")
 	probeBackoffMax := fs.Duration("probe-backoff-max", 5*time.Second, "cap on the exponential probe backoff for persistently dead backends")
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "graceful-shutdown drain deadline")
-	autoFailover := fs.Bool("auto-failover", false, "promote the best follower automatically when the primary is confirmed dead and a majority of backends is reachable (requires -election-dir)")
-	electionDir := fs.String("election-dir", "", "directory for the durable election journal (required with -auto-failover)")
-	failureThreshold := fs.Int("failure-threshold", 3, "consecutive failed observations confirming a backend down")
-	suspicionWindow := fs.Duration("suspicion-window", time.Second, "minimum failure-streak age before a backend is confirmed down")
-	promoteTimeout := fs.Duration("promote-timeout", 3*time.Second, "deadline for each POST /promote the elector issues")
 	fs.Parse(args)
 	if *backends == "" {
 		return fmt.Errorf("-backends is required (comma-separated base URLs)")
@@ -532,17 +529,12 @@ func cmdRoute(args []string) error {
 		}
 	}
 	rt, err := router.New(router.Config{
-		Backends:         list,
-		PollEvery:        *poll,
-		MaxStaleness:     *maxStaleness,
-		ProbeTimeout:     *probeTimeout,
-		ProbeBackoffMax:  *probeBackoffMax,
-		AutoFailover:     *autoFailover,
-		FailureThreshold: *failureThreshold,
-		SuspicionWindow:  *suspicionWindow,
-		ElectionDir:      *electionDir,
-		PromoteTimeout:   *promoteTimeout,
-		Log:              log.Default(),
+		Backends:        list,
+		PollEvery:       *poll,
+		MaxStaleness:    *maxStaleness,
+		ProbeTimeout:    *probeTimeout,
+		ProbeBackoffMax: *probeBackoffMax,
+		Log:             log.Default(),
 	})
 	if err != nil {
 		return err
@@ -630,8 +622,9 @@ func followPlatform(dataDir string, patients int) (*core.Platform, *govern.Break
 // replicaPlatform stands a platform up as a read replica: open the
 // durable store (created empty on first run — the primary's stream
 // fills it), connect the WAL-shipping follower, wait for the initial
-// sync so the warehouse does not bootstrap over an empty store, then
-// start the same CDC-driven maintainer follow mode uses. Local writes
+// sync when the store is empty so the warehouse does not bootstrap
+// over nothing, then start the same CDC-driven maintainer follow mode
+// uses. Local writes
 // are refused for the process lifetime; the replica serves reads only.
 func replicaPlatform(dataDir, primaryAddr, replicaID string) (*core.Platform, *govern.Breaker, error) {
 	if dataDir == "" {
@@ -660,9 +653,14 @@ func replicaPlatform(dataDir, primaryAddr, replicaID string) (*core.Platform, *g
 		p.Close()
 		return nil, nil, err
 	}
-	fmt.Printf("replica %q syncing from %s...\n", replicaID, primaryAddr)
-	<-p.ReplicaReady()
-	fmt.Printf("synced: %d attendances\n", p.Store().Len())
+	// Only an empty store waits for the first sync: a restarted replica
+	// serves what it has, and must come up (and let -peers elect) even
+	// when its primary is gone.
+	if p.Store().Len() == 0 {
+		fmt.Printf("replica %q syncing from %s...\n", replicaID, primaryAddr)
+		<-p.ReplicaReady()
+	}
+	fmt.Printf("replica %q of %s: %d attendances\n", replicaID, primaryAddr, p.Store().Len())
 	breaker := govern.NewBreaker(govern.BreakerConfig{
 		Name:   "oltp",
 		Health: p.Store().Healthy,

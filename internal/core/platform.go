@@ -73,16 +73,21 @@ type Platform struct {
 	replPrimary  *repl.Primary
 	replFollower *repl.Follower
 
-	// Self-healing rejoin (see replicate.go): when configured, a fenced
-	// ex-primary demotes in place and re-homes as a follower of the new
-	// primary instead of waiting for an operator.
+	// Self-healing and election (see replicate.go): when configured, a
+	// fenced ex-primary demotes in place and re-homes as a follower of
+	// the new primary, and followers of a dead primary elect a successor
+	// among themselves, instead of waiting for an operator.
 	selfHeal     *SelfHealConfig
 	selfHealStop chan struct{}
 	selfHealWG   sync.WaitGroup
 	healBusy     bool
-	// promoteListen is the replication listener this node would bind if
-	// promoted; advertised in Status.PromoteListen so an auto-failover
-	// router knows the node is a viable candidate.
+	// rejoinEpoch is the highest epoch a superseded primary has seen, set
+	// while it waits to rejoin; it votes only for epochs above it.
+	rejoinEpoch uint64
+	// ballot is this node's durable vote record for elections.
+	ballot *repl.Ballot
+	// promoteListen is the replication listener this node binds if
+	// promoted; setting it is what lets the node stand for election.
 	promoteListen string
 }
 
@@ -184,8 +189,16 @@ func (p *Platform) BuildWarehouse(b *star.Builder) error {
 	return nil
 }
 
-// Warehouse returns the star schema.
-func (p *Platform) Warehouse() *star.Schema { return p.schema }
+// Warehouse returns the star schema. In follow mode it reads under the
+// maintainer's read lock, which a rebuild holds while it swaps the
+// schema.
+func (p *Platform) Warehouse() *star.Schema {
+	if p.follower != nil {
+		p.follower.RLock()
+		defer p.follower.RUnlock()
+	}
+	return p.schema
+}
 
 // Engine returns the OLAP engine.
 func (p *Platform) Engine() *cube.Engine { return p.engine }

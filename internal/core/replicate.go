@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -20,11 +21,15 @@ import (
 // writes.
 //
 // With self-healing enabled (EnableSelfHeal), role transitions that
-// used to be operator actions run themselves: a fenced ex-primary tears
-// down its primary session, discovers the new primary through its
-// peers, and re-homes as a follower via the ordinary snapshot-bootstrap
-// path; a follower stranded on a dead primary discovers and re-homes
-// the same way.
+// used to be operator actions run themselves, all from one watchdog:
+//
+//	follower --feed silent for RehomeAfter--> re-home to a successor,
+//	                                          or stand for election
+//	candidate --majority of votes--> primary at the epoch it won
+//	primary --higher epoch seen--> demote --> rejoin --> follower
+//
+// Re-homing and rejoining go through the ordinary snapshot-bootstrap
+// path; the election rules live in repl (vote.go).
 
 // ReplicateListenConfig parameterises AttachPrimary.
 type ReplicateListenConfig struct {
@@ -112,16 +117,18 @@ type PromoteConfig struct {
 func (p *Platform) Promote(cfg PromoteConfig) error {
 	p.replMu.Lock()
 	defer p.replMu.Unlock()
-	return p.promoteLocked(cfg)
+	return p.promoteLocked(cfg, 0)
 }
 
-func (p *Platform) promoteLocked(cfg PromoteConfig) error {
+// promoteLocked promotes to lead epoch, 0 meaning the next one.
+func (p *Platform) promoteLocked(cfg PromoteConfig, epoch uint64) error {
 	if p.replFollower == nil {
 		return fmt.Errorf("core: not a replica; nothing to promote")
 	}
 	pr, err := repl.Promote(repl.PromoteConfig{
 		Follower:       p.replFollower,
 		Listener:       cfg.Listener,
+		Epoch:          epoch,
 		OnFenced:       p.demoteOnFence,
 		MaxLagSegments: cfg.MaxLagSegments,
 		HeartbeatEvery: cfg.HeartbeatEvery,
@@ -138,16 +145,20 @@ func (p *Platform) promoteLocked(cfg PromoteConfig) error {
 // PromoteToPrimary is the HTTP-admin form of Promote: it binds the
 // given replication listen address itself and promotes, returning the
 // new primary's status. This is what POST /promote calls, so an
-// operator — or an auto-failover router — can cut a replica over with
-// one request against the node.
+// operator can cut a replica over with one request against the node.
 func (p *Platform) PromoteToPrimary(listenAddr string) (repl.Status, error) {
+	return p.promoteOn(listenAddr, 0)
+}
+
+// promoteOn binds listenAddr and promotes to lead epoch (0: the next).
+func (p *Platform) promoteOn(listenAddr string, epoch uint64) (repl.Status, error) {
 	ln, err := net.Listen("tcp", listenAddr)
 	if err != nil {
 		return repl.Status{}, fmt.Errorf("core: promote listener: %w", err)
 	}
 	p.replMu.Lock()
 	defer p.replMu.Unlock()
-	if err := p.promoteLocked(PromoteConfig{Listener: ln}); err != nil {
+	if err := p.promoteLocked(PromoteConfig{Listener: ln}, epoch); err != nil {
 		ln.Close()
 		return repl.Status{}, err
 	}
@@ -155,9 +166,9 @@ func (p *Platform) PromoteToPrimary(listenAddr string) (repl.Status, error) {
 }
 
 // SetPromoteListen records the replication listener address this node
-// would bind if promoted. It becomes the default for a POST /promote
-// with no listen field and is advertised in Status.PromoteListen so an
-// auto-failover router can pick this node as a candidate.
+// binds if promoted. It is the default for a POST /promote with no
+// listen field, and with self-heal enabled it is what lets the node
+// stand for election.
 func (p *Platform) SetPromoteListen(addr string) {
 	p.replMu.Lock()
 	p.promoteListen = addr
@@ -241,9 +252,7 @@ func (p *Platform) ReplicaReady() <-chan struct{} {
 }
 
 // Replication reports replication health for the /replication
-// endpoint; ok is false when neither role is attached. A follower's
-// status carries the configured promote listener, which is how the
-// routing front learns which nodes it may promote.
+// endpoint; ok is false when neither role is attached.
 func (p *Platform) Replication() (repl.Status, bool) {
 	p.replMu.Lock()
 	defer p.replMu.Unlock()
@@ -251,9 +260,7 @@ func (p *Platform) Replication() (repl.Status, bool) {
 	case p.replPrimary != nil:
 		return p.replPrimary.Status(), true
 	case p.replFollower != nil:
-		st := p.replFollower.Status()
-		st.PromoteListen = p.promoteListen
-		return st, true
+		return p.replFollower.Status(), true
 	default:
 		return repl.Status{}, false
 	}
@@ -274,42 +281,56 @@ func (p *Platform) StopReplication() {
 	}
 }
 
-// SelfHealConfig parameterises automatic role recovery.
+// SelfHealConfig parameterises automatic role recovery and election.
 type SelfHealConfig struct {
-	// Peers are base HTTP URLs whose /replication endpoint is polled to
-	// discover the current primary — other nodes directly, or a routing
-	// front (whose /replication proxies to its resolved primary).
-	// Required.
+	// Peers are the base HTTP URLs of the cluster's other nodes, polled
+	// on /replication to discover the current primary and asked for
+	// votes on /replication/vote. Not a routing front: an election needs
+	// a strict majority of len(Peers)+1 nodes. Required.
 	Peers []string
 	// ID is this node's stable replica identity when it re-homes;
 	// required.
 	ID string
-	// CursorDir persists the re-homed follower's cursor; usually the
-	// same directory as the primary-side epoch file, so fencing
-	// correctness keeps the max of both records.
+	// CursorDir persists the re-homed follower's cursor and this node's
+	// vote record; usually the same directory as the primary-side epoch
+	// file, so fencing correctness keeps the max of both records.
 	CursorDir string
 	// HeartbeatTimeout tunes the re-homed follower; 0 means default.
 	HeartbeatTimeout time.Duration
 	// BackoffMin/BackoffMax bound the capped, jittered retry delay while
-	// discovery finds no primary. Defaults 500ms / 10s.
+	// discovery finds no primary, and between lost elections. Defaults
+	// 500ms / 10s.
 	BackoffMin time.Duration
 	BackoffMax time.Duration
-	// ProbeTimeout bounds each discovery request. Default 2s.
+	// ProbeTimeout bounds each discovery or vote request. Default 2s.
 	ProbeTimeout time.Duration
-	// RehomeAfter is how long a follower must be disconnected before the
-	// watchdog starts looking for a successor primary. Default 5s.
+	// RehomeAfter is the failure detector: how long a follower's feed
+	// must be silent before it looks for a successor primary, stands for
+	// election, or grants a vote. Default 5s.
 	RehomeAfter time.Duration
 	// WatchEvery is the watchdog cadence. Default 1s.
 	WatchEvery time.Duration
-	// Client issues discovery requests; nil builds a default.
+	// Client issues discovery and vote requests; nil builds a default.
 	Client *http.Client
+}
+
+// silent reports whether a follower's feed has been down long enough
+// to stand, vote, or re-home.
+func (sh *SelfHealConfig) silent(st repl.Status) bool {
+	return !st.Connected && st.SecondsSinceFrame >= sh.RehomeAfter.Seconds()
+}
+
+// backoff returns a jittered wait (up to +50%, so a fleet does not
+// retry in lockstep) around d, and the doubled, capped next delay.
+func (sh *SelfHealConfig) backoff(d time.Duration) (wait, next time.Duration) {
+	return d + time.Duration(rand.Int63n(int64(d)/2+1)), min(2*d, sh.BackoffMax)
 }
 
 // EnableSelfHeal arms autonomous role recovery on this platform: a
 // fenced ex-primary demotes and re-homes itself, and a follower whose
-// primary stays unreachable past RehomeAfter discovers the successor
-// and re-homes. Call once, before or after attaching a role; Close (or
-// StopSelfHeal) disarms it.
+// primary stays unreachable past RehomeAfter re-homes to a successor or,
+// with a promote listener set, stands for election. Call once, before
+// or after attaching a role; Close (or StopSelfHeal) disarms it.
 func (p *Platform) EnableSelfHeal(cfg SelfHealConfig) error {
 	if len(cfg.Peers) == 0 {
 		return fmt.Errorf("core: self-heal requires at least one peer URL")
@@ -335,12 +356,17 @@ func (p *Platform) EnableSelfHeal(cfg SelfHealConfig) error {
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{}
 	}
+	ballot, err := repl.OpenBallot(cfg.CursorDir)
+	if err != nil {
+		return fmt.Errorf("core: self-heal: %w", err)
+	}
 	p.replMu.Lock()
 	defer p.replMu.Unlock()
 	if p.selfHeal != nil {
 		return fmt.Errorf("core: self-heal already enabled")
 	}
 	p.selfHeal = &cfg
+	p.ballot = ballot
 	p.selfHealStop = make(chan struct{})
 	p.selfHealWG.Add(1)
 	go p.selfHealWatch(&cfg, p.selfHealStop)
@@ -361,13 +387,14 @@ func (p *Platform) StopSelfHeal() {
 	}
 }
 
-// rejoin is the fenced ex-primary's recovery loop: the (fenced) primary
+// rejoin is the superseded ex-primary's recovery loop: the primary
 // session is torn down in place, then discovery polls the peers until
-// the new primary — the one leading at least the epoch that fenced us —
-// appears, and the node attaches as an ordinary replica. The existing
-// snapshot-bootstrap path heals the diverged timeline: any writes this
-// node committed past the new primary's fork point are wiped and
-// rebuilt from the new primary's snapshot.
+// a primary leading at least minEpoch — the epoch that superseded us —
+// appears, and the node attaches as an ordinary replica. Meanwhile it
+// votes for any candidate above minEpoch, so its vote can elect that
+// primary when none is left. The existing snapshot-bootstrap path
+// heals the diverged timeline: any writes this node committed past the
+// new primary's fork point are wiped and rebuilt from its snapshot.
 func (p *Platform) rejoin(sh *SelfHealConfig, stop chan struct{}, minEpoch uint64) {
 	defer p.selfHealWG.Done()
 	defer func() {
@@ -381,8 +408,9 @@ func (p *Platform) rejoin(sh *SelfHealConfig, stop chan struct{}, minEpoch uint6
 		p.replPrimary.Close()
 		p.replPrimary = nil
 	}
+	p.rejoinEpoch = minEpoch
 	p.replMu.Unlock()
-	p.logf("core: self-heal: fenced primary session torn down; discovering successor (epoch >= %d)", minEpoch)
+	p.logf("core: self-heal: superseded primary session torn down; discovering successor (epoch >= %d)", minEpoch)
 
 	backoff := sh.BackoffMin
 	for {
@@ -391,7 +419,7 @@ func (p *Platform) rejoin(sh *SelfHealConfig, stop chan struct{}, minEpoch uint6
 			return
 		default:
 		}
-		if addr := p.discoverPrimary(sh, minEpoch); addr != "" {
+		if addr := successor(p.peerStatuses(sh), minEpoch); addr != "" {
 			p.replMu.Lock()
 			var err error
 			attached := false
@@ -416,35 +444,34 @@ func (p *Platform) rejoin(sh *SelfHealConfig, stop chan struct{}, minEpoch uint6
 			}
 			p.logf("core: self-heal: attach to %s failed: %v", addr, err)
 		}
-		// Capped exponential backoff with up to 50% jitter so a fleet of
-		// fenced nodes does not stampede the new primary in lockstep.
-		delay := backoff + time.Duration(rand.Int63n(int64(backoff)/2+1))
+		var wait time.Duration
+		wait, backoff = sh.backoff(backoff)
 		select {
 		case <-stop:
 			return
-		case <-time.After(delay):
-		}
-		backoff *= 2
-		if backoff > sh.BackoffMax {
-			backoff = sh.BackoffMax
+		case <-time.After(wait):
 		}
 	}
 }
 
-// selfHealWatch is the role watchdog. On a follower: a replica
-// disconnected from its primary past RehomeAfter polls the peers for a
-// successor at a strictly higher epoch and re-homes to it. A mere
-// network blip never re-homes — the old primary answering discovery at
-// the same epoch is not a successor. On a primary: discovery finding
-// any primary at a strictly higher epoch is authoritative proof this
-// node's leadership ended (epochs are fencing terms), so it demotes and
-// re-homes even if nothing ever dialed its replication listener to
-// fence it on the wire — the case of an isolated ex-primary that
-// returns after the cluster has moved on.
+// selfHealWatch is the role watchdog and the cluster's one failure
+// detector. On a follower whose feed has been silent past RehomeAfter:
+// a peer primary leading its epoch or a later one, at another address,
+// is a successor to re-home to (one epoch has one leader, so a
+// same-epoch primary elsewhere is the one it lost track of); with none,
+// the node stands for election if it may (stand), backing off after
+// each lost round. A mere network blip never re-homes — the primary it
+// follows answering discovery is not a successor. On a primary: any
+// peer reporting a higher epoch, follower or primary, is authoritative
+// proof this node's leadership ended (epochs are fencing terms), so it
+// demotes and rejoins even if nothing ever dialed its replication
+// listener to fence it on the wire — the case of an isolated
+// ex-primary that returns after the cluster has moved on.
 func (p *Platform) selfHealWatch(sh *SelfHealConfig, stop chan struct{}) {
 	defer p.selfHealWG.Done()
 	tick := time.NewTicker(sh.WatchEvery)
 	defer tick.Stop()
+	backoff, nextStand := sh.BackoffMin, time.Time{}
 	for {
 		select {
 		case <-stop:
@@ -460,12 +487,16 @@ func (p *Platform) selfHealWatch(sh *SelfHealConfig, stop chan struct{}) {
 		}
 		if pr != nil {
 			st := pr.Status()
-			if addr := p.discoverPrimary(sh, st.Epoch+1); addr != "" {
+			var seen uint64
+			for _, ps := range p.peerStatuses(sh) {
+				seen = max(seen, ps.Epoch)
+			}
+			if seen > st.Epoch {
 				// Stop accepting local writes before anything else: every
 				// commit past this instant would fork the superseded
 				// timeline further.
 				p.store.SetReplica(true)
-				p.logf("core: self-heal: successor %s leads above epoch %d; demoting in place", addr, st.Epoch)
+				p.logf("core: self-heal: a peer is at epoch %d above ours %d; demoting in place", seen, st.Epoch)
 				p.replMu.Lock()
 				start := !p.healBusy
 				if start {
@@ -474,7 +505,7 @@ func (p *Platform) selfHealWatch(sh *SelfHealConfig, stop chan struct{}) {
 				}
 				p.replMu.Unlock()
 				if start {
-					go p.rejoin(sh, stop, st.Epoch+1)
+					go p.rejoin(sh, stop, seen)
 				}
 			}
 			continue
@@ -483,55 +514,155 @@ func (p *Platform) selfHealWatch(sh *SelfHealConfig, stop chan struct{}) {
 			continue
 		}
 		st := f.Status()
-		if st.Connected || st.SecondsSinceFrame < sh.RehomeAfter.Seconds() {
+		if !sh.silent(st) {
+			backoff, nextStand = sh.BackoffMin, time.Time{}
 			continue
 		}
-		addr := p.discoverPrimary(sh, st.Epoch+1)
-		if addr == "" || addr == st.Primary {
+		peers := p.peerStatuses(sh)
+		if addr := successor(peers, st.Epoch); addr != "" {
+			if addr != st.Primary {
+				p.logf("core: self-heal: primary %s unreachable for %.1fs; re-homing to %s",
+					st.Primary, st.SecondsSinceFrame, addr)
+				p.RehomeReplica(addr)
+			}
 			continue
 		}
-		p.logf("core: self-heal: primary %s unreachable for %.1fs; re-homing to %s",
-			st.Primary, st.SecondsSinceFrame, addr)
-		p.RehomeReplica(addr)
+		if time.Now().Before(nextStand) {
+			continue
+		}
+		if p.stand(sh, st, peers) {
+			var wait time.Duration
+			wait, backoff = sh.backoff(backoff)
+			nextStand = time.Now().Add(wait)
+		}
 	}
 }
 
-// discoverPrimary polls the peers' /replication endpoints for a
-// non-fenced primary leading at least minEpoch and returns its
-// replication listener address ("" when none is found yet).
-func (p *Platform) discoverPrimary(sh *SelfHealConfig, minEpoch uint64) string {
+// stand runs one election round for a silent follower with status st
+// whose peers know no successor: when the node has a promote listener
+// and no reachable follower outranks it, it votes for itself at the
+// next epoch, asks every peer for a vote, and on a strict majority
+// promotes at exactly that epoch. It reports whether an election was
+// held and lost, so the caller backs off before the next one.
+func (p *Platform) stand(sh *SelfHealConfig, st repl.Status, peers []repl.Status) (lost bool) {
+	listen := p.PromoteListenAddr()
+	if listen == "" {
+		return false
+	}
+	self := repl.Candidate{ID: st.ID, Epoch: st.Epoch, Cursor: *st.Cursor}
+	var rivals []repl.Candidate
+	for _, ps := range peers {
+		if ps.Role == "follower" && ps.Cursor != nil {
+			rivals = append(rivals, repl.Candidate{ID: ps.ID, Epoch: ps.Epoch, Cursor: *ps.Cursor})
+		}
+	}
+	if !repl.Stands(self, rivals) {
+		return false
+	}
+	epoch, err := p.ballot.Stand(st.Epoch)
+	if err != nil {
+		p.logf("core: election: recording own vote: %v", err)
+		return true
+	}
+	req := repl.VoteRequest{Epoch: epoch, ID: st.ID, Follows: st.Epoch, Cursor: *st.Cursor}
+	nodes, votes := len(sh.Peers)+1, 1
 	for _, peer := range sh.Peers {
-		st, err := fetchReplicationStatus(sh.Client, peer, sh.ProbeTimeout)
-		if err != nil {
+		if repl.Elected(votes, nodes) {
+			break
+		}
+		var reply repl.VoteReply
+		if err := callPeer(sh, http.MethodPost, peer+"/replication/vote", req, &reply); err != nil {
 			continue
 		}
-		if st.Role == "primary" && !st.Fenced && st.Epoch >= minEpoch && st.Addr != "" {
-			return st.Addr
+		p.ballot.Saw(reply)
+		if reply.Granted {
+			votes++
 		}
 	}
-	return ""
+	// A vote granted meanwhile to a rival's higher epoch concedes ours.
+	if !repl.Elected(votes, nodes) || p.ballot.Voted() != epoch {
+		p.logf("core: election for epoch %d lost with %d of %d votes", epoch, votes, nodes)
+		return true
+	}
+	if _, err := p.promoteOn(listen, epoch); err != nil {
+		p.logf("core: election for epoch %d won but promotion failed: %v", epoch, err)
+		return true
+	}
+	p.logf("core: elected primary at epoch %d with %d of %d votes", epoch, votes, nodes)
+	return false
 }
 
-func fetchReplicationStatus(client *http.Client, base string, timeout time.Duration) (repl.Status, error) {
-	req, err := http.NewRequest(http.MethodGet, base+"/replication", nil)
-	if err != nil {
-		return repl.Status{}, err
+// Vote answers a peer's POST /replication/vote through the ballot's
+// grant rule, as this node stands right now. A node without self-heal
+// takes no part in elections.
+func (p *Platform) Vote(req repl.VoteRequest) (repl.VoteReply, error) {
+	p.replMu.Lock()
+	sh, pr, f, ballot := p.selfHeal, p.replPrimary, p.replFollower, p.ballot
+	rejoining, rejoinEpoch := p.healBusy && pr == nil, p.rejoinEpoch
+	p.replMu.Unlock()
+	if sh == nil {
+		return repl.VoteReply{}, fmt.Errorf("core: not electing: self-heal is off")
 	}
-	ctx, cancel := context.WithTimeout(req.Context(), timeout)
+	var v repl.Voter
+	switch {
+	case f != nil:
+		st := f.Status()
+		v = repl.Voter{Follower: true, Silent: sh.silent(st), Epoch: st.Epoch, Cursor: *st.Cursor}
+	case rejoining:
+		v = repl.Voter{Rejoining: true, Epoch: rejoinEpoch}
+	}
+	return ballot.Grant(v, req)
+}
+
+// peerStatuses polls every peer's /replication; unreachable peers are
+// left out.
+func (p *Platform) peerStatuses(sh *SelfHealConfig) []repl.Status {
+	var out []repl.Status
+	for _, peer := range sh.Peers {
+		var st repl.Status
+		if err := callPeer(sh, http.MethodGet, peer+"/replication", nil, &st); err == nil {
+			out = append(out, st)
+		}
+	}
+	return out
+}
+
+// successor returns the replication address of the highest-epoch
+// non-fenced primary leading at least minEpoch ("" when none).
+func successor(peers []repl.Status, minEpoch uint64) string {
+	addr, best := "", minEpoch
+	for _, st := range peers {
+		if st.Role == "primary" && !st.Fenced && st.Epoch >= best && st.Addr != "" {
+			addr, best = st.Addr, st.Epoch
+		}
+	}
+	return addr
+}
+
+// callPeer issues one JSON request to a peer (in is nil for a GET) and
+// decodes a 200 answer into out.
+func callPeer(sh *SelfHealConfig, method, url string, in, out any) error {
+	var body bytes.Buffer
+	if in != nil {
+		if err := json.NewEncoder(&body).Encode(in); err != nil {
+			return err
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), sh.ProbeTimeout)
 	defer cancel()
-	resp, err := client.Do(req.WithContext(ctx))
+	req, err := http.NewRequestWithContext(ctx, method, url, &body)
 	if err != nil {
-		return repl.Status{}, err
+		return err
+	}
+	resp, err := sh.Client.Do(req)
+	if err != nil {
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return repl.Status{}, fmt.Errorf("core: %s/replication answered %d", base, resp.StatusCode)
+		return fmt.Errorf("core: %s %s answered %d", method, url, resp.StatusCode)
 	}
-	var st repl.Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return repl.Status{}, err
-	}
-	return st, nil
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 func (p *Platform) logf(format string, args ...any) {

@@ -12,25 +12,36 @@ import (
 
 	"github.com/ddgms/ddgms/internal/discri"
 	"github.com/ddgms/ddgms/internal/oltp"
+	"github.com/ddgms/ddgms/internal/repl"
 )
 
-// statusPeer serves a platform's live /replication status over HTTP —
-// the discovery surface self-heal polls. In production this is another
-// node's full HTTP face or the routing front; the tests need only the
-// one endpoint.
+// statusPeer serves a platform's live /replication status and its
+// /replication/vote ballot over HTTP — the surfaces self-heal and
+// election call on peers. In production this is another node's full
+// HTTP face; the tests need only the two endpoints.
 func statusPeer(t *testing.T, p *Platform) *httptest.Server {
 	t.Helper()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/replication" {
+		switch r.URL.Path {
+		case "/replication":
+			st, ok := p.Replication()
+			if !ok {
+				http.NotFound(w, r)
+				return
+			}
+			json.NewEncoder(w).Encode(st)
+		case "/replication/vote":
+			var req repl.VoteRequest
+			json.NewDecoder(r.Body).Decode(&req)
+			reply, err := p.Vote(req)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusConflict)
+				return
+			}
+			json.NewEncoder(w).Encode(reply)
+		default:
 			http.NotFound(w, r)
-			return
 		}
-		st, ok := p.Replication()
-		if !ok {
-			http.NotFound(w, r)
-			return
-		}
-		json.NewEncoder(w).Encode(st)
 	}))
 	t.Cleanup(srv.Close)
 	return srv
@@ -137,7 +148,7 @@ func TestSelfHealFencedPrimaryRejoinsAutomatically(t *testing.T) {
 	}
 
 	// B is promoted (epoch 2) while A is still up — the
-	// split-brain-in-waiting an automatic elector can produce when the
+	// split-brain-in-waiting an election can produce when the
 	// "dead" primary was merely partitioned.
 	lnB, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -266,8 +277,8 @@ func TestSelfHealSurvivorFollowerRehomes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The primary dies; B is promoted (the router's elector in
-	// production, the test here). C is told nothing.
+	// The primary dies; B is promoted (by an operator's POST /promote
+	// here; TestElectionWaitsForRehomeAfter elects it). C is told nothing.
 	a.StopReplication()
 	lnB, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -291,4 +302,119 @@ func TestSelfHealSurvivorFollowerRehomes(t *testing.T) {
 	if !ok || st.Epoch != 2 {
 		t.Fatalf("re-homed follower epoch = %+v ok=%v, want epoch 2", st, ok)
 	}
+}
+
+// TestSilentRequiresDisconnectAndRehomeAfter pins the one failure
+// detector: a follower's feed counts as down only while it is
+// disconnected and its last frame is at least RehomeAfter old.
+func TestSilentRequiresDisconnectAndRehomeAfter(t *testing.T) {
+	sh := &SelfHealConfig{RehomeAfter: time.Second}
+	base := repl.Status{Role: "follower", Connected: false, SecondsSinceFrame: 2}
+
+	if !sh.silent(base) {
+		t.Fatal("disconnected for 2s not silent at RehomeAfter=1s")
+	}
+	edge := base
+	edge.SecondsSinceFrame = 1
+	if !sh.silent(edge) {
+		t.Fatal("disconnected for exactly RehomeAfter not silent")
+	}
+	young := base
+	young.SecondsSinceFrame = 0.1
+	if sh.silent(young) {
+		t.Fatal("100ms-old gap silent at RehomeAfter=1s")
+	}
+	connected := base
+	connected.Connected = true
+	if sh.silent(connected) {
+		t.Fatal("connected follower counted silent")
+	}
+}
+
+// TestElectionWaitsForRehomeAfter: after the primary dies nobody stands
+// for election until its own feed has been silent for RehomeAfter —
+// the watchdog's detector is the only one. Once it has, the
+// best-placed follower with a promote listener wins a majority of
+// three, leads exactly the epoch it won, and the other follower, which
+// voted for it, re-homes to it.
+func TestElectionWaitsForRehomeAfter(t *testing.T) {
+	a, b, lnA, dir := selfHealCluster(t)
+	c := New(Config{DataDir: filepath.Join(dir, "c")})
+	t.Cleanup(func() { c.Close() })
+	if err := c.OpenStore(a.Store().Schema()); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AttachReplica(ReplicateFromConfig{
+		PrimaryAddr: lnA.Addr().String(),
+		ID:          "c",
+		CursorDir:   filepath.Join(dir, "c-cursor"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-c.ReplicaReady():
+	case <-time.After(15 * time.Second):
+		t.Fatal("second follower never synced")
+	}
+	// Equal cursors make b the best candidate by id, not by timing.
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		sb, _ := b.Replication()
+		sc, _ := c.Replication()
+		if *sb.Cursor == *sc.Cursor {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("followers never reached the same cursor: %v vs %v", sb.Cursor, sc.Cursor)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	peerA, peerB, peerC := statusPeer(t, a), statusPeer(t, b), statusPeer(t, c)
+	heal := func(p *Platform, id string, rehomeAfter time.Duration, peers ...*httptest.Server) {
+		var urls []string
+		for _, s := range peers {
+			urls = append(urls, s.URL)
+		}
+		if err := p.EnableSelfHeal(SelfHealConfig{
+			Peers:        urls,
+			ID:           id,
+			CursorDir:    filepath.Join(dir, id+"-cursor"),
+			BackoffMin:   20 * time.Millisecond,
+			ProbeTimeout: 500 * time.Millisecond,
+			WatchEvery:   20 * time.Millisecond,
+			RehomeAfter:  rehomeAfter,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.SetPromoteListen("127.0.0.1:0")
+	heal(b, "b", time.Hour, peerA, peerC)
+	heal(c, "c", 100*time.Millisecond, peerA, peerB) // votes, never stands: no promote listener
+
+	a.StopReplication() // the primary dies
+	time.Sleep(500 * time.Millisecond)
+	for name, p := range map[string]*Platform{"b": b, "c": c} {
+		if st, ok := p.Replication(); !ok || st.Role != "follower" || st.Epoch != 1 {
+			t.Fatalf("%s changed role before its detector fired: %+v ok=%v", name, st, ok)
+		}
+	}
+	if v := b.ballot.Voted(); v != 0 {
+		t.Fatalf("b stood for epoch %d before its feed was silent for RehomeAfter", v)
+	}
+
+	// Arm b's detector at the same 100ms: now it stands and wins.
+	b.StopSelfHeal()
+	heal(b, "b", 100*time.Millisecond, peerA, peerC)
+	waitRole(t, b, "primary", "")
+	st, _ := b.Replication()
+	if st.Epoch != 2 || b.ballot.Voted() != 2 || c.ballot.Voted() != 2 {
+		t.Fatalf("winner leads epoch %d with votes b=%d c=%d; want all 2", st.Epoch, b.ballot.Voted(), c.ballot.Voted())
+	}
+	waitRole(t, c, "follower", st.Addr)
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 10; i++ {
+		commitVisit(t, b, rng)
+	}
+	waitFollowerState(t, b, c)
 }

@@ -48,41 +48,17 @@ func defaultClient() *http.Client {
 // whether or not earlier requests have answered. ctx cancellation
 // stops offering new requests (already-fired ones run to completion).
 func Run(ctx context.Context, cfg RunConfig) (*Report, error) {
-	if err := cfg.Scenario.Validate(); err != nil {
-		return nil, err
-	}
 	if cfg.Target == "" {
 		return nil, fmt.Errorf("loadgen: RunConfig.Target is required")
 	}
-	base := strings.TrimRight(cfg.Target, "/")
-	d := cfg.Duration
-	if d <= 0 {
-		d = cfg.Scenario.Duration(5 * time.Second)
-	}
-	arrival := cfg.Scenario.Arrival
-	if cfg.RateOverride > 0 {
-		arrival = arrival.withRate(cfg.RateOverride)
-	}
-	seed := cfg.Scenario.seed()
-	schedule, err := arrival.Schedule(d, seed)
+	schedule, reqs, d, err := plan(cfg)
 	if err != nil {
 		return nil, err
 	}
+	base := strings.TrimRight(cfg.Target, "/")
 	client := cfg.Client
 	if client == nil {
 		client = defaultClient()
-	}
-
-	// Seeded choices: endpoint sequence and query parameters come from
-	// generators derived from (not equal to) the arrival seed, so the
-	// three random streams cannot alias.
-	picker := newMixPicker(cfg.Scenario.Mix, seed+1)
-	gen := newRequestGen(seed + 2)
-	// Requests are materialised up front too — body generation must not
-	// eat into inter-arrival gaps at high rates.
-	reqs := make([]request, len(schedule))
-	for i := range schedule {
-		reqs[i] = gen.next(picker.pick())
 	}
 
 	var before map[string]float64
@@ -127,6 +103,39 @@ func Run(ctx context.Context, cfg RunConfig) (*Report, error) {
 	rep := buildReport(cfg.Scenario, elapsed, OfferedRPS(schedule, d), samples, srv)
 	metricAchievedRPS.Set(rep.AchievedRPS)
 	return rep, nil
+}
+
+// plan materialises a run up front from the scenario seed: the arrival
+// schedule, the request fired at each arrival in schedule order, and
+// the run's duration. Body generation must not eat into inter-arrival
+// gaps at high rates.
+func plan(cfg RunConfig) ([]time.Duration, []request, time.Duration, error) {
+	if err := cfg.Scenario.Validate(); err != nil {
+		return nil, nil, 0, err
+	}
+	d := cfg.Duration
+	if d <= 0 {
+		d = cfg.Scenario.Duration(5 * time.Second)
+	}
+	arrival := cfg.Scenario.Arrival
+	if cfg.RateOverride > 0 {
+		arrival = arrival.withRate(cfg.RateOverride)
+	}
+	seed := cfg.Scenario.seed()
+	schedule, err := arrival.Schedule(d, seed)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	// Seeded choices: endpoint sequence and query parameters come from
+	// generators derived from (not equal to) the arrival seed, so the
+	// three random streams cannot alias.
+	picker := newMixPicker(cfg.Scenario.Mix, seed+1)
+	gen := newRequestGen(seed + 2)
+	reqs := make([]request, len(schedule))
+	for i := range schedule {
+		reqs[i] = gen.next(picker.pick())
+	}
+	return schedule, reqs, d, nil
 }
 
 // fire sends one request and classifies the outcome.

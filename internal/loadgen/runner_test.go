@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -107,17 +109,12 @@ func TestRunAgainstStubServer(t *testing.T) {
 }
 
 // Two runs of the same scenario against the same target must fire the
-// same requests in the same order — the whole point of seeding.
+// same requests in the same order — the whole point of seeding. The
+// order is checked on the run's own schedule-ordered plan: each arrival
+// fires in its own goroutine, so the order the server sees them in is
+// the scheduler's. The server checks what arrived, per endpoint.
 func TestRunReproducible(t *testing.T) {
-	var mu sync.Mutex
-	var log1 []string
-	handler := func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		log1 = append(log1, r.URL.Path)
-		mu.Unlock()
-		w.WriteHeader(200)
-	}
-	srv := httptest.NewServer(http.HandlerFunc(handler))
+	st, srv := newStubTarget()
 	defer srv.Close()
 
 	sc := Scenario{
@@ -130,27 +127,37 @@ func TestRunReproducible(t *testing.T) {
 		},
 	}
 	cfg := RunConfig{Target: srv.URL, Scenario: sc, Duration: 500 * time.Millisecond, SkipScrape: true}
-	if _, err := Run(context.Background(), cfg); err != nil {
+	schedule, reqs, _, err := plan(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	first := append([]string(nil), log1...)
-	log1 = nil
-	mu.Unlock()
-	if _, err := Run(context.Background(), cfg); err != nil {
-		t.Fatal(err)
+	want := map[string]int{}
+	for _, r := range reqs {
+		want[r.path]++
 	}
-	mu.Lock()
-	second := append([]string(nil), log1...)
-	mu.Unlock()
-	if len(first) != len(second) {
-		t.Fatalf("request counts differ: %d vs %d", len(first), len(second))
+	if len(want) != 2 {
+		t.Fatalf("plan hits %v; the mix has two endpoints", want)
 	}
-	// Constant arrivals at 50 rps are ~10ms apart while handling is
-	// instant, so arrival order is the schedule order on both runs.
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("request %d differs: %s vs %s", i, first[i], second[i])
+
+	for run := 1; run <= 2; run++ {
+		st.mu.Lock()
+		clear(st.byPath)
+		st.mu.Unlock()
+		if _, err := Run(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		st.mu.Lock()
+		got := maps.Clone(st.byPath)
+		st.mu.Unlock()
+		if !maps.Equal(got, want) {
+			t.Fatalf("run %d: server saw %v per endpoint, the plan fires %v", run, got, want)
+		}
+		again, againReqs, _, err := plan(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again, schedule) || !reflect.DeepEqual(againReqs, reqs) {
+			t.Fatalf("run %d: schedule-ordered requests not reproduced", run)
 		}
 	}
 }

@@ -116,13 +116,16 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 	if cfg.BackoffMax < cfg.BackoffMin {
 		cfg.BackoffMax = 2 * time.Second
 	}
+	// Silence counts from the start: a follower restarted while its
+	// primary is down must still age into the watchdog's RehomeAfter.
 	f := &Follower{
-		cfg:   cfg,
-		fs:    cfg.FS,
-		addr:  cfg.PrimaryAddr,
-		state: "connecting",
-		ready: make(chan struct{}),
-		done:  make(chan struct{}),
+		cfg:       cfg,
+		fs:        cfg.FS,
+		addr:      cfg.PrimaryAddr,
+		state:     "connecting",
+		lastFrame: time.Now(),
+		ready:     make(chan struct{}),
+		done:      make(chan struct{}),
 	}
 	if cfg.Dir != "" {
 		if err := cfg.FS.MkdirAll(cfg.Dir); err != nil {
@@ -226,21 +229,18 @@ func (f *Follower) Status() Status {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	cur := f.cur
-	st := Status{
-		Role:       "follower",
-		Epoch:      f.epoch,
-		Primary:    f.addr,
-		ID:         f.cfg.ID,
-		State:      f.state,
-		Connected:  f.connected,
-		Cursor:     &cur,
-		Resyncs:    f.resyncs,
-		Reconnects: f.reconnects,
+	return Status{
+		Role:              "follower",
+		Epoch:             f.epoch,
+		Primary:           f.addr,
+		ID:                f.cfg.ID,
+		State:             f.state,
+		Connected:         f.connected,
+		Cursor:            &cur,
+		SecondsSinceFrame: time.Since(f.lastFrame).Seconds(),
+		Resyncs:           f.resyncs,
+		Reconnects:        f.reconnects,
 	}
-	if !f.lastFrame.IsZero() {
-		st.SecondsSinceFrame = time.Since(f.lastFrame).Seconds()
-	}
-	return st
 }
 
 func (f *Follower) logf(format string, args ...any) {

@@ -15,6 +15,10 @@ type PromoteConfig struct {
 	Follower *Follower
 	// Listener accepts re-homing followers; the new primary owns it.
 	Listener net.Listener
+	// Epoch is the epoch to lead: an election's winner leads exactly the
+	// epoch it won. Zero means the follower's epoch plus one; otherwise it
+	// must be above the follower's epoch.
+	Epoch uint64
 	// OnFenced and the tuning fields below configure the new primary;
 	// see PrimaryConfig. Zero values take PrimaryConfig defaults.
 	OnFenced          func(higherEpoch uint64)
@@ -27,7 +31,8 @@ type PromoteConfig struct {
 	Log               *log.Logger
 }
 
-// Promote turns a follower into the primary of epoch n+1.
+// Promote turns a follower into the primary of epoch n+1 (or of
+// cfg.Epoch).
 //
 // The sequence is: stop the replication session; verify the local WAL
 // tail end to end (every retained record re-read and checksummed — a
@@ -51,6 +56,13 @@ func Promote(cfg PromoteConfig) (*Primary, error) {
 		return nil, errors.New("repl: promote needs a follower and a listener")
 	}
 	f.Close()
+	epoch := f.Epoch() + 1
+	if cfg.Epoch != 0 {
+		if cfg.Epoch < epoch {
+			return nil, fmt.Errorf("repl: promote to epoch %d refused, follower already at %d", cfg.Epoch, f.Epoch())
+		}
+		epoch = cfg.Epoch
+	}
 	store := f.cfg.Store
 	if err := store.Healthy(); err != nil {
 		return nil, fmt.Errorf("repl: promote refused, store unhealthy: %w", err)
@@ -58,7 +70,6 @@ func Promote(cfg PromoteConfig) (*Primary, error) {
 	if _, err := store.VerifyWALTail(); err != nil {
 		return nil, fmt.Errorf("repl: promote refused, WAL tail verification failed: %w", err)
 	}
-	epoch := f.Epoch() + 1
 	store.SetReplica(false)
 	p, err := StartPrimary(PrimaryConfig{
 		Store:             store,

@@ -53,16 +53,11 @@ type Status struct {
 	Connected bool            `json:"connected,omitempty"`
 	Cursor    *oltp.WALCursor `json:"cursor,omitempty"`
 	// SecondsSinceFrame is the staleness signal: time since the last
-	// verified frame arrived.
+	// verified frame arrived (or since the follower started, before the
+	// first one).
 	SecondsSinceFrame float64 `json:"seconds_since_frame,omitempty"`
 	Resyncs           uint64  `json:"resyncs,omitempty"`
 	Reconnects        uint64  `json:"reconnects,omitempty"`
-
-	// PromoteListen, when set, is the replication listener address this
-	// node would bind if promoted (its configured -promote-listen). It is
-	// stamped by the platform, not the repl layer, and tells an
-	// auto-failover router the node is a viable promotion target.
-	PromoteListen string `json:"promote_listen,omitempty"`
 }
 
 func sortFollowers(fs []FollowerInfo) {

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -28,20 +29,6 @@ type backend struct {
 	probedAt time.Time
 	lastErr  string
 
-	// promoteListen is the replication listener address the node would
-	// bind if promoted (repl.Status.PromoteListen); the elector passes it
-	// back on POST /promote.
-	promoteListen string
-
-	// Failure-detector accounting: consecutive failed observations
-	// (probe or live proxy path) and when the current streak began. A
-	// backend is only *confirmed* down — the precondition for electing a
-	// successor — once the streak is both deep (FailureThreshold) and
-	// old (SuspicionWindow), so one dropped packet never triggers a
-	// cutover.
-	fails      int
-	failsSince time.Time
-
 	// Probe backoff for persistently failing backends: the current
 	// delay (0 = probe every tick) and the earliest next probe instant.
 	backoff   time.Duration
@@ -50,17 +37,14 @@ type backend struct {
 
 // snapshot is a consistent copy of one backend's probed state.
 type snapshot struct {
-	b             *backend
-	healthy       bool
-	role          string
-	epoch         uint64
-	fenced        bool
-	seconds       float64
-	probedAt      time.Time
-	lastErr       string
-	promoteListen string
-	fails         int
-	failsSince    time.Time
+	b        *backend
+	healthy  bool
+	role     string
+	epoch    uint64
+	fenced   bool
+	seconds  float64
+	probedAt time.Time
+	lastErr  string
 }
 
 func (b *backend) snapshot() snapshot {
@@ -69,40 +53,19 @@ func (b *backend) snapshot() snapshot {
 	return snapshot{
 		b: b, healthy: b.healthy, role: b.role, epoch: b.epoch,
 		fenced: b.fenced, seconds: b.seconds, probedAt: b.probedAt,
-		lastErr: b.lastErr, promoteListen: b.promoteListen,
-		fails: b.fails, failsSince: b.failsSince,
+		lastErr: b.lastErr,
 	}
 }
 
 // markUnhealthy records a transport failure observed on the live proxy
 // path — faster than waiting for the next poll tick, so one dead
-// backend costs one request, not PollEvery's worth of them. Live-path
-// evidence feeds the same failure-streak accounting as probes, so real
-// traffic accelerates (but cannot by itself shortcut) confirmation.
+// backend costs one request, not PollEvery's worth of them.
 func (b *backend) markUnhealthy(err error) {
 	b.mu.Lock()
 	b.healthy = false
 	b.lastErr = err.Error()
-	b.noteFailureLocked(time.Now())
 	b.mu.Unlock()
 	metricBackendHealthy.WithLabelValues(b.base.Host).Set(0)
-}
-
-// noteFailureLocked extends the consecutive-failure streak.
-func (b *backend) noteFailureLocked(now time.Time) {
-	b.fails++
-	if b.fails == 1 {
-		b.failsSince = now
-	}
-}
-
-// confirmedDown reports whether the failure detector considers this
-// backend dead: at least k consecutive failed observations AND a streak
-// at least window old. Both axes must agree — k guards against a single
-// dropped packet, the window against a burst of instant retries.
-func (s snapshot) confirmedDown(now time.Time, k int, window time.Duration) bool {
-	return !s.healthy && s.fails >= k &&
-		!s.failsSince.IsZero() && now.Sub(s.failsSince) >= window
 }
 
 // staleness is the follower's effective read staleness bound at time
@@ -127,7 +90,6 @@ func (rt *Router) probe(b *backend) {
 	var fenced bool
 	var seconds float64
 	var lastErr string
-	var promoteListen string
 
 	if err := rt.probeGet(b, "/healthz?deep=1", nil); err != nil {
 		lastErr = err.Error()
@@ -141,7 +103,6 @@ func (rt *Router) probe(b *backend) {
 			epoch = st.Epoch
 			fenced = st.Fenced
 			seconds = st.SecondsSinceFrame
-			promoteListen = st.PromoteListen
 		case err == errNoReplication:
 			// standalone stays
 		default:
@@ -159,16 +120,12 @@ func (rt *Router) probe(b *backend) {
 	b.seconds = seconds
 	b.probedAt = now
 	b.lastErr = lastErr
-	b.promoteListen = promoteListen
 	if healthy {
-		// First success resets both the failure streak and the probe
-		// backoff: a recovered backend is re-probed at full cadence.
-		b.fails = 0
-		b.failsSince = time.Time{}
+		// First success resets the probe backoff: a recovered backend is
+		// re-probed at full cadence.
 		b.backoff = 0
 		b.nextProbe = time.Time{}
 	} else {
-		b.noteFailureLocked(now)
 		b.bumpBackoffLocked(now, rt.cfg.PollEvery, rt.cfg.ProbeBackoffMax)
 	}
 	b.mu.Unlock()
@@ -207,13 +164,13 @@ var errNoReplication = fmt.Errorf("router: backend has no /replication")
 
 // probeGet fetches base+path, optionally decoding a JSON body into out.
 func (rt *Router) probeGet(b *backend, path string, out any) error {
-	req, err := http.NewRequest(http.MethodGet, b.base.String()+path, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base.String()+path, nil)
 	if err != nil {
 		return err
 	}
-	ctx, cancel := contextWithTimeout(req.Context(), rt.cfg.ProbeTimeout)
-	defer cancel()
-	resp, err := rt.client.Do(req.WithContext(ctx))
+	resp, err := rt.client.Do(req)
 	if err != nil {
 		return err
 	}
@@ -380,8 +337,5 @@ func (rt *Router) resolve() {
 	metricPrimaryEpoch.Set(float64(v.epoch))
 	if addr != logged {
 		rt.logf("router: primary resolved to %q (epoch %d, was %q)", addr, v.epoch, logged)
-	}
-	if rt.elect != nil {
-		rt.elect.observe(v)
 	}
 }

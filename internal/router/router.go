@@ -10,14 +10,16 @@
 // leader claims a strictly higher epoch, so the router re-homes client
 // traffic with no coordination protocol — and a stale ex-primary that
 // comes back can never win the comparison, which is the routing half of
-// the fencing story. /cluster exposes the resolved view; every refusal
-// the router issues itself (502/503 during cutover) carries Retry-After,
-// the same backpressure contract the backends use.
+// the fencing story. The router is a stateless view: it keeps nothing
+// on disk and decides no failover (the nodes elect among themselves),
+// so any number of fronts can run side by side. /cluster exposes the
+// resolved view; every refusal the router issues itself (502/503 during
+// cutover) carries Retry-After, the same backpressure contract the
+// backends use.
 package router
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -53,23 +55,6 @@ type Config struct {
 	// applied to persistently failing backends. Default 5s.
 	ProbeBackoffMax time.Duration
 
-	// AutoFailover enables the quorum-gated elector: when the failure
-	// detector confirms the primary dead and a majority of configured
-	// backends is reachable, the router promotes the best follower
-	// itself. Requires ElectionDir.
-	AutoFailover bool
-	// FailureThreshold is how many consecutive failed observations
-	// (probe or live proxy path) confirm a backend down. Default 3.
-	FailureThreshold int
-	// SuspicionWindow is how long the failure streak must have lasted
-	// before a backend is confirmed down. Default 1s.
-	SuspicionWindow time.Duration
-	// ElectionDir holds the durable election journal; a router restarted
-	// mid-election resumes it instead of double-promoting.
-	ElectionDir string
-	// PromoteTimeout bounds each POST /promote attempt. Default 3s.
-	PromoteTimeout time.Duration
-
 	// Client issues probes and proxied requests; nil builds a pooled
 	// default.
 	Client *http.Client
@@ -92,9 +77,6 @@ type Router struct {
 	lastPrimary  string
 	lastResolved string
 	failovers    uint64
-
-	// elect is the auto-failover state machine (nil unless AutoFailover).
-	elect *elector
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -121,15 +103,6 @@ func New(cfg Config) (*Router, error) {
 	if cfg.ProbeBackoffMax <= 0 {
 		cfg.ProbeBackoffMax = 5 * time.Second
 	}
-	if cfg.FailureThreshold <= 0 {
-		cfg.FailureThreshold = 3
-	}
-	if cfg.SuspicionWindow <= 0 {
-		cfg.SuspicionWindow = time.Second
-	}
-	if cfg.PromoteTimeout <= 0 {
-		cfg.PromoteTimeout = 3 * time.Second
-	}
 	client := cfg.Client
 	if client == nil {
 		tr := http.DefaultTransport.(*http.Transport).Clone()
@@ -149,13 +122,6 @@ func New(cfg Config) (*Router, error) {
 		}
 		seen[u.Host] = true
 		rt.backends = append(rt.backends, &backend{base: u})
-	}
-	if cfg.AutoFailover {
-		el, err := newElector(rt)
-		if err != nil {
-			return nil, err
-		}
-		rt.elect = el
 	}
 	rt.ProbeOnce()
 	rt.wg.Add(1)
@@ -182,8 +148,12 @@ func (rt *Router) logf(format string, args ...any) {
 }
 
 // Request classes. Classification is by (method, path) against the
-// backend endpoint set; TestClassificationCoversServerRoutes keeps this
-// table from drifting when the backend grows a route.
+// backend endpoint set; the server package's
+// TestRouterClassifiesEveryRoute keeps this table from drifting when
+// the backend grows a route. Routes addressed to one specific node —
+// POST /promote, POST /replication/vote, GET /debug/traces — are
+// direct-only: left unclassified, so the front answers them 404 rather
+// than picking a node for them.
 type class int
 
 const (
@@ -498,9 +468,6 @@ type BackendStatus struct {
 	// Stale marks a backend whose epoch is behind the resolved cluster
 	// epoch: a not-yet-re-homed follower or a returned old primary.
 	Stale bool `json:"stale,omitempty"`
-	// ConfirmedDown marks a backend the failure detector has declared
-	// dead (FailureThreshold consecutive failures over SuspicionWindow).
-	ConfirmedDown bool `json:"confirmed_down,omitempty"`
 	// StalenessSeconds is the follower's effective read staleness
 	// (reported seconds-since-frame plus probe age).
 	StalenessSeconds float64 `json:"staleness_seconds,omitempty"`
@@ -519,12 +486,6 @@ type ClusterStatus struct {
 	Failovers           uint64          `json:"failovers"`
 	MaxStalenessSeconds float64         `json:"max_staleness_seconds"`
 	Backends            []BackendStatus `json:"backends"`
-	// AutoFailover reports whether this router runs the elector.
-	AutoFailover bool `json:"auto_failover,omitempty"`
-	// Elections counts promotions this router has issued itself.
-	Elections uint64 `json:"elections,omitempty"`
-	// Election describes the in-flight or last-completed election.
-	Election *ElectionStatus `json:"election,omitempty"`
 }
 
 // Cluster reports the resolved view (also served on /cluster).
@@ -555,7 +516,6 @@ func (rt *Router) Cluster() ClusterStatus {
 			Epoch:         s.epoch,
 			Fenced:        s.fenced,
 			Stale:         s.healthy && s.epoch < v.epoch,
-			ConfirmedDown: s.confirmedDown(now, rt.cfg.FailureThreshold, rt.cfg.SuspicionWindow),
 			EligibleReads: eligible[b.base.Host],
 			Error:         s.lastErr,
 		}
@@ -566,10 +526,6 @@ func (rt *Router) Cluster() ClusterStatus {
 			bs.ProbeAgeSeconds = now.Sub(s.probedAt).Seconds()
 		}
 		cs.Backends = append(cs.Backends, bs)
-	}
-	if rt.elect != nil {
-		cs.AutoFailover = true
-		cs.Elections, cs.Election = rt.elect.status()
 	}
 	return cs
 }
@@ -595,11 +551,4 @@ func (rt *Router) handleRouterHealth(w http.ResponseWriter, _ *http.Request) {
 		Primary string `json:"primary"`
 		Epoch   uint64 `json:"epoch"`
 	}{"ok", v.primary.b.base.String(), v.epoch})
-}
-
-func contextWithTimeout(parent context.Context, d time.Duration) (context.Context, context.CancelFunc) {
-	if d <= 0 {
-		return parent, func() {}
-	}
-	return context.WithTimeout(parent, d)
 }

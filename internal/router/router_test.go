@@ -29,8 +29,6 @@ type stub struct {
 	// (hijacked connection closed before any response bytes), simulating
 	// a backend crash with the request's effect unknown.
 	killNext map[string]int
-	// onPromote, when set, handles POST /promote (see elect_test).
-	onPromote func(w http.ResponseWriter, r *http.Request)
 }
 
 func newStub(t *testing.T, name string) *stub {
@@ -49,7 +47,6 @@ func (s *stub) handler(w http.ResponseWriter, r *http.Request) {
 	if kill {
 		s.killNext[r.URL.Path]--
 	}
-	promote := s.onPromote
 	s.mu.Unlock()
 	if kill {
 		conn, _, err := w.(http.Hijacker).Hijack()
@@ -71,12 +68,6 @@ func (s *stub) handler(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		json.NewEncoder(w).Encode(st)
-	case "/promote":
-		if promote != nil {
-			promote(w, r)
-			return
-		}
-		fallthrough
 	default:
 		body, _ := io.ReadAll(r.Body)
 		w.Header().Set("Content-Type", "application/json")
@@ -354,6 +345,17 @@ func TestUnknownRouteAnd404(t *testing.T) {
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("DELETE /query: code=%d, want 404", rec.Code)
 	}
+	// Node-addressed routes are never proxied: a vote or a promotion
+	// sent to the front must not land on whichever node it resolves.
+	for _, path := range []string{"/replication/vote", "/promote"} {
+		rec, _ = do(t, rt, http.MethodPost, path, `{}`)
+		if rec.Code != http.StatusNotFound {
+			t.Fatalf("POST %s through the front: code=%d, want 404", path, rec.Code)
+		}
+		if got := p.count("POST " + path); got != 0 {
+			t.Fatalf("POST %s reached a backend %d times through the front", path, got)
+		}
+	}
 }
 
 func TestStandaloneBackendActsAsPrimary(t *testing.T) {
@@ -433,5 +435,104 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := New(Config{Backends: []string{"http://x:1", "http://x:1"}}); err == nil {
 		t.Fatal("New with duplicate backends should fail")
+	}
+}
+
+func TestIdempotentReadClassification(t *testing.T) {
+	cases := []struct {
+		method, path string
+		want         bool
+	}{
+		{http.MethodGet, "/freshness", true},
+		{http.MethodGet, "/findings", true},
+		{http.MethodPost, "/query", true},
+		{http.MethodPost, "/sql", true},
+		{http.MethodPost, "/flatquery", true},
+		{http.MethodPost, "/findings", false},
+		{http.MethodPost, "/findings/reinforce", false},
+		{http.MethodPost, "/anything-future", false},
+		{http.MethodDelete, "/query", false},
+	}
+	for _, c := range cases {
+		if got := idempotentRead(c.method, c.path); got != c.want {
+			t.Errorf("idempotentRead(%s %s) = %v, want %v", c.method, c.path, got, c.want)
+		}
+	}
+}
+
+func TestIdempotentReadReplaysNonIdempotentDoesNot(t *testing.T) {
+	// An idempotent read whose first attempt dies mid-flight is replayed
+	// against the next candidate and succeeds.
+	p, f := newStub(t, "p"), newStub(t, "f")
+	p.setPrimary(1, false)
+	f.setFollower(1, 0)
+	f.mu.Lock()
+	f.killNext["/query"] = 1
+	f.mu.Unlock()
+	rt := newRouter(t, p, f)
+
+	rec, e := do(t, rt, http.MethodPost, "/query", `{"agg":"count"}`)
+	if rec.Code != http.StatusOK || e.ServedBy != "p" {
+		t.Fatalf("idempotent retry: code=%d served_by=%q, want 200 from p", rec.Code, e.ServedBy)
+	}
+	if got := f.count("POST /query"); got != 1 {
+		t.Fatalf("killed follower hit %d times, want 1", got)
+	}
+
+	// A non-idempotent POST reaching the read path gets exactly one
+	// attempt: its first try died with unknown effect, so replaying it
+	// against another backend could double-apply.
+	p2, f2 := newStub(t, "p2"), newStub(t, "f2")
+	p2.setPrimary(1, false)
+	f2.setFollower(1, 0)
+	f2.mu.Lock()
+	f2.killNext["/findings"] = 1
+	f2.mu.Unlock()
+	rt2 := newRouter(t, p2, f2)
+
+	req := httptest.NewRequest(http.MethodPost, "/findings", strings.NewReader(`{"x":1}`))
+	w := httptest.NewRecorder()
+	rt2.proxyRead(w, req)
+	if w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("non-idempotent read after transport death: code=%d, want 503 shed", w.Code)
+	}
+	if got := f2.count("POST /findings"); got != 1 {
+		t.Fatalf("dying backend hit %d times, want 1", got)
+	}
+	if got := p2.count("POST /findings"); got != 0 {
+		t.Fatalf("non-idempotent POST replayed to %d other backends, want 0", got)
+	}
+}
+
+func TestProbeBackoffSkipsDeadBackendThenResets(t *testing.T) {
+	s := newStub(t, "s")
+	s.setPrimary(1, false)
+	rt := newRouter(t, s)
+
+	// Kill the backend and confirm the failure arms a backoff window.
+	s.setHealthy(false)
+	rt.ProbeOnce()
+	healthBefore := s.count("GET /healthz")
+
+	// An unforced round inside the backoff window must skip the backend
+	// entirely — this is what keeps a long-dead node from being hammered
+	// at full poll cadence.
+	rt.probeRound(false)
+	if got := s.count("GET /healthz"); got != healthBefore {
+		t.Fatalf("backend probed %d extra times inside backoff window", got-healthBefore)
+	}
+
+	// A forced round still probes (ProbeOnce is the test/startup path),
+	// and a success resets the backoff so the next unforced round probes
+	// again immediately.
+	s.setHealthy(true)
+	rt.ProbeOnce()
+	afterForce := s.count("GET /healthz")
+	if afterForce != healthBefore+1 {
+		t.Fatalf("forced round probed %d times, want 1", afterForce-healthBefore)
+	}
+	rt.probeRound(false)
+	if got := s.count("GET /healthz"); got != afterForce+1 {
+		t.Fatalf("post-reset unforced round probed %d times, want 1", got-afterForce)
 	}
 }

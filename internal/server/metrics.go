@@ -36,7 +36,7 @@ var (
 func routeLabel(path string) string {
 	switch path {
 	case "/healthz", "/schema", "/query", "/sql", "/flatquery",
-		"/freshness", "/replication", "/promote", "/findings",
+		"/freshness", "/replication", "/replication/vote", "/promote", "/findings",
 		"/findings/reinforce", "/metrics", "/debug/traces":
 		return path
 	}

@@ -4,11 +4,13 @@ import (
 	"net"
 	"net/http"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/ddgms/ddgms/internal/core"
 	"github.com/ddgms/ddgms/internal/discri"
+	"github.com/ddgms/ddgms/internal/oltp"
 	"github.com/ddgms/ddgms/internal/repl"
 )
 
@@ -105,5 +107,53 @@ func TestPromoteNotSupported(t *testing.T) {
 	}
 	if body["error"] == "" {
 		t.Fatal("409 body carries no error message")
+	}
+}
+
+// votingPlatform records the ballot request the server decoded and
+// answers with a fixed reply.
+type votingPlatform struct {
+	*core.Platform
+	got   repl.VoteRequest
+	reply repl.VoteReply
+}
+
+func (p *votingPlatform) Vote(req repl.VoteRequest) (repl.VoteReply, error) {
+	p.got = req
+	return p.reply, nil
+}
+
+// TestHandleVote exercises the HTTP face of the node-side election: the
+// body reaches the platform's ballot intact and its answer comes back
+// as 200 whether granted or not; a node that takes no part in elections
+// (no self-heal) answers 409, and a malformed body 400.
+func TestHandleVote(t *testing.T) {
+	p := testPlatform(t)
+	if code := postJSON(t, serveHandler(t, New(p)).URL+"/replication/vote", repl.VoteRequest{Epoch: 2}, nil); code != http.StatusConflict {
+		t.Fatalf("vote to a node without self-heal = %d, want 409", code)
+	}
+
+	vp := &votingPlatform{Platform: p, reply: repl.VoteReply{Granted: true}}
+	ts := serveHandler(t, New(vp))
+	req := repl.VoteRequest{Epoch: 3, ID: "b", Follows: 2, Cursor: oltp.WALCursor{Seq: 4, Off: 512}}
+	var reply repl.VoteReply
+	if code := postJSON(t, ts.URL+"/replication/vote", req, &reply); code != http.StatusOK || !reply.Granted {
+		t.Fatalf("vote = %d %+v, want 200 granted", code, reply)
+	}
+	if vp.got != req {
+		t.Fatalf("platform got %+v, want %+v", vp.got, req)
+	}
+	vp.reply = repl.VoteReply{}
+	if code := postJSON(t, ts.URL+"/replication/vote", req, &reply); code != http.StatusOK || reply.Granted {
+		t.Fatalf("refused vote = %d %+v, want 200 not granted", code, reply)
+	}
+
+	resp, err := http.Post(ts.URL+"/replication/vote", "application/json", strings.NewReader("{"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("malformed vote = %d, want 400", resp.StatusCode)
 	}
 }

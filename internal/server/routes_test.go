@@ -55,6 +55,9 @@ func TestRouterClassifiesEveryRoute(t *testing.T) {
 		// Promotion targets one specific node; routing it through the
 		// balanced front would be dangerous nonsense.
 		"POST /promote": true,
+		// So does an election vote: a candidate asks each node for its
+		// own ballot, and the front must never answer for one.
+		"POST /replication/vote": true,
 	}
 	s := New(testPlatform(t))
 	for _, pattern := range s.Routes() {
@@ -67,11 +70,15 @@ func TestRouterClassifiesEveryRoute(t *testing.T) {
 			if got != "unknown" {
 				t.Errorf("route %q listed as direct-only but classified %q", pattern, got)
 			}
+			delete(directOnly, pattern)
 			continue
 		}
 		if got == "unknown" {
 			t.Errorf("route %q is not classified by the router; add it to the routing table or the direct-only list", pattern)
 		}
+	}
+	for pattern := range directOnly {
+		t.Errorf("direct-only route %q is not registered by the server", pattern)
 	}
 	// Mutations must never land on the balanced-read path.
 	for _, pattern := range []string{"POST /findings", "POST /findings/reinforce"} {

@@ -14,6 +14,8 @@
 //	POST /flatquery          {"rows","cols","filters","agg","measure"} -> flat-scan baseline; ?trace=1 likewise
 //	GET  /freshness          follow-mode lag: transactions and wall-clock behind the OLTP store
 //	GET  /replication        WAL-shipping health: per-follower lag on a primary, cursor/connection on a replica
+//	POST /replication/vote   {"epoch","id","follows","cursor"} -> {"granted"}: a peer's election vote request
+//	POST /promote            {"listen"} -> cut this replica over to primary at the next epoch
 //	GET  /findings?q=term    knowledge-base search
 //	POST /findings           {"topic","statement","source"} -> recorded finding id
 //	POST /findings/reinforce {"id"} -> evidence added (promotes at threshold)
@@ -92,11 +94,17 @@ type Promoter interface {
 
 // PromoteListenDefaulter is the optional platform surface supplying a
 // default replication listen address for POST /promote bodies that omit
-// one. *core.Platform satisfies it (serve -promote-listen); an
-// auto-failover router can then promote a node without knowing its
-// listener layout.
+// one. *core.Platform satisfies it (serve -promote-listen).
 type PromoteListenDefaulter interface {
 	PromoteListenAddr() string
+}
+
+// Voter is the optional platform surface behind POST
+// /replication/vote, the node-side election's ballot. *core.Platform
+// satisfies it; an error means the node takes no part in elections
+// (409).
+type Voter interface {
+	Vote(req repl.VoteRequest) (repl.VoteReply, error)
 }
 
 // FindingsReinforcer is the optional platform surface behind POST
@@ -215,6 +223,7 @@ func New(p Platform, opts ...Option) *Server {
 	s.handle("POST /flatquery", http.HandlerFunc(s.handleFlatQuery))
 	s.handle("GET /freshness", http.HandlerFunc(s.handleFreshness))
 	s.handle("GET /replication", http.HandlerFunc(s.handleReplication))
+	s.handle("POST /replication/vote", http.HandlerFunc(s.handleVote))
 	s.handle("POST /promote", http.HandlerFunc(s.handlePromote))
 	s.handle("GET /findings", http.HandlerFunc(s.handleFindingsSearch))
 	s.handle("POST /findings", http.HandlerFunc(s.handleFindingsAdd))
@@ -734,6 +743,27 @@ func (s *Server) handleReplication(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeJSON(w, http.StatusOK, st)
+}
+
+// handleVote answers a peer's election vote request. Granted or not is
+// a 200 answer; 409 when the node does not take part in elections. Not
+// proxied by the routing front: a vote is asked of one specific node.
+func (s *Server) handleVote(w http.ResponseWriter, r *http.Request) {
+	v, ok := s.platform.(Voter)
+	if !ok {
+		s.writeError(w, http.StatusNotFound, "platform does not take part in elections")
+		return
+	}
+	var req repl.VoteRequest
+	if !s.decodeBody(w, r, &req) {
+		return
+	}
+	reply, err := v.Vote(req)
+	if err != nil {
+		s.writeError(w, http.StatusConflict, "%v", err)
+		return
+	}
+	s.writeJSON(w, http.StatusOK, reply)
 }
 
 // promoteRequest is the POST /promote body: the address the new

@@ -6,9 +6,10 @@
 #   bench_failover.sh         operator cutover — a human posts /promote
 #                             to the replica; results in BENCH_9.json
 #   bench_failover.sh -auto   unattended cutover — three nodes, the
-#                             router's elector detects the death,
-#                             checks quorum and promotes on its own;
-#                             results in BENCH_10.json
+#                             followers detect the silence (RehomeAfter
+#                             150ms), elect one by majority vote and
+#                             it promotes itself; results in
+#                             BENCH_10.json
 #
 # Both write machine-readable results at the repo root and fail when the
 # cutover exceeds 5s to writable / 5s to first routed read, or when

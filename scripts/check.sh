@@ -67,9 +67,9 @@ go test -race -count=1 ./internal/faultnet/
 go test -race -run 'TestReplicaFiguresMatchPrimary' -count=1 ./internal/core/
 go test -race -run 'TestApplyReplicated|TestPinWALAtDurable|TestRetentionFloor' -count=1 ./internal/oltp/
 
-stage "failover suite (promotion, fencing, routing front smoke)"
+stage "failover suite (promotion, fencing, vote sweeps, election simulation, routing front smoke)"
 go test -race -count=2 ./internal/router/
-go test -race -run 'TestRouterClassifiesEveryRoute|TestHandlePromote' ./internal/server/
+go test -race -run 'TestRouterClassifiesEveryRoute|TestHandlePromote|TestHandleVote' ./internal/server/
 sh scripts/failover_soak.sh -auto
 
 stage "governance suite (cancellation, admission, budgets, breaker)"

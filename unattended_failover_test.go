@@ -1,15 +1,15 @@
 package ddgms_test
 
-// The unattended-failover soak: a three-node cluster behind the
-// auto-failover routing front loses its primary with NO operator in the
-// loop. The router's failure detector confirms the death, the
-// quorum-gated elector promotes the best follower, the stranded
-// follower re-homes itself, and when the old primary returns it
-// discovers the successor and rejoins as a follower — every recovery
-// machine-initiated. Throughout, the figures an analyst renders are
-// byte-identical to a control platform that never failed, the election
-// journal records exactly one promotion, and teardown proves no
-// recovery round leaked a goroutine.
+// The unattended-failover soak: a three-node cluster behind two
+// stateless routing fronts loses its primary with NO operator in the
+// loop. The surviving followers' watchdogs detect the silence, one of
+// them wins a majority of votes and promotes itself, the other re-homes
+// to it, and when the old primary returns it sees the higher epoch and
+// rejoins as a follower — every recovery machine-initiated. Throughout,
+// the figures an analyst renders are byte-identical to a control
+// platform that never failed, the epoch advances exactly once, no node
+// ever reports two unfenced primaries in one epoch, and teardown proves
+// no recovery round leaked a goroutine.
 //
 // scripts/failover_soak.sh -auto runs this under -race across multiple
 // seeds (DDGMS_SOAK_SEED varies the churn stream).
@@ -27,11 +27,13 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/ddgms/ddgms/internal/core"
 	"github.com/ddgms/ddgms/internal/oltp"
+	"github.com/ddgms/ddgms/internal/repl"
 	"github.com/ddgms/ddgms/internal/router"
 	"github.com/ddgms/ddgms/internal/server"
 	"github.com/ddgms/ddgms/internal/value"
@@ -146,6 +148,59 @@ func waitFollowerOf(t *testing.T, name string, p *core.Platform, primaryAddr str
 	}
 }
 
+// leaderLog samples every node's /replication until stopped and
+// records, per epoch, the nodes that reported leading it unfenced —
+// the cluster-wide "never two primaries in one epoch" history, as
+// clients and fronts could observe it.
+type leaderLog struct {
+	mu      sync.Mutex
+	leaders map[uint64]map[string]bool
+	stop    chan struct{}
+	done    chan struct{}
+}
+
+func sampleLeaders(nodes []string) *leaderLog {
+	l := &leaderLog{leaders: map[uint64]map[string]bool{}, stop: make(chan struct{}), done: make(chan struct{})}
+	client := &http.Client{Timeout: time.Second}
+	go func() {
+		defer close(l.done)
+		defer client.CloseIdleConnections()
+		for {
+			for _, base := range nodes {
+				resp, err := client.Get(base + "/replication")
+				if err != nil {
+					continue
+				}
+				var st repl.Status
+				err = json.NewDecoder(resp.Body).Decode(&st)
+				resp.Body.Close()
+				if err == nil && st.Role == "primary" && !st.Fenced {
+					l.mu.Lock()
+					if l.leaders[st.Epoch] == nil {
+						l.leaders[st.Epoch] = map[string]bool{}
+					}
+					l.leaders[st.Epoch][base] = true
+					l.mu.Unlock()
+				}
+			}
+			select {
+			case <-l.stop:
+				return
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+	}()
+	return l
+}
+
+// close stops sampling and returns the epochs led, each with its
+// leaders.
+func (l *leaderLog) close() map[uint64]map[string]bool {
+	close(l.stop)
+	<-l.done
+	return l.leaders
+}
+
 func TestUnattendedFailoverConvergence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node soak")
@@ -169,7 +224,7 @@ func TestUnattendedFailoverConvergence(t *testing.T) {
 	startFollowing(t, control, filepath.Join(dir, "control-cdc"))
 
 	// Node A: initial primary with a restartable HTTP face (it must come
-	// back on the same address the router knows).
+	// back on the same address its peers and the fronts know).
 	pa := core.New(core.Config{DataDir: filepath.Join(dir, "a")})
 	defer pa.Close()
 	if err := pa.OpenStore(raw.Schema()); err != nil {
@@ -187,14 +242,15 @@ func TestUnattendedFailoverConvergence(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	pa.SetPromoteListen("127.0.0.1:0")
 	aHandler := server.New(pa)
 	lnHA := listen(t)
-	aAddr := lnHA.Addr().String()
+	aURL := "http://" + lnHA.Addr().String()
 	aSrv := &http.Server{Handler: aHandler}
 	go aSrv.Serve(lnHA)
 	defer aSrv.Close()
 
-	// Nodes B and C: replicas bootstrapped from A.
+	// Nodes B and C: replicas bootstrapped from A, each able to stand.
 	mkReplica := func(name string) *core.Platform {
 		p := core.New(core.Config{DataDir: filepath.Join(dir, name)})
 		if err := p.OpenStore(raw.Schema()); err != nil {
@@ -224,32 +280,35 @@ func TestUnattendedFailoverConvergence(t *testing.T) {
 	defer pc.Close()
 	cSrv := httptest.NewServer(server.New(pc))
 	defer cSrv.Close()
+	nodes := []string{aURL, bSrv.URL, cSrv.URL}
 
-	// The auto-failover front.
-	rt, err := router.New(router.Config{
-		Backends:         []string{"http://" + aAddr, bSrv.URL, cSrv.URL},
-		PollEvery:        30 * time.Millisecond,
-		MaxStaleness:     5 * time.Second,
-		AutoFailover:     true,
-		ElectionDir:      filepath.Join(dir, "election"),
-		FailureThreshold: 3,
-		SuspicionWindow:  150 * time.Millisecond,
-		PromoteTimeout:   3 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
+	// Two stateless fronts over the same nodes, as a real deployment
+	// runs them; neither decides anything.
+	var fronts []*router.Router
+	var frontURLs []string
+	for i := 0; i < 2; i++ {
+		rt, err := router.New(router.Config{Backends: nodes, PollEvery: 30 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		front := httptest.NewServer(rt)
+		defer front.Close()
+		fronts, frontURLs = append(fronts, rt), append(frontURLs, front.URL)
 	}
-	defer rt.Close()
-	front := httptest.NewServer(rt)
-	defer front.Close()
 
-	// Self-heal on every node, all discovering through the front (whose
-	// /replication proxies to whatever primary the router has resolved).
+	// Self-heal on every node, each peering with the other two nodes.
 	healClient := &http.Client{}
 	defer healClient.CloseIdleConnections()
-	selfHeal := func(p *core.Platform, id, cursorDir string) {
+	selfHeal := func(p *core.Platform, id, cursorDir, self string) {
+		var peers []string
+		for _, n := range nodes {
+			if n != self {
+				peers = append(peers, n)
+			}
+		}
 		if err := p.EnableSelfHeal(core.SelfHealConfig{
-			Peers:        []string{front.URL},
+			Peers:        peers,
 			ID:           id,
 			CursorDir:    cursorDir,
 			WatchEvery:   40 * time.Millisecond,
@@ -261,9 +320,9 @@ func TestUnattendedFailoverConvergence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	selfHeal(pa, "a", filepath.Join(dir, "a-repl"))
-	selfHeal(pb, "b", filepath.Join(dir, "b-cursor"))
-	selfHeal(pc, "c", filepath.Join(dir, "c-cursor"))
+	selfHeal(pa, "a", filepath.Join(dir, "a-repl"), aURL)
+	selfHeal(pb, "b", filepath.Join(dir, "b-cursor"), bSrv.URL)
+	selfHeal(pc, "c", filepath.Join(dir, "c-cursor"), cSrv.URL)
 
 	// Round 1: steady state. Cluster figures match the control exactly.
 	rngCluster := rand.New(rand.NewSource(seed))
@@ -281,14 +340,15 @@ func TestUnattendedFailoverConvergence(t *testing.T) {
 		t.Fatalf("pre-kill figures diverged:\ncluster:\n%s\ncontrol:\n%s", fig, controlFig)
 	}
 
-	// A finding through the front lands in the KB and replicates.
+	// A finding through a front lands in the KB and replicates.
 	finding := func(statement string) []byte {
 		b, _ := json.Marshal(map[string]string{
 			"topic": "soak", "statement": statement, "source": "unattended-soak",
 		})
 		return b
 	}
-	pollThroughFront(t, front.URL, "/findings", finding("pre-kill baseline"), time.Now())
+	pollThroughFront(t, frontURLs[0], "/findings", finding("pre-kill baseline"), time.Now())
+	leaders := sampleLeaders(nodes)
 
 	// The primary dies: HTTP face and replication listener, at once.
 	// Nobody will touch the cluster from here until the assertions.
@@ -296,44 +356,40 @@ func TestUnattendedFailoverConvergence(t *testing.T) {
 	pa.StopReplication()
 	killedAt := time.Now()
 
-	// Unattended time-to-writable and time-to-first-routed-read.
-	ttw := pollThroughFront(t, front.URL, "/findings", finding("post-kill probe"), killedAt)
+	// Unattended time-to-writable and time-to-first-routed-read, one
+	// through each front.
+	ttw := pollThroughFront(t, frontURLs[0], "/findings", finding("post-kill probe"), killedAt)
 	queryBody, _ := json.Marshal(map[string]string{
 		"mdx": "SELECT {[PersonalInformation].[Gender].MEMBERS} ON COLUMNS FROM [MedicalMeasures]",
 	})
-	ttfr := pollThroughFront(t, front.URL, "/query", queryBody, killedAt)
+	ttfr := pollThroughFront(t, frontURLs[1], "/query", queryBody, killedAt)
 	t.Logf("unattended ttw=%s ttfr=%s", ttw, ttfr)
 
-	// Exactly one election, epoch advanced once.
-	cl := rt.Cluster()
-	if cl.Elections != 1 {
-		t.Fatalf("elections = %d, want exactly 1 (double promotion?): %+v", cl.Elections, cl)
-	}
-	if cl.Epoch != 2 || cl.Primary == "" {
-		t.Fatalf("cluster after election: %+v, want epoch 2 with a primary", cl)
-	}
+	// Both fronts resolve the same elected primary.
 	var winner, survivor *core.Platform
 	var winnerName, survivorName string
+	cl := fronts[0].Cluster()
 	switch cl.Primary {
 	case bSrv.URL:
 		winner, survivor, winnerName, survivorName = pb, pc, "b", "c"
 	case cSrv.URL:
 		winner, survivor, winnerName, survivorName = pc, pb, "c", "b"
 	default:
-		t.Fatalf("elected primary %q is neither follower", cl.Primary)
+		t.Fatalf("elected primary %q is neither follower: %+v", cl.Primary, cl)
 	}
 	wst, ok := winner.Replication()
-	if !ok || wst.Role != "primary" || wst.Epoch != 2 || wst.Fenced {
-		t.Fatalf("winner %s status: %+v ok=%v", winnerName, wst, ok)
+	if !ok || wst.Role != "primary" || wst.Epoch <= 1 || wst.Fenced || cl.Epoch != wst.Epoch {
+		t.Fatalf("winner %s status: %+v ok=%v; front sees %+v", winnerName, wst, ok, cl)
 	}
+	t.Logf("%s elected at epoch %d", winnerName, wst.Epoch)
 
 	// The stranded follower re-homes itself onto the new primary.
 	waitFollowerOf(t, "survivor "+survivorName, survivor, wst.Addr)
 
 	// The old primary returns on its original address and data, resuming
-	// its durable epoch-1 claim — then discovers the successor and
-	// rejoins as a follower with no one telling it to.
-	lnHA2, err := net.Listen("tcp", aAddr)
+	// its durable epoch-1 claim — then sees the higher epoch and rejoins
+	// as a follower with no one telling it to.
+	lnHA2, err := net.Listen("tcp", lnHA.Addr().String())
 	if err != nil {
 		t.Fatalf("rebinding old primary's address: %v", err)
 	}
@@ -374,18 +430,31 @@ func TestUnattendedFailoverConvergence(t *testing.T) {
 	}
 
 	// The findings KB converged everywhere too (it rides the same WAL).
-	waitFindingsEverywhere(t, []string{"http://" + aAddr, bSrv.URL, cSrv.URL},
-		"pre-kill baseline", "post-kill probe")
+	waitFindingsEverywhere(t, nodes, "pre-kill baseline", "post-kill probe")
 
-	// Still exactly one election; the returned A is a healthy follower.
-	cl = rt.Cluster()
-	if cl.Elections != 1 || cl.Epoch != 2 {
-		t.Fatalf("final cluster: elections=%d epoch=%d, want 1/2", cl.Elections, cl.Epoch)
+	// The epoch advanced exactly once — the only epochs ever led are 1
+	// (A, before the kill and briefly after it returned) and the one the
+	// winner leads — and no two nodes ever reported leading one epoch
+	// unfenced. Both fronts agree on the outcome.
+	led := leaders.close()
+	for epoch, nodes := range led {
+		if (epoch != 1 && epoch != wst.Epoch) || len(nodes) != 1 {
+			t.Fatalf("epochs led (epoch -> nodes) = %v; want only epoch 1 and epoch %d, one node each", led, wst.Epoch)
+		}
+	}
+	if !led[wst.Epoch][cl.Primary] {
+		t.Fatalf("epochs led (epoch -> nodes) = %v; the winner %s never reported epoch %d", led, cl.Primary, wst.Epoch)
+	}
+	for i, rt := range fronts {
+		if c := rt.Cluster(); c.Epoch != wst.Epoch || c.Failovers != 1 {
+			t.Fatalf("front %d final view: epoch %d, %d failovers; want %d and exactly 1", i, c.Epoch, c.Failovers, wst.Epoch)
+		}
 	}
 
 	// Teardown everything and prove the recovery rounds leaked nothing.
-	front.Close()
-	rt.Close()
+	for _, rt := range fronts {
+		rt.Close()
+	}
 	aSrv.Close()
 	bSrv.Close()
 	cSrv.Close()
@@ -437,7 +506,7 @@ func readAll(resp *http.Response) []byte {
 
 // waitGoroutinesSettle fails the test if, after full teardown, the
 // goroutine count never returns near its pre-test baseline — a leaked
-// rejoin loop, watchdog, or elector would hold it up.
+// rejoin loop, watchdog, or election round would hold it up.
 func waitGoroutinesSettle(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
