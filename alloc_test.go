@@ -1,13 +1,19 @@
 package ddgms_test
 
 import (
+	"context"
+	"runtime"
+	"sort"
 	"sync"
 	"testing"
 
 	"github.com/ddgms/ddgms/internal/core"
+	"github.com/ddgms/ddgms/internal/cube"
 	"github.com/ddgms/ddgms/internal/discri"
 	"github.com/ddgms/ddgms/internal/exec"
+	"github.com/ddgms/ddgms/internal/star"
 	"github.com/ddgms/ddgms/internal/storage"
+	"github.com/ddgms/ddgms/internal/value"
 )
 
 // Shared fixtures: platforms are expensive to build (generate + ETL +
@@ -100,4 +106,100 @@ func TestEncodedColumnBytesReduction(t *testing.T) {
 	if codedBytes*3 > flatBytes {
 		t.Errorf("coded columns take %d bytes vs %d flat; want at least 3x reduction", codedBytes, flatBytes)
 	}
+}
+
+// TestApplyDeltaAllocScaling is the O(delta) gate on warehouse refresh:
+// folding a one-attendance batch into an engine with PatientID and two
+// sliced attributes cached must allocate no more bytes at 8x the fact
+// rows than at 1x (with 1.5x slack). Re-encoding every cached column per
+// batch allocates in proportion to the fact table and fails it.
+func TestApplyDeltaAllocScaling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are not stable under the race detector")
+	}
+	small, large := applyDeltaBytes(t, 4000), applyDeltaBytes(t, 32000)
+	t.Logf("ApplyDelta of one attendance: %d B at 4,000 facts, %d B at 32,000", small, large)
+	if float64(large) > 1.5*float64(small) {
+		t.Errorf("ApplyDelta allocates %d B at 8x the facts vs %d B at 1x; want O(appended rows)", large, small)
+	}
+}
+
+// applyDeltaBytes builds a warehouse of facts attendances, three per
+// patient, warms a distinct-patient query sliced on gender and diabetes
+// status, and returns the median bytes ApplyDelta allocates to fold in
+// one more attendance. The median skips the rare batch on which a
+// column's spare capacity runs out and append reallocates it.
+func applyDeltaBytes(t *testing.T, facts int) uint64 {
+	t.Helper()
+	schema := storage.MustSchema(
+		storage.Field{Name: "PatientID", Kind: value.IntKind},
+		storage.Field{Name: "VisitNo", Kind: value.IntKind},
+		storage.Field{Name: "Gender", Kind: value.StringKind},
+		storage.Field{Name: "Diabetes", Kind: value.StringKind},
+		storage.Field{Name: "FBG", Kind: value.FloatKind},
+	)
+	attendance := func(tbl *storage.Table, i int) {
+		pid := i / 3
+		row := []value.Value{
+			value.Int(int64(pid)), value.Int(int64(i%3 + 1)),
+			value.Str([]string{"M", "F"}[pid%2]), value.Str([]string{"Yes", "No", "Pre"}[pid%3]),
+			value.Float(5 + float64(i%30)/10),
+		}
+		if err := tbl.AppendRow(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := star.NewBuilder("MedicalMeasures").
+		Dimension("Cardinality", []storage.Field{{Name: "PatientID", Kind: value.IntKind}, {Name: "VisitNo", Kind: value.IntKind}},
+			[]string{"PatientID", "VisitNo"}).
+		Dimension("Personal", []storage.Field{{Name: "Gender", Kind: value.StringKind}}, []string{"Gender"}).
+		Dimension("Condition", []storage.Field{{Name: "Diabetes", Kind: value.StringKind}}, []string{"Diabetes"}).
+		Measure(storage.Field{Name: "FBG", Kind: value.FloatKind}, "FBG")
+	flat := storage.MustTable(schema)
+	for i := 0; i < facts; i++ {
+		attendance(flat, i)
+	}
+	s, err := b.Build(flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := cube.NewEngine(s)
+	patient := cube.AttrRef{Dim: "Cardinality", Attr: "PatientID"}
+	gender := cube.AttrRef{Dim: "Personal", Attr: "Gender"}
+	if _, err := e.ExecuteCtx(context.Background(), cube.Query{
+		Rows: []cube.AttrRef{gender},
+		Slicers: []cube.Slicer{
+			{Ref: cube.AttrRef{Dim: "Condition", Attr: "Diabetes"}, Values: []value.Value{value.Str("Yes")}},
+			{Ref: gender, Values: []value.Value{value.Str("M"), value.Str("F")}},
+		},
+		Measure: cube.MeasureRef{Agg: storage.DistinctAgg, Attr: &patient},
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	next := facts
+	batch := func() uint64 {
+		delta := storage.MustTable(schema)
+		attendance(delta, next)
+		next++
+		if err := b.Append(s, delta); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := e.ApplyDelta(cube.Delta{Appended: 1}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for i := 0; i < 8; i++ {
+		batch() // the first extends index each dictionary and take capacity
+	}
+	samples := make([]uint64, 41)
+	for i := range samples {
+		samples[i] = batch()
+	}
+	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	return samples[len(samples)/2]
 }

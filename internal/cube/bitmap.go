@@ -82,6 +82,16 @@ func (b *Bitmap) Fill() {
 	}
 }
 
+// grow extends b in place to cover n rows, the new ones unset. Words are
+// appended into spare capacity, so growing a row at a time is amortised
+// O(1).
+func (b *Bitmap) grow(n int) {
+	for len(b.words) < (n+63)/64 {
+		b.words = append(b.words, 0)
+	}
+	b.n = max(b.n, n)
+}
+
 // Clone returns an independent copy.
 func (b *Bitmap) Clone() *Bitmap {
 	out := &Bitmap{words: make([]uint64, len(b.words)), n: b.n}

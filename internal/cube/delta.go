@@ -15,9 +15,14 @@ import (
 //
 //   - coded columns and code-indexed member bitmaps are extended with the
 //     appended rows (retired rows stay physically present and are masked
-//     by filterBitmap, so those caches need no change for retirement);
-//     exec.ExtendCoded only appends to a dictionary, so existing codes —
-//     and the bitmaps indexed by them — stay valid;
+//     by filterBitmap, so those caches need no change for retirement).
+//     Both extend in place in O(appended rows): exec.ExtendCoded writes
+//     only the new codes and dictionary entries, keeps each column's
+//     encoding until the column is next rebuilt (compaction, resync,
+//     InvalidateAttr), starts new RLE runs at the append boundary, and
+//     leaves every older column header reading as it did; existing codes
+//     never change, so the bitmaps indexed by them stay valid, and only
+//     the bitmaps of members the batch adds rows to grow;
 //   - lattice entries have the per-row partial aggregates of retired
 //     rows retracted (exec.AggState.Unmerge) and of appended rows merged
 //     (exec.AggState.Merge). Only additive measures live in the lattice,
@@ -130,26 +135,23 @@ func (e *Engine) appendedValues(ref AttrRef, oldN int) ([]value.Value, error) {
 	return vals, nil
 }
 
-// growBitmaps extends code-indexed member bitmaps over the grown column
-// cc: existing bitmaps are copied at the new length, and each appended
-// row sets its bit under its code, which may be one the append added to
-// the dictionary.
+// growBitmaps extends the code-indexed member bitmaps of the grown
+// column cc in place: each row appended from oldN on sets its bit in its
+// code's bitmap, which grows to reach it, and a code the append added to
+// the dictionary gets a new bitmap. Bitmaps of members no appended row
+// carries are left short of the fact table, which Or reads as unset.
 func growBitmaps(members []*Bitmap, cc exec.CodedColumn, oldN int) []*Bitmap {
-	n := cc.Len()
-	grown := make([]*Bitmap, cc.Card())
-	for code, b := range members {
-		if b != nil {
-			grown[code] = NewBitmap(n)
-			copy(grown[code].words, b.words)
-		}
+	for len(members) < cc.Card() {
+		members = append(members, nil)
 	}
-	for j, code := range cc.AppendCodes(nil, oldN, n) {
-		if grown[code] == nil {
-			grown[code] = NewBitmap(n)
+	for j, code := range cc.AppendCodes(nil, oldN, cc.Len()) {
+		if members[code] == nil {
+			members[code] = &Bitmap{}
 		}
-		grown[code].Set(oldN + j)
+		members[code].grow(oldN + j + 1)
+		members[code].Set(oldN + j)
 	}
-	return grown
+	return members
 }
 
 // deltaEntryLocked maintains one lattice entry in place, reporting false

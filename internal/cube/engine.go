@@ -22,9 +22,12 @@ type Engine struct {
 
 	useLattice bool
 
-	mu          sync.Mutex
-	codedCols   map[AttrRef]exec.CodedColumn
-	bitmaps     map[AttrRef][]*Bitmap // member bitmaps indexed by dictionary code
+	mu        sync.Mutex
+	codedCols map[AttrRef]exec.CodedColumn
+	// bitmaps holds member bitmaps indexed by dictionary code. ApplyDelta
+	// grows only those of members a batch adds rows to, so a bitmap may
+	// be shorter than the fact table; rows past its end are unset.
+	bitmaps     map[AttrRef][]*Bitmap
 	lattice     map[string][]*latticeEntry
 	memberOrder map[AttrRef]map[value.Value]int
 }

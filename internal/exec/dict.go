@@ -45,8 +45,9 @@ const NACode uint32 = 0
 // CodedColumn is the dictionary-encoded view of a column: a per-row code
 // vector in one of three physical encodings (flat, bit-packed, RLE) plus
 // the reverse table mapping codes back to values. Values()[0] is always
-// NA. A CodedColumn is immutable once built and therefore safe for
-// concurrent readers.
+// NA. Every header reads the same rows, codes and values for its whole
+// life, so concurrent readers may share one freely; ExtendCoded is the
+// one operation that needs them quiesced (see there).
 //
 // Code and Value are the random-access accessors; scans should prefer
 // AppendCodes, which decodes a row range in bulk (word-at-a-time for
@@ -77,22 +78,56 @@ type CodedColumn interface {
 	// AppendCodes appends the codes of rows [lo, hi) to dst and returns
 	// the extended slice.
 	AppendCodes(dst []uint32, lo, hi int) []uint32
+
+	// dict and extend are what ExtendCoded drives; being unexported, they
+	// also keep the implementations to this package's three encodings.
+	dict() *dictionary
+	// extend returns a new header with codes appended to this one's
+	// storage in place, over dictionary d (see ExtendCoded).
+	extend(codes []uint32, d dictionary) CodedColumn
 }
+
+// dictIndex is the value -> code index of a dictionary. A built column
+// keeps none (its builder's is dropped, sparing every column that is
+// never extended the map); ExtendCoded fills it on a column's first
+// extend and hands it to every header extended after that, so later
+// extends intern without rebuilding it. All headers of one build share
+// it, and it describes the newest: rows is that header's length, which is
+// how ExtendCoded tells the newest header — the only one whose spare
+// capacity is free to append into — from an older one.
+type dictIndex struct {
+	index   map[value.Value]uint32
+	nanCode uint32 // float NaN never equals itself, so it needs a pinned code
+	rows    int
+}
+
+// fill indexes values, restoring the NaN pin.
+func (ix *dictIndex) fill(values []value.Value) {
+	ix.index = make(map[value.Value]uint32, len(values))
+	for code, v := range values {
+		if isNaN(v) {
+			ix.nanCode = uint32(code)
+			continue
+		}
+		ix.index[v] = uint32(code)
+	}
+}
+
+func isNaN(v value.Value) bool { return v.Kind() == value.FloatKind && math.IsNaN(v.Float()) }
 
 // dictBuilder interns values into a flat code vector under construction;
 // finish() re-encodes it into the chosen physical layout.
 type dictBuilder struct {
-	codes   []uint32
-	values  []value.Value
-	index   map[value.Value]uint32
-	nanCode uint32 // float NaN never equals itself, so it needs a pinned code
+	codes  []uint32
+	values []value.Value
+	*dictIndex
 }
 
 func newDictBuilder(rows int) *dictBuilder {
 	return &dictBuilder{
-		codes:  make([]uint32, 0, rows),
-		values: []value.Value{value.NA()},
-		index:  map[value.Value]uint32{value.NA(): NACode},
+		codes:     make([]uint32, 0, rows),
+		values:    []value.Value{value.NA()},
+		dictIndex: &dictIndex{index: map[value.Value]uint32{value.NA(): NACode}},
 	}
 }
 
@@ -100,7 +135,7 @@ func newDictBuilder(rows int) *dictBuilder {
 // Float NaN is folded onto one code (matching the string-keyed legacy
 // grouping, where every NaN rendered as "NaN" and grouped together).
 func (b *dictBuilder) intern(v value.Value) uint32 {
-	if v.Kind() == value.FloatKind && math.IsNaN(v.Float()) {
+	if isNaN(v) {
 		if b.nanCode == 0 {
 			b.nanCode = uint32(len(b.values))
 			b.values = append(b.values, v)
@@ -136,32 +171,43 @@ func EncodeFunc(n int, at func(i int) value.Value) CodedColumn {
 	return b.finish()
 }
 
-// ExtendCoded returns a new CodedColumn equal to c with vals appended,
-// reusing (and growing) c's dictionary. The input column is never
-// mutated — CodedColumns are immutable and may be held by concurrent
-// readers — so incremental maintainers extend by swapping in the
-// returned column. The dictionary index is rebuilt from c.Values(), which
-// restores the NaN pinning of the original builder. The physical encoding
-// is re-chosen for the extended column, so a column that stops (or
-// starts) compressing migrates layouts as the CDC stream grows it.
+// ExtendCoded returns c with vals appended, in O(len(vals)) amortised:
+// the appended codes go into the spare capacity of c's own code storage
+// (flat: the vector; packed: the last word, then new words; RLE: new runs
+// after the last one, never lengthening it) and new values into its
+// dictionary, interned through an index kept with the column. Existing
+// codes never change, and every header handed out before — c included —
+// still reads exactly its own rows and dictionary afterwards, because the
+// extension lies past its length. The encoding is not re-chosen: a column
+// keeps the layout it was built with until it is rebuilt (EncodeFunc,
+// NewCodedColumn); only a packed column whose dictionary outgrows its bit
+// width repacks, at the wider width. An empty vals returns c itself.
+//
+// Extend the newest header of a chain; extending an older one is correct
+// but copies it first, O(rows). Extends must not run concurrently with
+// each other or with readers of c: a packed extend ORs into the word c's
+// last rows live in. The cube calls it under the refresh maintainer's
+// write lock, with queries quiesced.
 func ExtendCoded(c CodedColumn, vals []value.Value) CodedColumn {
-	oldValues := c.Values()
-	b := &dictBuilder{
-		codes:  c.AppendCodes(make([]uint32, 0, c.Len()+len(vals)), 0, c.Len()),
-		values: append(make([]value.Value, 0, len(oldValues)+1), oldValues...),
-		index:  make(map[value.Value]uint32, len(oldValues)),
+	if len(vals) == 0 {
+		return c
 	}
-	for code, v := range oldValues {
-		if v.Kind() == value.FloatKind && math.IsNaN(v.Float()) {
-			b.nanCode = uint32(code)
-			continue
-		}
-		b.index[v] = uint32(code)
+	if c.dict().idx.rows != c.Len() {
+		// A newer header owns the spare capacity past c; extend a copy.
+		codes := c.AppendCodes(make([]uint32, 0, c.Len()), 0, c.Len())
+		c = encodeAs(c.Encoding(), codes, c.Values())
 	}
+	d := *c.dict()
+	if d.idx.index == nil {
+		d.idx.fill(d.values)
+	}
+	b := &dictBuilder{codes: make([]uint32, 0, len(vals)), values: d.values, dictIndex: d.idx}
 	for _, v := range vals {
 		b.append(v)
 	}
-	return b.finish()
+	d.values = b.values
+	d.idx.rows = c.Len() + len(vals)
+	return c.extend(b.codes, d)
 }
 
 // EncodeTuple canonically encodes a tuple of values as a string map key:

@@ -98,7 +98,11 @@ func chooseEncoding(codes []uint32, card int) Encoding {
 // dictionary, choosing the physical encoding with chooseEncoding. It
 // takes ownership of both slices.
 func NewCodedColumn(codes []uint32, values []value.Value) CodedColumn {
-	switch chooseEncoding(codes, len(values)) {
+	return encodeAs(chooseEncoding(codes, len(values)), codes, values)
+}
+
+func encodeAs(enc Encoding, codes []uint32, values []value.Value) CodedColumn {
+	switch enc {
 	case EncPacked:
 		return PackCodes(codes, values)
 	case EncRLE:
@@ -107,31 +111,59 @@ func NewCodedColumn(codes []uint32, values []value.Value) CodedColumn {
 	return NewFlatColumn(codes, values)
 }
 
+// dictionary is the half every encoding shares: the code -> value table
+// and the index ExtendCoded interns appended values through.
+type dictionary struct {
+	values []value.Value
+	idx    *dictIndex
+}
+
+// newDictionary starts the extend chain of a column built over rows rows.
+// values is capped at its length so the chain's first extend reallocates
+// instead of writing into capacity some other slice may share.
+func newDictionary(values []value.Value, rows int) dictionary {
+	return dictionary{values: values[:len(values):len(values)], idx: &dictIndex{rows: rows}}
+}
+
+func (d *dictionary) dict() *dictionary { return d }
+
+// Card reports the dictionary cardinality, including the reserved NA
+// entry.
+func (d *dictionary) Card() int { return len(d.values) }
+
+// Values returns the dictionary (code -> value), capped at its length so
+// an append by the caller cannot reach entries a newer header added.
+func (d *dictionary) Values() []value.Value { return d.values[:len(d.values):len(d.values)] }
+
 // --- flat ------------------------------------------------------------------
 
 // FlatColumn is the uncompressed layout: one uint32 code per row.
 type FlatColumn struct {
-	codes  []uint32
-	values []value.Value
+	codes []uint32
+	dictionary
 }
 
-// NewFlatColumn wraps a code vector and dictionary without copying.
+// NewFlatColumn wraps a code vector and dictionary without copying. Both
+// are capped at their length (see newDictionary).
 func NewFlatColumn(codes []uint32, values []value.Value) *FlatColumn {
-	return &FlatColumn{codes: codes, values: values}
+	return &FlatColumn{codes: codes[:len(codes):len(codes)], dictionary: newDictionary(values, len(codes))}
 }
 
-func (c *FlatColumn) Len() int                  { return len(c.codes) }
-func (c *FlatColumn) Card() int                 { return len(c.values) }
-func (c *FlatColumn) Code(i int) uint32         { return c.codes[i] }
-func (c *FlatColumn) Value(i int) value.Value   { return c.values[c.codes[i]] }
-func (c *FlatColumn) IsNA(i int) bool           { return c.codes[i] == NACode }
-func (c *FlatColumn) Values() []value.Value     { return c.values }
-func (c *FlatColumn) Encoding() Encoding        { return EncFlat }
-func (c *FlatColumn) CodeBytes() int            { return 4 * len(c.codes) }
+func (c *FlatColumn) Len() int                { return len(c.codes) }
+func (c *FlatColumn) Code(i int) uint32       { return c.codes[i] }
+func (c *FlatColumn) Value(i int) value.Value { return c.values[c.codes[i]] }
+func (c *FlatColumn) IsNA(i int) bool         { return c.codes[i] == NACode }
+func (c *FlatColumn) Encoding() Encoding      { return EncFlat }
+func (c *FlatColumn) CodeBytes() int          { return 4 * len(c.codes) }
 
 // AppendCodes appends the codes of rows [lo, hi) to dst.
 func (c *FlatColumn) AppendCodes(dst []uint32, lo, hi int) []uint32 {
 	return append(dst, c.codes[lo:hi]...)
+}
+
+// extend appends codes into the vector's spare capacity.
+func (c *FlatColumn) extend(codes []uint32, d dictionary) CodedColumn {
+	return &FlatColumn{codes: append(c.codes, codes...), dictionary: d}
 }
 
 // --- bit-packed ------------------------------------------------------------
@@ -139,11 +171,11 @@ func (c *FlatColumn) AppendCodes(dst []uint32, lo, hi int) []uint32 {
 // PackedColumn stores codes at width bits each, 64/width codes per word
 // (no straddling), so Code is two shifts and decode is word-at-a-time.
 type PackedColumn struct {
-	words  []uint64
-	width  uint
-	perW   int // codes per word
-	n      int
-	values []value.Value
+	words []uint64
+	width uint
+	perW  int // codes per word
+	n     int
+	dictionary
 }
 
 // PackCodes bit-packs a flat code vector at ceil(log2(card)) bits.
@@ -154,11 +186,11 @@ func PackCodes(codes []uint32, values []value.Value) *PackedColumn {
 	}
 	perW := 64 / int(width)
 	c := &PackedColumn{
-		words:  make([]uint64, (len(codes)+perW-1)/perW),
-		width:  width,
-		perW:   perW,
-		n:      len(codes),
-		values: values,
+		words:      make([]uint64, (len(codes)+perW-1)/perW),
+		width:      width,
+		perW:       perW,
+		n:          len(codes),
+		dictionary: newDictionary(values, len(codes)),
 	}
 	for i, code := range codes {
 		c.words[i/perW] |= uint64(code) << (uint(i%perW) * width)
@@ -166,8 +198,7 @@ func PackCodes(codes []uint32, values []value.Value) *PackedColumn {
 	return c
 }
 
-func (c *PackedColumn) Len() int  { return c.n }
-func (c *PackedColumn) Card() int { return len(c.values) }
+func (c *PackedColumn) Len() int { return c.n }
 
 // Width reports the per-code bit width.
 func (c *PackedColumn) Width() uint { return c.width }
@@ -178,7 +209,6 @@ func (c *PackedColumn) Code(i int) uint32 {
 
 func (c *PackedColumn) Value(i int) value.Value { return c.values[c.Code(i)] }
 func (c *PackedColumn) IsNA(i int) bool         { return c.Code(i) == NACode }
-func (c *PackedColumn) Values() []value.Value   { return c.values }
 func (c *PackedColumn) Encoding() Encoding      { return EncPacked }
 func (c *PackedColumn) CodeBytes() int          { return 8 * len(c.words) }
 
@@ -202,20 +232,45 @@ func (c *PackedColumn) AppendCodes(dst []uint32, lo, hi int) []uint32 {
 	return dst
 }
 
+// extend ORs codes into the last word and appends words after it. The
+// bits it sets lie past every older header's length, which masks them
+// out. Only when the dictionary outgrows the bit width is the column
+// repacked in full, at the wider width — once per doubling of the
+// cardinality, so amortised O(1) per row.
+func (c *PackedColumn) extend(codes []uint32, d dictionary) CodedColumn {
+	if packWidth(len(d.values)) > c.width {
+		all := c.AppendCodes(make([]uint32, 0, c.n+len(codes)), 0, c.n)
+		p := PackCodes(append(all, codes...), d.values)
+		p.dictionary = d
+		return p
+	}
+	words, n := c.words, c.n
+	for _, code := range codes {
+		if n%c.perW == 0 {
+			words = append(words, 0)
+		}
+		words[n/c.perW] |= uint64(code) << (uint(n%c.perW) * c.width)
+		n++
+	}
+	return &PackedColumn{words: words, width: c.width, perW: c.perW, n: n, dictionary: d}
+}
+
 // --- run-length ------------------------------------------------------------
 
-// RLEColumn stores maximal runs of equal codes as (cumulative end row,
-// code) pairs. Random access binary-searches the run table; scans walk
-// runs directly, which is what the kernel's fused run path exploits.
+// RLEColumn stores runs of equal codes as (cumulative end row, code)
+// pairs. Random access binary-searches the run table; scans walk runs
+// directly, which is what the kernel's fused run path exploits. A built
+// column's runs are maximal; ExtendCoded starts a new run at each append
+// boundary, so two adjacent runs of an extended column may share a code.
 type RLEColumn struct {
-	ends   []uint32 // exclusive end row of each run, ascending
-	codes  []uint32 // code of each run
-	values []value.Value
+	ends  []uint32 // exclusive end row of each run, ascending
+	codes []uint32 // code of each run
+	dictionary
 }
 
 // RLECodes run-length-encodes a flat code vector.
 func RLECodes(codes []uint32, values []value.Value) *RLEColumn {
-	c := &RLEColumn{values: values}
+	c := &RLEColumn{dictionary: newDictionary(values, len(codes))}
 	for i := 0; i < len(codes); {
 		j := i + 1
 		for j < len(codes) && codes[j] == codes[i] {
@@ -234,8 +289,6 @@ func (c *RLEColumn) Len() int {
 	}
 	return int(c.ends[len(c.ends)-1])
 }
-
-func (c *RLEColumn) Card() int { return len(c.values) }
 
 // NumRuns reports the number of runs.
 func (c *RLEColumn) NumRuns() int { return len(c.codes) }
@@ -256,7 +309,6 @@ func (c *RLEColumn) RunIndex(i int) int {
 func (c *RLEColumn) Code(i int) uint32       { return c.codes[c.RunIndex(i)] }
 func (c *RLEColumn) Value(i int) value.Value { return c.values[c.Code(i)] }
 func (c *RLEColumn) IsNA(i int) bool         { return c.Code(i) == NACode }
-func (c *RLEColumn) Values() []value.Value   { return c.values }
 func (c *RLEColumn) Encoding() Encoding      { return EncRLE }
 func (c *RLEColumn) CodeBytes() int          { return 8 * len(c.ends) }
 
@@ -274,13 +326,30 @@ func (c *RLEColumn) AppendCodes(dst []uint32, lo, hi int) []uint32 {
 	return dst
 }
 
+// extend opens new runs after the last one instead of lengthening it:
+// the last run's end is an older header's Len, which must not change.
+func (c *RLEColumn) extend(codes []uint32, d dictionary) CodedColumn {
+	ends, runCodes := c.ends, c.codes
+	first, n := len(ends), uint32(c.Len())
+	for _, code := range codes {
+		n++
+		if len(ends) > first && runCodes[len(runCodes)-1] == code {
+			ends[len(ends)-1] = n
+			continue
+		}
+		ends = append(ends, n)
+		runCodes = append(runCodes, code)
+	}
+	return &RLEColumn{ends: ends, codes: runCodes, dictionary: d}
+}
+
 // MaterializeCodes returns the full flat code vector of c: the backing
 // slice itself for flat columns (callers must not mutate it), a fresh
 // decode otherwise. Layers that index codes per row (the flat-scan
 // baseline's filter predicates) use this instead of per-row Code calls.
 func MaterializeCodes(c CodedColumn) []uint32 {
 	if f, ok := c.(*FlatColumn); ok {
-		return f.codes
+		return f.codes[:len(f.codes):len(f.codes)]
 	}
 	return c.AppendCodes(make([]uint32, 0, c.Len()), 0, c.Len())
 }

@@ -48,18 +48,19 @@ go test -race -run 'TestTailWAL|TestTailer' ./internal/oltp/ ./internal/cdc/
 stage "refresh-equivalence soak per column encoding (flat/packed/rle forced)"
 # The cube reads raw codes in ApplyDelta, DrillThrough and bitmap
 # construction, so its delta, lattice and drill-through suites run per
-# encoding too.
+# encoding too, as does the in-place column extend they all build on.
 for enc in flat packed rle; do
 	echo "   -- DDGMS_FORCE_ENCODING=$enc"
 	DDGMS_FORCE_ENCODING=$enc go test -race -run 'TestRefresh' ./internal/refresh/
 	DDGMS_FORCE_ENCODING=$enc go test -race -run 'TestApplyDelta|TestQuick|TestLattice|TestDrillThrough' ./internal/cube/
+	DDGMS_FORCE_ENCODING=$enc go test -race -run 'TestExtendCoded|FuzzExtendCoded' ./internal/exec/
 done
 
 stage "encoding equivalence battery (coded kernels vs scalar oracle)"
 go test -race -run 'TestEncodingEquivalence|Fuzz' ./internal/exec/
 
-stage "allocation regression gate (arena kernel, no race detector)"
-go test -run 'TestGroupByCodedAllocBudget|TestEncodedColumnBytesReduction' .
+stage "allocation regression gate (arena kernel, O(delta) refresh; no race detector)"
+go test -run 'TestGroupByCodedAllocBudget|TestEncodedColumnBytesReduction|TestApplyDeltaAllocScaling' .
 
 stage "replication partition soak (fault sweep, kill/restart, figure equivalence)"
 go test -race -run 'TestFaultSweep|TestFollowerRestart|TestPrimaryDiskBounded|TestSnapshotBootstrap' -count=2 ./internal/repl/
