@@ -606,12 +606,11 @@ func followPlatform(dataDir string, patients int) (*core.Platform, *govern.Break
 		Health: p.Store().Healthy,
 	})
 	if err := p.StartFollow(core.FollowConfig{
-		Pipeline:  core.NewDiScRiPipeline(),
-		Builder:   core.NewDiScRiBuilder(),
-		CursorDir: filepath.Join(dataDir, "cdc"),
-		Setup:     core.FinishDiScRiSetup,
-		Breaker:   breaker,
-		Log:       log.Default(),
+		Pipeline: core.NewDiScRiPipeline(),
+		Builder:  core.NewDiScRiBuilder(),
+		Setup:    core.FinishDiScRiSetup,
+		Breaker:  breaker,
+		Log:      log.Default(),
 	}); err != nil {
 		p.Close()
 		return nil, nil, err
@@ -666,12 +665,11 @@ func replicaPlatform(dataDir, primaryAddr, replicaID string) (*core.Platform, *g
 		Health: p.Store().Healthy,
 	})
 	if err := p.StartFollow(core.FollowConfig{
-		Pipeline:  core.NewDiScRiPipeline(),
-		Builder:   core.NewDiScRiBuilder(),
-		CursorDir: filepath.Join(dataDir, "cdc"),
-		Setup:     core.FinishDiScRiSetup,
-		Breaker:   breaker,
-		Log:       log.Default(),
+		Pipeline: core.NewDiScRiPipeline(),
+		Builder:  core.NewDiScRiBuilder(),
+		Setup:    core.FinishDiScRiSetup,
+		Breaker:  breaker,
+		Log:      log.Default(),
 	}); err != nil {
 		p.Close()
 		return nil, nil, err

@@ -73,13 +73,12 @@ func (n *failoverNode) close() {
 
 // startFollowing puts the node's platform in follow mode so /query and
 // /freshness answer; the warehouse keeps refreshing across the cutover.
-func startFollowing(tb testing.TB, p *core.Platform, cursorDir string) {
+func startFollowing(tb testing.TB, p *core.Platform) {
 	tb.Helper()
 	if err := p.StartFollow(core.FollowConfig{
-		Pipeline:  core.NewDiScRiPipeline(),
-		Builder:   core.NewDiScRiBuilder(),
-		CursorDir: cursorDir,
-		Setup:     core.FinishDiScRiSetup,
+		Pipeline: core.NewDiScRiPipeline(),
+		Builder:  core.NewDiScRiBuilder(),
+		Setup:    core.FinishDiScRiSetup,
 	}); err != nil {
 		tb.Fatal(err)
 	}
@@ -126,7 +125,7 @@ func BenchmarkFailoverPromotion(b *testing.B) {
 		if err := pa.Store().LoadTable(raw); err != nil {
 			b.Fatal(err)
 		}
-		startFollowing(b, pa, filepath.Join(dir, "a-cdc"))
+		startFollowing(b, pa)
 		lnA := listen(b)
 		if err := pa.AttachPrimary(core.ReplicateListenConfig{
 			Listener:       lnA,
@@ -154,7 +153,7 @@ func BenchmarkFailoverPromotion(b *testing.B) {
 		case <-time.After(30 * time.Second):
 			b.Fatal("replica never synced")
 		}
-		startFollowing(b, pb, filepath.Join(dir, "b-cdc"))
+		startFollowing(b, pb)
 		nodeB := &failoverNode{p: pb, srv: httptest.NewServer(server.New(pb))}
 
 		// The routing front over both nodes, probing fast enough that
@@ -282,7 +281,7 @@ func BenchmarkUnattendedFailover(b *testing.B) {
 		if err := pa.Store().LoadTable(raw); err != nil {
 			b.Fatal(err)
 		}
-		startFollowing(b, pa, filepath.Join(dir, "a-cdc"))
+		startFollowing(b, pa)
 		lnA := listen(b)
 		if err := pa.AttachPrimary(core.ReplicateListenConfig{
 			Listener:       lnA,
@@ -312,7 +311,7 @@ func BenchmarkUnattendedFailover(b *testing.B) {
 			case <-time.After(30 * time.Second):
 				b.Fatalf("replica %s never synced", name)
 			}
-			startFollowing(b, p, filepath.Join(dir, name+"-cdc"))
+			startFollowing(b, p)
 			p.SetPromoteListen("127.0.0.1:0")
 			return &failoverNode{p: p, srv: httptest.NewServer(server.New(p))}
 		}

@@ -42,10 +42,9 @@ func TestFailoverSoakFiguresByteEquivalent(t *testing.T) {
 	}
 	follow := func(p *Platform, name string) {
 		if err := p.StartFollow(FollowConfig{
-			Pipeline:  NewDiScRiPipeline(),
-			Builder:   NewDiScRiBuilder(),
-			CursorDir: filepath.Join(dir, name+"-cdc"),
-			Setup:     FinishDiScRiSetup,
+			Pipeline: NewDiScRiPipeline(),
+			Builder:  NewDiScRiBuilder(),
+			Setup:    FinishDiScRiSetup,
 		}); err != nil {
 			t.Fatal(err)
 		}

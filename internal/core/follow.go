@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"time"
 
 	"github.com/ddgms/ddgms/internal/cube"
 	"github.com/ddgms/ddgms/internal/etl"
 	"github.com/ddgms/ddgms/internal/govern"
 	"github.com/ddgms/ddgms/internal/mdx"
-	"github.com/ddgms/ddgms/internal/obs"
 	"github.com/ddgms/ddgms/internal/refresh"
 	"github.com/ddgms/ddgms/internal/star"
 	"github.com/ddgms/ddgms/internal/storage"
@@ -18,10 +16,10 @@ import (
 
 // Follow mode: instead of the batch Transform -> BuildWarehouse phases,
 // the platform stands its warehouse up from a store snapshot and then
-// keeps it fresh by consuming the store's change feed (internal/cdc)
-// through an incremental maintainer (internal/refresh). Queries keep
-// working throughout; they take the maintainer's read lock so they never
-// observe a half-applied batch.
+// keeps it fresh by tailing the store's WAL through an incremental
+// maintainer (internal/refresh). Queries keep working throughout; they
+// take the maintainer's read lock so they never observe a half-applied
+// batch.
 
 // FollowConfig parameterises StartFollow.
 type FollowConfig struct {
@@ -29,25 +27,17 @@ type FollowConfig struct {
 	// BuildWarehouse; the pipeline must be patient-local (see refresh).
 	Pipeline *etl.Pipeline
 	Builder  *star.Builder
-	// CursorDir persists the CDC cursor; empty keeps it in memory.
+	// CursorDir is ignored: the tail position lives in memory and every
+	// start rebootstraps from a snapshot. It remains only so existing
+	// callers still compile.
 	CursorDir string
-	// MaxBatchTx caps transactions per refresh batch (default 256).
-	MaxBatchTx int
-	// CompactFraction triggers warehouse compaction (default 0.5).
-	CompactFraction float64
-	// Retry paces the follow loop's error backoff.
-	Retry etl.RetryPolicy
-	// PollInterval bounds the follow loop's sleep (default 1s).
-	PollInterval time.Duration
-	// Tracer records one trace per applied batch.
-	Tracer *obs.Tracer
 	// Setup runs after every (re)build — bootstrap, resync, compaction —
 	// to re-register measures and member orders (FinishDiScRiSetup for
 	// the trial wiring). It must not issue queries.
 	Setup func(*Platform) error
 	// Breaker, when set, gates each refresh batch (see refresh.Config).
 	Breaker *govern.Breaker
-	// Log, when set, receives resync snapshot-size lines (see
+	// Log, when set, receives one line per resync (see
 	// refresh.Config.Log).
 	Log *log.Logger
 }
@@ -63,16 +53,10 @@ func (p *Platform) StartFollow(fcfg FollowConfig) error {
 		return fmt.Errorf("core: already following")
 	}
 	m, err := refresh.New(p.store, refresh.Config{
-		Pipeline:        fcfg.Pipeline,
-		Builder:         fcfg.Builder,
-		CursorDir:       fcfg.CursorDir,
-		MaxBatchTx:      fcfg.MaxBatchTx,
-		CompactFraction: fcfg.CompactFraction,
-		Retry:           fcfg.Retry,
-		PollInterval:    fcfg.PollInterval,
-		Tracer:          fcfg.Tracer,
-		Breaker:         fcfg.Breaker,
-		Log:             fcfg.Log,
+		Pipeline: fcfg.Pipeline,
+		Builder:  fcfg.Builder,
+		Breaker:  fcfg.Breaker,
+		Log:      fcfg.Log,
 		OnRebuild: func(e *cube.Engine, s *star.Schema, flat *storage.Table) error {
 			p.schema, p.engine, p.flat = s, e, flat
 			p.eval = mdx.NewEvaluator(e, p.cfg.CubeName)

@@ -129,10 +129,9 @@ func TestReplicaFiguresMatchPrimary(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := primary.StartFollow(FollowConfig{
-		Pipeline:  NewDiScRiPipeline(),
-		Builder:   NewDiScRiBuilder(),
-		CursorDir: filepath.Join(dir, "primary-cdc"),
-		Setup:     FinishDiScRiSetup,
+		Pipeline: NewDiScRiPipeline(),
+		Builder:  NewDiScRiBuilder(),
+		Setup:    FinishDiScRiSetup,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -166,10 +165,9 @@ func TestReplicaFiguresMatchPrimary(t *testing.T) {
 			t.Fatal("replica never synced")
 		}
 		if err := r.StartFollow(FollowConfig{
-			Pipeline:  NewDiScRiPipeline(),
-			Builder:   NewDiScRiBuilder(),
-			CursorDir: filepath.Join(dir, "replica-cdc"),
-			Setup:     FinishDiScRiSetup,
+			Pipeline: NewDiScRiPipeline(),
+			Builder:  NewDiScRiBuilder(),
+			Setup:    FinishDiScRiSetup,
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -75,10 +75,9 @@ func selfHealCluster(t *testing.T) (a, b *Platform, lnA net.Listener, dir string
 	}
 	follow := func(p *Platform, name string) {
 		if err := p.StartFollow(FollowConfig{
-			Pipeline:  NewDiScRiPipeline(),
-			Builder:   NewDiScRiBuilder(),
-			CursorDir: filepath.Join(dir, name+"-cdc"),
-			Setup:     FinishDiScRiSetup,
+			Pipeline: NewDiScRiPipeline(),
+			Builder:  NewDiScRiBuilder(),
+			Setup:    FinishDiScRiSetup,
 		}); err != nil {
 			t.Fatal(err)
 		}

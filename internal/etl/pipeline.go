@@ -190,10 +190,9 @@ func (r RetryPolicy) Delay(attempt int) time.Duration {
 	return d
 }
 
-// Backoff sleeps for Delay(attempt) through the policy's Sleep seam
-// (time.Sleep when nil). It is exported so other retry loops — the
-// refresh follower's poll backoff — share one injectable clock.
-func (r RetryPolicy) Backoff(attempt int) {
+// backoff sleeps for Delay(attempt) through the policy's Sleep seam
+// (time.Sleep when nil).
+func (r RetryPolicy) backoff(attempt int) {
 	d := r.Delay(attempt)
 	if d <= 0 {
 		return
@@ -213,12 +212,6 @@ func (r RetryPolicy) Backoff(attempt int) {
 // a fresh clone of the step's input, so a step that mutated the table
 // before failing cannot leak a half-applied transform into the retry.
 func (p *Pipeline) Run(t *storage.Table) (*storage.Table, error) {
-	return p.RunTraced(t, nil)
-}
-
-// RunTraced is Run with one child span per step hung under sp,
-// annotated with the attempt count. A nil sp traces nothing.
-func (p *Pipeline) RunTraced(t *storage.Table, sp *obs.Span) (*storage.Table, error) {
 	cur := t.Clone()
 	attempts := p.retry.MaxAttempts
 	if attempts < 1 {
@@ -227,13 +220,11 @@ func (p *Pipeline) RunTraced(t *storage.Table, sp *obs.Span) (*storage.Table, er
 	for _, s := range p.steps {
 		var next *storage.Table
 		var err error
-		stepSp := sp.Start("etl." + s.Name)
 		stepStart := time.Now()
 		for attempt := 0; attempt < attempts; attempt++ {
 			if attempt > 0 {
 				metricRetries.WithLabelValues(s.Name).Inc()
-				stepSp.Annotate("retry", attempt)
-				p.retry.Backoff(attempt - 1)
+				p.retry.backoff(attempt - 1)
 			}
 			in := cur
 			if attempts > 1 {
@@ -245,7 +236,6 @@ func (p *Pipeline) RunTraced(t *storage.Table, sp *obs.Span) (*storage.Table, er
 			}
 		}
 		metricStepSeconds.WithLabelValues(s.Name).ObserveSince(stepStart)
-		stepSp.End()
 		if err != nil {
 			return nil, fmt.Errorf("etl: step %s: %w", s.Name, err)
 		}

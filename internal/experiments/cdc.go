@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"path/filepath"
-
 	"github.com/ddgms/ddgms/internal/core"
 	"github.com/ddgms/ddgms/internal/discri"
 	"github.com/ddgms/ddgms/internal/oltp"
@@ -49,10 +47,9 @@ func NewCDCPlatform(dir string, dcfg discri.Config) (*core.Platform, error) {
 		}
 	}
 	if err := p.StartFollow(core.FollowConfig{
-		Pipeline:  core.NewDiScRiPipeline(),
-		Builder:   core.NewDiScRiBuilder(),
-		CursorDir: filepath.Join(dir, "cdc"),
-		Setup:     core.FinishDiScRiSetup,
+		Pipeline: core.NewDiScRiPipeline(),
+		Builder:  core.NewDiScRiBuilder(),
+		Setup:    core.FinishDiScRiSetup,
 	}); err != nil {
 		return nil, err
 	}

@@ -15,7 +15,7 @@ import (
 // Begin/Commit path. Each applied transaction is logged to the local WAL
 // first (with a locally assigned transaction id, so the local log stays
 // self-consistent) and then applied to state, exactly like a local
-// commit; the local change feed (TailWAL / cdc) therefore sees
+// commit; the local change feed (TailWAL / refresh) therefore sees
 // replicated writes the same way it sees local ones, which is what lets
 // a follower reuse the whole CDC -> incremental-refresh stack unchanged.
 //

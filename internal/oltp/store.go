@@ -552,7 +552,7 @@ func (s *Store) CheckpointStats() (checkpoints uint64, lastBytes int64) {
 }
 
 // TailerPin is the retention pin name RetainWALFrom writes: the one the
-// store's local CDC tailer owns.
+// store's local refresh maintainer owns.
 const TailerPin = "tailer"
 
 // RetainWALFrom pins WAL segments at or above seq against checkpoint

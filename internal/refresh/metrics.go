@@ -2,6 +2,24 @@ package refresh
 
 import "github.com/ddgms/ddgms/internal/obs"
 
+// Change-feed metric families: what the maintainer read from the WAL.
+// Gaps count forced resyncs (each one is a full warehouse rebuild, so
+// any nonzero rate under steady state means retention is misconfigured).
+var (
+	metricFeedEvents = obs.Default().Counter(
+		"ddgms_cdc_events_total",
+		"Row change events consumed from the WAL.")
+	metricFeedTxs = obs.Default().Counter(
+		"ddgms_cdc_transactions_total",
+		"Committed transactions consumed from the WAL.")
+	metricFeedBatches = obs.Default().Counter(
+		"ddgms_cdc_batches_total",
+		"Non-empty batches read from the WAL.")
+	metricGaps = obs.Default().Counter(
+		"ddgms_cdc_gaps_total",
+		"Tail gaps hit (position behind checkpoint truncation; forces resync).")
+)
+
 // Refresh metric families. Together with ddgms_cdc_* (feed volume) and
 // ddgms_cube_delta_entries_total (cuboids merged vs rescanned) they
 // cover the follow path end to end.

@@ -1,7 +1,7 @@
 // Package refresh maintains the star-schema warehouse incrementally
 // from the OLTP change feed: a Maintainer bootstraps from a consistent
-// store snapshot, then consumes committed-transaction batches from a
-// cdc.Tailer and folds them into the warehouse without a rebuild.
+// store snapshot, then tails committed-transaction batches from the
+// store's WAL and folds them into the warehouse without a rebuild.
 //
 // The unit of recomputation is the patient. Every ETL step in the
 // DiScRi pipeline is either row-local (range rules, discretisation,
@@ -16,16 +16,17 @@
 // additive lattice entries are merged/retracted in place instead of the
 // caches being dropped.
 //
-// Patient-scoped recomputation is also what makes at-least-once CDC
-// delivery safe: replaying a batch (crash between apply and Ack, or a
-// failed cursor save) retires the patients' current facts and appends
-// the same re-derived rows again, converging to the same state. After a
-// process restart the warehouse is rebuilt from a fresh snapshot and
-// the cursor reset to its LSN, so replay never compounds.
+// The tail position lives in memory only. A snapshot sets it, and only
+// a successful apply advances it; a failed apply leaves the mirror ahead
+// of the warehouse, so the maintainer heals by a full resync from a
+// fresh snapshot, which resets the position. The segments at and above
+// the position are pinned against checkpoint sweeping (oltp.TailerPin),
+// so a live maintainer never meets a gap however far it lags. A process
+// restart always rebootstraps from a fresh snapshot.
 //
 // When tombstones pass CompactFraction of the fact table the Maintainer
 // rebuilds the warehouse from its mirror (not from a new snapshot — the
-// cursor does not move), reclaiming the dead rows.
+// position does not move), reclaiming the dead rows.
 package refresh
 
 import (
@@ -37,16 +38,26 @@ import (
 	"sync"
 	"time"
 
-	"github.com/ddgms/ddgms/internal/cdc"
 	"github.com/ddgms/ddgms/internal/cube"
 	"github.com/ddgms/ddgms/internal/etl"
-	"github.com/ddgms/ddgms/internal/faultfs"
 	"github.com/ddgms/ddgms/internal/govern"
-	"github.com/ddgms/ddgms/internal/obs"
 	"github.com/ddgms/ddgms/internal/oltp"
 	"github.com/ddgms/ddgms/internal/star"
 	"github.com/ddgms/ddgms/internal/storage"
 	"github.com/ddgms/ddgms/internal/value"
+)
+
+const (
+	// patientCol is the pipeline's partition key; it must exist in both
+	// the store schema and the pipeline output.
+	patientCol = "PatientID"
+	// pollInterval bounds how long Run waits without a commit signal
+	// before polling anyway.
+	pollInterval = time.Second
+	// Run backs off minBackoff after a failed refresh, doubling per
+	// consecutive failure up to maxBackoff; a success resets it.
+	minBackoff = 10 * time.Millisecond
+	maxBackoff = time.Second
 )
 
 // Config parameterises a Maintainer.
@@ -58,14 +69,6 @@ type Config struct {
 	// Builder is the star-schema spec. Build is used at bootstrap and
 	// compaction, Append for delta batches.
 	Builder *star.Builder
-	// PatientCol names the pipeline's partition key; it must exist in
-	// both the store schema and the pipeline output. Default "PatientID".
-	PatientCol string
-	// CursorDir is where the CDC cursor persists; empty keeps the cursor
-	// in memory only.
-	CursorDir string
-	// FS is the filesystem for cursor persistence (tests inject faults).
-	FS faultfs.FS
 	// MaxBatchTx caps transactions per refresh batch (default 256).
 	MaxBatchTx int
 	// CompactFraction is the tombstone fraction that triggers a rebuild;
@@ -74,16 +77,8 @@ type Config struct {
 	// MinCompactRows is the fact-table size below which compaction never
 	// triggers (default 256).
 	MinCompactRows int
-	// Retry paces the follow loop's error backoff through the same
-	// injectable clock as ETL retries.
-	Retry etl.RetryPolicy
-	// PollInterval bounds how long Run waits without a commit signal
-	// before polling anyway (default 1s).
-	PollInterval time.Duration
-	// Tracer, when set, records one trace per applied batch.
-	Tracer *obs.Tracer
-	// Log, when set, receives one line per resync with the serialised
-	// (dictionary-compressed) snapshot size. Nil disables resync logging.
+	// Log, when set, receives one line per resync with the snapshot's row
+	// count and LSN. Nil disables resync logging.
 	Log *log.Logger
 	// OnRebuild is called whenever the maintainer installs a new engine
 	// (bootstrap, resync, compaction) so the serving layer can swap its
@@ -93,7 +88,7 @@ type Config struct {
 	OnRebuild func(*cube.Engine, *star.Schema, *storage.Table) error
 	// Breaker, when set, gates every Refresh: an open breaker (or its
 	// health probe failing, typically oltp.Healthy reporting a poisoned
-	// WAL) fast-fails the batch without touching the tailer, and batch
+	// WAL) fast-fails the batch without reading the WAL, and batch
 	// outcomes feed the breaker's failure counter. The Run loop's retry
 	// backoff then paces the fast-fails, so a sick store is probed
 	// gently instead of hammered.
@@ -104,11 +99,11 @@ type Config struct {
 // must hold RLock while using the engine/schema it obtained, so batch
 // application (which mutates both) is excluded.
 type Maintainer struct {
-	store  *oltp.Store
-	cfg    Config
-	tailer *cdc.Tailer
+	store *oltp.Store
+	cfg   Config
 
 	patientIdx  int
+	maxBatch    int
 	compactFrac float64
 	minCompact  int
 
@@ -120,13 +115,14 @@ type Maintainer struct {
 	patientOf map[oltp.RowID]value.Value
 	facts     map[value.Value][]int // live fact ordinals per patient
 
+	// pos is the WAL position the warehouse reflects. Only the consumer
+	// goroutine writes it, under mu, so that goroutine reads it unlocked.
+	pos            oltp.WALCursor
 	appliedCommits uint64
 	appliedEvents  uint64
-	appliedLSN     oltp.WALCursor
 	lastApplyNano  int64
 	compactions    uint64
 	resyncs        uint64
-	snapshotBytes  int64
 }
 
 // Freshness reports how far the warehouse trails the OLTP store. It is
@@ -148,9 +144,6 @@ type Freshness struct {
 	Resyncs            uint64  `json:"resyncs"`
 	LastApplyUnixNano  int64   `json:"last_apply_unix_nano"`
 	LastCommitUnixNano int64   `json:"last_commit_unix_nano"`
-	// SnapshotBytes is the serialised (binary v2, dictionary-compressed)
-	// size of the snapshot the warehouse last bootstrapped from.
-	SnapshotBytes int64 `json:"snapshot_bytes"`
 	// CheckpointBytes is the on-disk size of the store's most recent
 	// checkpoint, 0 before the first checkpoint.
 	CheckpointBytes int64 `json:"checkpoint_bytes"`
@@ -163,14 +156,15 @@ func New(store *oltp.Store, cfg Config) (*Maintainer, error) {
 	if cfg.Pipeline == nil || cfg.Builder == nil {
 		return nil, errors.New("refresh: Pipeline and Builder are required")
 	}
-	if cfg.PatientCol == "" {
-		cfg.PatientCol = "PatientID"
-	}
-	idx, ok := store.Schema().Lookup(cfg.PatientCol)
+	idx, ok := store.Schema().Lookup(patientCol)
 	if !ok {
-		return nil, fmt.Errorf("refresh: store schema has no column %q", cfg.PatientCol)
+		return nil, fmt.Errorf("refresh: store schema has no column %q", patientCol)
 	}
 	m := &Maintainer{store: store, cfg: cfg, patientIdx: idx}
+	m.maxBatch = cfg.MaxBatchTx
+	if m.maxBatch <= 0 {
+		m.maxBatch = 256
+	}
 	m.compactFrac = cfg.CompactFraction
 	if m.compactFrac == 0 {
 		m.compactFrac = 0.5
@@ -179,13 +173,7 @@ func New(store *oltp.Store, cfg Config) (*Maintainer, error) {
 	if m.minCompact <= 0 {
 		m.minCompact = 256
 	}
-	tailer, _, err := cdc.New(store, cdc.Options{Dir: cfg.CursorDir, FS: cfg.FS, MaxBatchTx: cfg.MaxBatchTx})
-	if err != nil {
-		return nil, err
-	}
-	m.tailer = tailer
 	if err := m.resync(); err != nil {
-		m.tailer.Close()
 		return nil, err
 	}
 	return m, nil
@@ -214,19 +202,22 @@ func (m *Maintainer) Engine() *cube.Engine { return m.engine }
 // Schema returns the current star schema. Hold RLock across use.
 func (m *Maintainer) Schema() *star.Schema { return m.schema }
 
-// Close releases the commit subscription. The cursor file stays for the
-// next process.
-func (m *Maintainer) Close() { m.tailer.Close() }
+// Close releases the maintainer's WAL retention pin, so a stopped
+// follower holds no segments against checkpoints.
+func (m *Maintainer) Close() { m.store.RetainWALFrom(0) }
 
 // resync rebuilds the entire warehouse from a fresh store snapshot and
-// resets the CDC cursor to the snapshot's LSN. It is the bootstrap path
-// and the recovery path for tail gaps and apply failures.
+// moves the tail position to the snapshot's LSN. It is the bootstrap
+// path and the recovery path for tail gaps and apply failures.
 func (m *Maintainer) resync() error {
-	// Pin retention at the durable LSN before cutting the snapshot, so a
-	// concurrent checkpoint cannot truncate the snapshot's tail position
-	// out from under the Reset below. Stores without a WAL fail the
-	// snapshot-LSN check right after, so ErrNoWAL is not an error here.
-	if _, err := m.tailer.PinAtDurable(); err != nil && !errors.Is(err, oltp.ErrNoWAL) {
+	// Pin retention at the durable LSN before cutting the snapshot:
+	// reading the LSN and pinning it as two steps would leave a window in
+	// which a checkpoint sweeps the snapshot's position, sending the
+	// resync meant to heal a gap straight into the next one. The
+	// snapshot's LSN is at or above the pin, so the pin only moves up
+	// afterwards. Stores without a WAL fail the snapshot-LSN check right
+	// after, so ErrNoWAL is not an error here.
+	if _, err := m.store.PinWALAtDurable(oltp.TailerPin); err != nil && !errors.Is(err, oltp.ErrNoWAL) {
 		return err
 	}
 	snap, err := m.store.SnapshotWithLSN()
@@ -236,13 +227,8 @@ func (m *Maintainer) resync() error {
 	if snap.LSN.IsZero() {
 		return oltp.ErrNoWAL
 	}
-	var cw countingWriter
-	if err := snap.Table.WriteBinary(&cw); err != nil {
-		return err
-	}
 	if m.cfg.Log != nil {
-		m.cfg.Log.Printf("refresh: resync snapshot: %d rows, %d bytes serialised at LSN %v",
-			snap.Table.Len(), cw.n, snap.LSN)
+		m.cfg.Log.Printf("refresh: resync snapshot: %d rows at LSN %v", snap.Table.Len(), snap.LSN)
 	}
 	byPatient := make(map[value.Value]map[oltp.RowID]oltp.Row)
 	patientOf := make(map[oltp.RowID]value.Value, len(snap.IDs))
@@ -267,12 +253,9 @@ func (m *Maintainer) resync() error {
 	}
 	m.appliedCommits = snap.Commits
 	m.appliedEvents = 0
-	m.appliedLSN = snap.LSN
-	m.snapshotBytes = cw.n
+	m.pos = snap.LSN
 	m.lastApplyNano = time.Now().UnixNano()
-	if err := m.tailer.Reset(snap.LSN); err != nil {
-		return err
-	}
+	m.store.RetainWALFrom(snap.LSN.Seq)
 	return nil
 }
 
@@ -298,7 +281,7 @@ func (m *Maintainer) rebuildLocked(src *storage.Table) error {
 	engine := cube.NewEngine(schema)
 	facts := make(map[value.Value][]int)
 	for j := 0; j < flat.Len(); j++ {
-		p := flat.MustValue(j, m.cfg.PatientCol)
+		p := flat.MustValue(j, patientCol)
 		facts[p] = append(facts[p], j)
 	}
 	m.flat, m.schema, m.engine, m.facts = flat, schema, engine, facts
@@ -365,40 +348,43 @@ func (m *Maintainer) Refresh() (int, error) {
 }
 
 func (m *Maintainer) refresh() (int, error) {
-	txs, err := m.tailer.Poll()
+	txs, next, err := m.store.TailWAL(m.pos, m.maxBatch)
 	if err != nil {
-		if errors.Is(err, cdc.ErrGap) {
+		if errors.Is(err, oltp.ErrTailGap) {
+			metricGaps.Inc()
 			return 0, m.forceResync()
 		}
 		return 0, err
 	}
 	if len(txs) == 0 {
-		// Persist the (possibly advanced) durable-end cursor so restarts
-		// of the cdc layer resume close to the tail.
-		return 0, m.tailer.Ack()
+		// Nothing committed, but the tail may have passed rolled-back
+		// records; move past them so the next read starts at the end.
+		if next != m.pos {
+			m.mu.Lock()
+			m.pos = next
+			m.mu.Unlock()
+			m.store.RetainWALFrom(next.Seq)
+		}
+		return 0, nil
 	}
+	metricFeedBatches.Inc()
+	metricFeedTxs.Add(uint64(len(txs)))
+	events := 0
+	for _, tx := range txs {
+		events += len(tx.Changes)
+	}
+	metricFeedEvents.Add(uint64(events))
 
 	start := time.Now()
-	var root *obs.Span
-	if m.cfg.Tracer != nil {
-		tr := m.cfg.Tracer.StartTrace("refresh.batch")
-		defer tr.Finish()
-		root = tr.Root()
-		root.Annotate("transactions", len(txs))
-	}
-	if err := m.apply(txs, root); err != nil {
+	if err := m.apply(txs, next); err != nil {
 		// The mirror may be ahead of the warehouse; resync restores
-		// consistency and resets the cursor, so nothing is lost.
+		// consistency and resets the position, so nothing is lost.
 		if rerr := m.forceResync(); rerr != nil {
 			return 0, errors.Join(err, rerr)
 		}
 		return 0, nil
 	}
-	if err := m.tailer.Ack(); err != nil {
-		// Cursor not persisted: the batch will be re-polled and re-applied;
-		// patient-scoped recompute makes that idempotent.
-		return len(txs), err
-	}
+	m.store.RetainWALFrom(next.Seq)
 	metricBatches.Inc()
 	metricTxApplied.Add(uint64(len(txs)))
 	metricBatchSeconds.ObserveSince(start)
@@ -416,8 +402,9 @@ func (m *Maintainer) forceResync() error {
 	return nil
 }
 
-// apply folds one batch into the mirror and the warehouse.
-func (m *Maintainer) apply(txs []oltp.CommittedTx, root *obs.Span) error {
+// apply folds one batch into the mirror and the warehouse and, on
+// success, advances the tail position to next.
+func (m *Maintainer) apply(txs []oltp.CommittedTx, next oltp.WALCursor) error {
 	// 1. Update the mirror and collect the affected patients (old image's
 	// patient and, for inserts/updates, the new image's).
 	affected := make(map[value.Value]struct{})
@@ -456,19 +443,13 @@ func (m *Maintainer) apply(txs []oltp.CommittedTx, root *obs.Span) error {
 	if err != nil {
 		return err
 	}
-	etlSp := root.Start("refresh.etl")
-	etlSp.Annotate("patients", len(affected))
-	etlSp.Annotate("rows", sub.Len())
-	delta, err := m.cfg.Pipeline.RunTraced(sub, etlSp)
-	etlSp.End()
+	delta, err := m.cfg.Pipeline.Run(sub)
 	if err != nil {
 		return err
 	}
 
 	// 3. Swap the patients' facts under the write lock: tombstone old,
 	// append re-derived, fold the delta into the engine's caches.
-	sp := root.Start("refresh.apply")
-	defer sp.End()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	fact := m.schema.Fact()
@@ -492,76 +473,66 @@ func (m *Maintainer) apply(txs []oltp.CommittedTx, root *obs.Span) error {
 		delete(m.facts, p)
 	}
 	for j := 0; j < delta.Len(); j++ {
-		p := delta.MustValue(j, m.cfg.PatientCol)
+		p := delta.MustValue(j, patientCol)
 		m.facts[p] = append(m.facts[p], oldLen+j)
 	}
-	stats, err := m.engine.ApplyDelta(cube.Delta{Retired: retired, Appended: delta.Len()})
-	if err != nil {
+	if _, err := m.engine.ApplyDelta(cube.Delta{Retired: retired, Appended: delta.Len()}); err != nil {
 		return err
 	}
-	sp.Annotate("retired", len(retired))
-	sp.Annotate("appended", delta.Len())
-	sp.Annotate("lattice_merged", stats.EntriesMerged)
-	sp.Annotate("lattice_dropped", stats.EntriesDropped)
 	metricRowsTombstoned.Add(uint64(len(retired)))
 	metricRowsAppended.Add(uint64(delta.Len()))
-
-	m.appliedCommits += uint64(len(txs))
-	m.appliedEvents += uint64(events)
-	m.appliedLSN = txs[len(txs)-1].End
-	m.lastApplyNano = time.Now().UnixNano()
 
 	// 4. Compact when tombstones dominate the fact table.
 	if m.compactFrac > 0 && fact.Len() >= m.minCompact &&
 		float64(fact.RetiredCount()) > m.compactFrac*float64(fact.Len()) {
-		cs := root.Start("refresh.compact")
-		err := m.rebuildLocked(nil)
-		cs.End()
-		if err != nil {
+		if err := m.rebuildLocked(nil); err != nil {
 			return err
 		}
 		m.compactions++
 		metricCompactions.Inc()
 	}
+
+	m.appliedCommits += uint64(len(txs))
+	m.appliedEvents += uint64(events)
+	m.pos = next
+	m.lastApplyNano = time.Now().UnixNano()
 	return nil
 }
 
 // Run follows the store until ctx is done: apply every available batch,
-// then wait for a commit signal or the poll interval. Errors back off
-// through the config's retry policy and the loop keeps going — a
-// follower should survive transient filesystem trouble.
+// then wait for a commit signal or the poll interval. A failed refresh
+// backs off (minBackoff doubling to maxBackoff, reset by a success) and
+// the loop keeps going — a follower should survive transient filesystem
+// trouble without burning a CPU while the breaker fast-fails.
 func (m *Maintainer) Run(ctx context.Context) error {
-	attempt := 0
+	commits := m.store.SubscribeCommits()
+	defer m.store.UnsubscribeCommits(commits)
+	var backoff time.Duration
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		n, err := m.Refresh()
+		wake, wait := commits, pollInterval
 		if err != nil {
-			attempt++
-			m.cfg.Retry.Backoff(attempt - 1)
-			continue
+			// Back off on the timer alone: commits arriving while the
+			// store is sick must not cut the wait short.
+			backoff = min(max(2*backoff, minBackoff), maxBackoff)
+			wake, wait = nil, backoff
+		} else {
+			backoff = 0
+			if n > 0 {
+				continue // drain before sleeping
+			}
 		}
-		attempt = 0
-		if n > 0 {
-			continue // drain before sleeping
+		timer := time.NewTimer(wait)
+		select {
+		case <-ctx.Done():
+		case <-wake:
+		case <-timer.C:
 		}
-		if err := m.tailer.Wait(ctx, m.cfg.PollInterval); err != nil {
-			return err
-		}
+		timer.Stop()
 	}
-}
-
-// Cursor exposes the acknowledged CDC position (for tests and status).
-func (m *Maintainer) Cursor() oltp.WALCursor { return m.tailer.Cursor() }
-
-// countingWriter discards its input, keeping only the byte count — how
-// resync sizes the serialised snapshot without materialising it.
-type countingWriter struct{ n int64 }
-
-func (w *countingWriter) Write(p []byte) (int, error) {
-	w.n += int64(len(p))
-	return len(p), nil
 }
 
 // Freshness reports warehouse staleness relative to the store.
@@ -572,7 +543,7 @@ func (m *Maintainer) Freshness() Freshness {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	f := Freshness{
-		AppliedLSN:         m.appliedLSN,
+		AppliedLSN:         m.pos,
 		DurableLSN:         durable,
 		AppliedCommits:     m.appliedCommits,
 		StoreCommits:       commits,
@@ -583,7 +554,6 @@ func (m *Maintainer) Freshness() Freshness {
 		Resyncs:            m.resyncs,
 		LastApplyUnixNano:  m.lastApplyNano,
 		LastCommitUnixNano: lastCommit,
-		SnapshotBytes:      m.snapshotBytes,
 		CheckpointBytes:    ckptBytes,
 	}
 	if commits > m.appliedCommits {

@@ -14,7 +14,9 @@ import (
 	"math/rand"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/ddgms/ddgms/internal/core"
 	"github.com/ddgms/ddgms/internal/cube"
@@ -23,6 +25,7 @@ import (
 	"github.com/ddgms/ddgms/internal/govern"
 	"github.com/ddgms/ddgms/internal/oltp"
 	"github.com/ddgms/ddgms/internal/refresh"
+	"github.com/ddgms/ddgms/internal/star"
 	"github.com/ddgms/ddgms/internal/storage"
 	"github.com/ddgms/ddgms/internal/value"
 )
@@ -120,16 +123,15 @@ func assertCaughtUpEquivalent(t *testing.T, label string, m *refresh.Maintainer,
 
 // interleaveEnv is one randomized-run fixture.
 type interleaveEnv struct {
-	store     *oltp.Store
-	m         *refresh.Maintainer
-	cursorDir string
-	raw       *storage.Table
-	next      int // next unstreamed cohort row
-	live      []oltp.RowID
-	fbgIdx    int
-	rng       *rand.Rand
-	commits   int
-	refreshN  int
+	store    *oltp.Store
+	m        *refresh.Maintainer
+	raw      *storage.Table
+	next     int // next unstreamed cohort row
+	live     []oltp.RowID
+	fbgIdx   int
+	rng      *rand.Rand
+	commits  int
+	refreshN int
 }
 
 func newInterleaveEnv(t *testing.T, seed int64, patients int, cfgTweak func(*refresh.Config)) *interleaveEnv {
@@ -143,7 +145,7 @@ func newInterleaveEnv(t *testing.T, seed int64, patients int, cfgTweak func(*ref
 	}
 	dir := t.TempDir()
 	// Small segments and checkpoints so the run crosses rotation and
-	// checkpoint boundaries; the tailer's retention pin must keep the
+	// checkpoint boundaries; the maintainer's retention pin must keep the
 	// feed gap-free throughout.
 	store, err := oltp.OpenWith(filepath.Join(dir, "store"), raw.Schema(),
 		oltp.Options{SegmentBytes: 4 << 10, CheckpointBytes: 16 << 10})
@@ -171,7 +173,6 @@ func newInterleaveEnv(t *testing.T, seed int64, patients int, cfgTweak func(*ref
 	cfg := refresh.Config{
 		Pipeline:   core.NewDiScRiPipeline(),
 		Builder:    core.NewDiScRiBuilder(),
-		CursorDir:  filepath.Join(dir, "cdc"),
 		MaxBatchTx: 8,
 	}
 	if cfgTweak != nil {
@@ -188,7 +189,7 @@ func newInterleaveEnv(t *testing.T, seed int64, patients int, cfgTweak func(*ref
 		t.Fatal("cohort schema has no FBG column")
 	}
 	env := &interleaveEnv{
-		store: store, m: m, cursorDir: cfg.CursorDir, raw: raw, next: third,
+		store: store, m: m, raw: raw, next: third,
 		fbgIdx: fbgIdx, rng: rand.New(rand.NewSource(seed * 7919)),
 	}
 	// Seeded rows are update/delete candidates too.
@@ -214,6 +215,32 @@ func (env *interleaveEnv) commit(t *testing.T, mutate func(tx *oltp.Tx) error) {
 	env.commits++
 }
 
+// insertNext commits the next unstreamed cohort row in its own
+// transaction.
+func (env *interleaveEnv) insertNext(t *testing.T) {
+	t.Helper()
+	env.commit(t, func(tx *oltp.Tx) error {
+		_, err := tx.Insert(oltp.Row(env.raw.Row(env.next)))
+		env.next++
+		return err
+	})
+}
+
+// updateFBG commits a new FBG reading for row id (a no-op commit when an
+// earlier action deleted it).
+func (env *interleaveEnv) updateFBG(t *testing.T, id oltp.RowID) {
+	t.Helper()
+	env.commit(t, func(tx *oltp.Tx) error {
+		row, ok := tx.Get(id)
+		if !ok {
+			return nil
+		}
+		upd := append(oltp.Row(nil), row...)
+		upd[env.fbgIdx] = value.Float(3 + env.rng.Float64()*10)
+		return tx.Update(id, upd)
+	})
+}
+
 // step performs one random action: insert a chunk of cohort rows,
 // update a row's FBG, delete a row, refresh, or query (warming the
 // lattice so later deltas must maintain real entries).
@@ -234,16 +261,7 @@ func (env *interleaveEnv) step(t *testing.T) {
 			return nil
 		})
 	case p < 0.60 && len(env.live) > 0:
-		id := env.live[env.rng.Intn(len(env.live))]
-		env.commit(t, func(tx *oltp.Tx) error {
-			row, ok := tx.Get(id)
-			if !ok {
-				return nil // deleted by an earlier action
-			}
-			upd := append(oltp.Row(nil), row...)
-			upd[env.fbgIdx] = value.Float(3 + env.rng.Float64()*10)
-			return tx.Update(id, upd)
-		})
+		env.updateFBG(t, env.live[env.rng.Intn(len(env.live))])
 	case p < 0.70 && len(env.live) > 8:
 		i := env.rng.Intn(len(env.live))
 		id := env.live[i]
@@ -312,28 +330,20 @@ func TestRefreshRestartRebootstrap(t *testing.T) {
 		env.step(t)
 	}
 	env.drain(t)
-	cursorBefore := env.m.Cursor()
-	if cursorBefore.IsZero() {
-		t.Fatal("maintainer has no cursor after draining")
+	posBefore := env.m.Freshness().AppliedLSN
+	if posBefore.IsZero() {
+		t.Fatal("maintainer has no position after draining")
 	}
 	env.m.Close()
 
 	// Commits while the follower is down.
-	for i := 0; i < 10; i++ {
-		if env.next >= env.raw.Len() {
-			break
-		}
-		env.commit(t, func(tx *oltp.Tx) error {
-			_, err := tx.Insert(oltp.Row(env.raw.Row(env.next)))
-			env.next++
-			return err
-		})
+	for i := 0; i < 10 && env.next < env.raw.Len(); i++ {
+		env.insertNext(t)
 	}
 
 	m2, err := refresh.New(env.store, refresh.Config{
-		Pipeline:  core.NewDiScRiPipeline(),
-		Builder:   core.NewDiScRiBuilder(),
-		CursorDir: env.cursorDir,
+		Pipeline: core.NewDiScRiPipeline(),
+		Builder:  core.NewDiScRiBuilder(),
 	})
 	if err != nil {
 		t.Fatalf("refresh.New after restart: %v", err)
@@ -345,18 +355,14 @@ func TestRefreshRestartRebootstrap(t *testing.T) {
 	if f.LagTx != 0 || f.AppliedCommits != f.StoreCommits {
 		t.Fatalf("successor not caught up after bootstrap: %+v", f)
 	}
-	if m2.Cursor().IsZero() || m2.Cursor().Less(cursorBefore) {
-		t.Fatalf("successor cursor %s did not advance past predecessor's %s", m2.Cursor(), cursorBefore)
+	if f.AppliedLSN.Less(posBefore) {
+		t.Fatalf("successor position %s did not advance past predecessor's %s", f.AppliedLSN, posBefore)
 	}
 	assertCaughtUpEquivalent(t, "after restart", m2, env.store)
 
 	// And it keeps following: stream a few more and drain.
 	for i := 0; i < 5 && env.next < env.raw.Len(); i++ {
-		env.commit(t, func(tx *oltp.Tx) error {
-			_, err := tx.Insert(oltp.Row(env.raw.Row(env.next)))
-			env.next++
-			return err
-		})
+		env.insertNext(t)
 	}
 	for {
 		n, err := m2.Refresh()
@@ -372,8 +378,7 @@ func TestRefreshRestartRebootstrap(t *testing.T) {
 
 // TestRefreshCompaction drives tombstones past the compaction threshold
 // with repeated updates to the same patients and checks the rebuild
-// reclaims them without breaking equivalence or moving the cursor
-// backwards.
+// reclaims them without breaking equivalence.
 func TestRefreshCompaction(t *testing.T) {
 	env := newInterleaveEnv(t, 21, 20, func(cfg *refresh.Config) {
 		cfg.CompactFraction = 0.2
@@ -381,16 +386,7 @@ func TestRefreshCompaction(t *testing.T) {
 	})
 	env.drain(t)
 	for round := 0; round < 40; round++ {
-		id := env.live[env.rng.Intn(len(env.live))]
-		env.commit(t, func(tx *oltp.Tx) error {
-			row, ok := tx.Get(id)
-			if !ok {
-				return nil
-			}
-			upd := append(oltp.Row(nil), row...)
-			upd[env.fbgIdx] = value.Float(3 + env.rng.Float64()*10)
-			return tx.Update(id, upd)
-		})
+		env.updateFBG(t, env.live[env.rng.Intn(len(env.live))])
 		env.drain(t)
 	}
 	f := env.m.Freshness()
@@ -403,48 +399,166 @@ func TestRefreshCompaction(t *testing.T) {
 	assertCaughtUpEquivalent(t, "after compaction", env.m, env.store)
 }
 
-// TestRefreshGapResync severs the tailer's retention pin so a
+// gapResync severs the maintainer's retention pin, pushes the rest of
+// the raw rows through a checkpoint so the unread tail is swept, and
+// refreshes across the gap: exactly one resync must heal it.
+func gapResync(t *testing.T, env *interleaveEnv) {
+	t.Helper()
+	env.store.RetainWALFrom(0)
+	for env.next < env.raw.Len() {
+		env.insertNext(t)
+	}
+	if err := env.store.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	if _, err := env.m.Refresh(); err != nil {
+		t.Fatalf("Refresh across gap: %v", err)
+	}
+	if f := env.m.Freshness(); f.Resyncs != 1 {
+		t.Fatalf("gap triggered %d resyncs, want 1", f.Resyncs)
+	}
+}
+
+// TestRefreshGapResync severs the maintainer's retention pin so a
 // checkpoint truncates unread history, and checks Refresh heals by full
 // resync instead of failing or serving stale data.
 func TestRefreshGapResync(t *testing.T) {
 	env := newInterleaveEnv(t, 31, 25, nil)
 	env.drain(t)
-
-	// Clear the pin the tailer holds, then push the store through a
-	// checkpoint so the unread tail is swept.
-	env.store.RetainWALFrom(0)
-	for env.next < env.raw.Len() {
-		env.commit(t, func(tx *oltp.Tx) error {
-			_, err := tx.Insert(oltp.Row(env.raw.Row(env.next)))
-			env.next++
-			return err
-		})
-	}
-	if err := env.store.Checkpoint(); err != nil {
-		t.Fatalf("Checkpoint: %v", err)
-	}
-
-	if _, err := env.m.Refresh(); err != nil {
-		t.Fatalf("Refresh across gap: %v", err)
-	}
-	f := env.m.Freshness()
-	if f.Resyncs == 0 {
-		t.Fatal("gap did not trigger a resync")
-	}
+	gapResync(t, env)
 	env.drain(t)
 	assertCaughtUpEquivalent(t, "after gap resync", env.m, env.store)
 }
 
-// TestRefreshFreshnessBytes checks the snapshot/checkpoint size fields
-// of the /freshness payload: a bootstrap populates snapshot_bytes, and a
-// store checkpoint populates checkpoint_bytes.
+// TestRefreshGapResyncTailsPostSnapshot checks where a gap resync
+// leaves the tail position: at the resync snapshot's LSN, so the next
+// batch is exactly the commits after the snapshot, with no further gap.
+func TestRefreshGapResyncTailsPostSnapshot(t *testing.T) {
+	env := newInterleaveEnv(t, 33, 25, nil)
+	env.drain(t)
+	gapResync(t, env)
+	if f := env.m.Freshness(); f.LagTx != 0 {
+		t.Fatalf("resync left lag behind the snapshot: %+v", f)
+	}
+
+	// The resync moved the position to the snapshot: the next batch is
+	// exactly the post-snapshot commits, with no further resync.
+	env.updateFBG(t, env.live[0])
+	env.updateFBG(t, env.live[1])
+	if n, err := env.m.Refresh(); err != nil || n != 2 {
+		t.Fatalf("post-resync Refresh = (%d, %v), want the 2 post-snapshot commits", n, err)
+	}
+	if f := env.m.Freshness(); f.Resyncs != 1 || f.LagTx != 0 {
+		t.Fatalf("post-resync tail: %+v, want 1 resync and no lag", f)
+	}
+	assertCaughtUpEquivalent(t, "after post-resync tail", env.m, env.store)
+}
+
+// TestRefreshRetainsSegmentsAcrossCheckpoints checks a lagging
+// maintainer never hits a gap: its retention pin keeps unread segments
+// alive through checkpoint sweeps however far it falls behind.
+func TestRefreshRetainsSegmentsAcrossCheckpoints(t *testing.T) {
+	env := newInterleaveEnv(t, 51, 25, func(cfg *refresh.Config) { cfg.MaxBatchTx = 1 })
+	env.drain(t)
+	applied := env.m.Freshness().AppliedCommits
+
+	streamed := 0
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 10 && env.next < env.raw.Len(); i++ {
+			env.insertNext(t)
+			streamed++
+		}
+		if err := env.store.Checkpoint(); err != nil {
+			t.Fatalf("Checkpoint: %v", err)
+		}
+	}
+	env.drain(t)
+	f := env.m.Freshness()
+	if f.Resyncs != 0 {
+		t.Fatalf("lagging maintainer hit a gap despite retention: %d resyncs", f.Resyncs)
+	}
+	if got := f.AppliedCommits - applied; got != uint64(streamed) {
+		t.Fatalf("lagging maintainer applied %d commits, want the %d streamed", got, streamed)
+	}
+	assertCaughtUpEquivalent(t, "after lagging drain", env.m, env.store)
+}
+
+// TestRefreshResyncPinClosesSnapshotRace checks that a resync pins
+// retention before it cuts its snapshot: a checkpoint landing between
+// the snapshot and the rebuild's end must not sweep the snapshot's
+// position, or the resync meant to heal a gap leads straight into the
+// next one.
+func TestRefreshResyncPinClosesSnapshotRace(t *testing.T) {
+	var env *interleaveEnv
+	pressure := false
+	env = newInterleaveEnv(t, 61, 30, func(cfg *refresh.Config) {
+		// OnRebuild runs after the snapshot, before the resync moves the
+		// pin up to it: commit and checkpoint right there.
+		cfg.OnRebuild = func(*cube.Engine, *star.Schema, *storage.Table) error {
+			if !pressure {
+				return nil
+			}
+			env.updateFBG(t, env.live[env.rng.Intn(len(env.live))])
+			return env.store.Checkpoint()
+		}
+	})
+	env.drain(t)
+	for round := 1; round <= 20; round++ {
+		// Sever the pin and sweep, so the next Refresh must resync.
+		env.store.RetainWALFrom(0)
+		env.updateFBG(t, env.live[env.rng.Intn(len(env.live))])
+		if err := env.store.Checkpoint(); err != nil {
+			t.Fatalf("Checkpoint: %v", err)
+		}
+		pressure = true
+		if _, err := env.m.Refresh(); err != nil {
+			t.Fatalf("round %d: Refresh across gap: %v", round, err)
+		}
+		pressure = false
+		if got := env.m.Freshness().Resyncs; got != uint64(round) {
+			t.Fatalf("round %d: %d resyncs before the post-resync tail, want %d", round, got, round)
+		}
+		env.drain(t)
+		if got := env.m.Freshness().Resyncs; got != uint64(round) {
+			t.Fatalf("round %d: pinned resync hit a gap (%d resyncs, want %d)", round, got, round)
+		}
+	}
+	assertCaughtUpEquivalent(t, "after pinned resyncs", env.m, env.store)
+}
+
+// TestRefreshRunBacksOffWhileFailing runs the follow loop against a
+// breaker whose health probe always fails: the loop must pace its
+// retries instead of spinning on the fast-fails.
+func TestRefreshRunBacksOffWhileFailing(t *testing.T) {
+	var probes atomic.Int64
+	b := govern.NewBreaker(govern.BreakerConfig{
+		Name: "refresh-spin-test",
+		Health: func() error {
+			probes.Add(1)
+			return fmt.Errorf("wal poisoned")
+		},
+	})
+	env := newInterleaveEnv(t, 71, 10, func(cfg *refresh.Config) { cfg.Breaker = b })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if err := env.m.Run(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Run = %v, want the context deadline", err)
+	}
+	// 10 ms doubling fits 5 attempts in 200 ms; allow slack for a slow
+	// scheduler, but not a spin.
+	if n := probes.Load(); n == 0 || n > 20 {
+		t.Fatalf("Run made %d refresh attempts in 200ms against a failing store, want 1..20", n)
+	}
+}
+
+// TestRefreshFreshnessBytes checks the checkpoint size field of the
+// /freshness payload: zero before the store's first checkpoint, the
+// checkpoint's size after it.
 func TestRefreshFreshnessBytes(t *testing.T) {
 	env := newInterleaveEnv(t, 47, 20, nil)
 	env.drain(t)
 	f := env.m.Freshness()
-	if f.SnapshotBytes <= 0 {
-		t.Fatalf("snapshot_bytes = %d after bootstrap, want > 0", f.SnapshotBytes)
-	}
 	if f.CheckpointBytes != 0 {
 		t.Fatalf("checkpoint_bytes = %d before any checkpoint, want 0", f.CheckpointBytes)
 	}
@@ -467,11 +581,7 @@ func TestRefreshFreshnessLag(t *testing.T) {
 		t.Fatalf("lag after drain: %+v", f)
 	}
 	for i := 0; i < 4 && env.next < env.raw.Len(); i++ {
-		env.commit(t, func(tx *oltp.Tx) error {
-			_, err := tx.Insert(oltp.Row(env.raw.Row(env.next)))
-			env.next++
-			return err
-		})
+		env.insertNext(t)
 	}
 	f = env.m.Freshness()
 	if f.LagTx != 4 {
@@ -491,8 +601,8 @@ func TestRefreshFreshnessLag(t *testing.T) {
 }
 
 // TestRefreshBreakerGates: a breaker watching store health fast-fails
-// refresh batches while the dependency is sick, without consuming the
-// CDC cursor — the deferred batch applies intact once health returns.
+// refresh batches while the dependency is sick, without moving the tail
+// position — the deferred batch applies intact once health returns.
 func TestRefreshBreakerGates(t *testing.T) {
 	var mu sync.Mutex
 	var healthErr error
@@ -509,11 +619,7 @@ func TestRefreshBreakerGates(t *testing.T) {
 	if _, err := env.m.Refresh(); err != nil {
 		t.Fatalf("healthy Refresh: %v", err)
 	}
-	env.commit(t, func(tx *oltp.Tx) error {
-		_, err := tx.Insert(oltp.Row(env.raw.Row(env.next)))
-		env.next++
-		return err
-	})
+	env.insertNext(t)
 	mu.Lock()
 	healthErr = fmt.Errorf("wal poisoned")
 	mu.Unlock()
@@ -522,7 +628,7 @@ func TestRefreshBreakerGates(t *testing.T) {
 	}
 	lag := env.m.Freshness().LagTx
 	if lag != 1 {
-		t.Fatalf("fast-failed refresh moved the cursor: lag_tx = %d, want 1", lag)
+		t.Fatalf("fast-failed refresh moved the position: lag_tx = %d, want 1", lag)
 	}
 	mu.Lock()
 	healthErr = nil

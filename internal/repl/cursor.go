@@ -14,10 +14,10 @@ import (
 
 // The follower's replication cursor is the primary's WAL position it
 // has durably applied up to. It lives in its own file — it is a cursor
-// into the *primary's* log, distinct from the local cdc cursor into the
-// follower's own log — with the same magic+uvarint+CRC32-C layout and
-// tmp+sync+rename+dirsync save discipline as the cdc cursor, so a crash
-// mid-save never corrupts it.
+// into the *primary's* log, distinct from the in-memory refresh position
+// in the follower's own log — with a magic+uvarint+CRC32-C layout and
+// the tmp+sync+rename+dirsync save discipline of WAL checkpoints, so a
+// crash mid-save never corrupts it.
 //
 // Version 2 ("DDGRCUR2") stores the replication epoch alongside the
 // cursor in the SAME record: a cursor is only meaningful within the

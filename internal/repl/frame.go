@@ -13,7 +13,8 @@
 // exponential backoff plus jitter, resuming from the durable replication
 // cursor. When the primary has checkpoint-truncated past that cursor it
 // answers the handshake with a full snapshot bootstrap instead (the
-// cdc ErrGap→Reset protocol, extended over the wire).
+// refresh maintainer's ErrTailGap→resync protocol, extended over the
+// wire).
 //
 // The primary pins WAL retention per registered follower so a live
 // follower never needs a resync, and evicts the pin of any follower

@@ -32,10 +32,9 @@ func followTestPlatform(t *testing.T) (*core.Platform, func()) {
 		t.Fatal(err)
 	}
 	if err := p.StartFollow(core.FollowConfig{
-		Pipeline:  core.NewDiScRiPipeline(),
-		Builder:   core.NewDiScRiBuilder(),
-		CursorDir: filepath.Join(dir, "cdc"),
-		Setup:     core.FinishDiScRiSetup,
+		Pipeline: core.NewDiScRiPipeline(),
+		Builder:  core.NewDiScRiBuilder(),
+		Setup:    core.FinishDiScRiSetup,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -221,7 +221,7 @@ func TestUnattendedFailoverConvergence(t *testing.T) {
 	if err := control.Store().LoadTable(raw); err != nil {
 		t.Fatal(err)
 	}
-	startFollowing(t, control, filepath.Join(dir, "control-cdc"))
+	startFollowing(t, control)
 
 	// Node A: initial primary with a restartable HTTP face (it must come
 	// back on the same address its peers and the fronts know).
@@ -233,7 +233,7 @@ func TestUnattendedFailoverConvergence(t *testing.T) {
 	if err := pa.Store().LoadTable(raw); err != nil {
 		t.Fatal(err)
 	}
-	startFollowing(t, pa, filepath.Join(dir, "a-cdc"))
+	startFollowing(t, pa)
 	lnRA := listen(t)
 	if err := pa.AttachPrimary(core.ReplicateListenConfig{
 		Listener:       lnRA,
@@ -268,7 +268,7 @@ func TestUnattendedFailoverConvergence(t *testing.T) {
 		case <-time.After(30 * time.Second):
 			t.Fatalf("%s never synced", name)
 		}
-		startFollowing(t, p, filepath.Join(dir, name+"-cdc"))
+		startFollowing(t, p)
 		p.SetPromoteListen("127.0.0.1:0")
 		return p
 	}
