@@ -5,12 +5,20 @@
 // Subcommands:
 //
 //	generate  -out raw.ddgt [-patients N] [-seed S] [-csv]
-//	transform -in raw.ddgt -out flat.ddgt
-//	query     -in flat.ddgt 'SELECT ... FROM [MedicalMeasures] ...'
+//	transform -in raw.ddgt -out flat.ddgt [-csv]
+//	query     -in flat.ddgt [-chart] 'SELECT ... FROM [MedicalMeasures] ...'
 //	mine      -in flat.ddgt [-algo nb|tree|knn|awsum] [-folds K]
-//	rules     -in flat.ddgt [-support S] [-confidence C]
+//	rules     -in flat.ddgt [-support S] [-confidence C] [-top N]
 //	predict   -in flat.ddgt [-state preDiabetic]
 //	stability -in flat.ddgt
+//	serve     -in flat.ddgt [-addr A] | -follow -data DIR | -replicate-from A -replica-id ID -data DIR
+//	route     -backends URL,URL [-addr A] [-max-staleness D]
+//	report    -in flat.ddgt
+//	sql       -in flat.ddgt 'SELECT ... FROM visits ...'
+//	can       -in flat.ddgt
+//
+// serve and route take further governance and replication flags; -h on
+// either lists them.
 package main
 
 import (

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/ddgms/ddgms/internal/cube"
@@ -159,6 +161,48 @@ func TestPatientRecordOLTPReport(t *testing.T) {
 	}
 }
 
+// TestPatientRecordConcurrentFirstUse releases several first calls at
+// once on fresh stores: whichever loses the race to create the index
+// must still answer, not fail on "index already exists".
+func TestPatientRecordConcurrentFirstUse(t *testing.T) {
+	dcfg := discri.DefaultConfig()
+	dcfg.Patients = 30
+	raw, err := discri.Generate(dcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 5; round++ {
+		p := New(Config{})
+		if err := p.Acquire(raw); err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		errs := make(chan error, 8)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				rows, err := p.PatientRecord("PatientID", value.Int(1))
+				if err == nil && len(rows) == 0 {
+					err = fmt.Errorf("no attendances for patient 1")
+				}
+				errs <- err
+			}()
+		}
+		close(start)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			if err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
+		p.Close()
+	}
+}
+
 func TestDiScRiMine(t *testing.T) {
 	p := smallPlatform(t)
 	ds, err := p.Mine([]string{"FBGBand", "ReflexStatus", "Gender"}, "DiabetesStatus")
@@ -181,7 +225,7 @@ func TestDiScRiMine(t *testing.T) {
 func TestFBGTrendDimension(t *testing.T) {
 	p := smallPlatform(t)
 	cs, err := p.QueryCtx(context.Background(), cube.Query{
-		Rows:    []cube.AttrRef{RefFBGTrend},
+		Rows:    []cube.AttrRef{{Dim: "FastingBloods", Attr: "FBGTrend"}},
 		Cols:    []cube.AttrRef{RefDiabetes},
 		Measure: cube.MeasureRef{Agg: storage.CountAgg},
 	})
@@ -251,11 +295,11 @@ func TestFeedbackLoop(t *testing.T) {
 	err := p.AddFeedbackDimension("ClinicianReview",
 		[]storage.Field{{Name: "Flag", Kind: value.StringKind}},
 		func(s *star.Schema, i int) ([]value.Value, error) {
-			fbg, err := s.Fact().MeasureValue(i, "FBG")
+			fbg, err := s.Fact().Measure("FBG")
 			if err != nil {
 				return nil, err
 			}
-			if f, ok := fbg.AsFloat(); ok && f >= 7 {
+			if f, ok := fbg.Value(i).AsFloat(); ok && f >= 7 {
 				return []value.Value{value.Str("review")}, nil
 			}
 			return []value.Value{value.Str("routine")}, nil

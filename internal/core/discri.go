@@ -81,7 +81,6 @@ var (
 	RefHTStatus   = cube.AttrRef{Dim: "MedicalCondition", Attr: "HypertensionStatus"}
 	RefHTYears    = cube.AttrRef{Dim: "MedicalCondition", Attr: "HTYearsBand"}
 	RefFBGBand    = cube.AttrRef{Dim: "FastingBloods", Attr: "FBGBand"}
-	RefFBGTrend   = cube.AttrRef{Dim: "FastingBloods", Attr: "FBGTrend"}
 	RefReflex     = cube.AttrRef{Dim: "LimbHealth", Attr: "ReflexStatus"}
 	RefDBPBand    = cube.AttrRef{Dim: "BloodPressure", Attr: "DBPBand"}
 	RefRRVarBand  = cube.AttrRef{Dim: "ECG", Attr: "RRVarBand"}

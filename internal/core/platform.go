@@ -255,12 +255,14 @@ func (p *Platform) PatientRecord(patientCol string, pid value.Value) ([]oltp.Row
 	}
 	ids, err := p.store.Lookup(patientCol, pid)
 	if err != nil {
-		// Index missing: create it and retry once.
-		if err := p.store.CreateIndex(patientCol, false); err != nil {
-			return nil, fmt.Errorf("core: indexing %q: %w", patientCol, err)
-		}
-		ids, err = p.store.Lookup(patientCol, pid)
-		if err != nil {
+		// Index missing: create it and look again. A concurrent first
+		// call may create it in between, so a failed create is an error
+		// only when the index is still missing.
+		cerr := p.store.CreateIndex(patientCol)
+		if ids, err = p.store.Lookup(patientCol, pid); err != nil {
+			if cerr != nil {
+				return nil, fmt.Errorf("core: indexing %q: %w", patientCol, cerr)
+			}
 			return nil, err
 		}
 	}
@@ -378,15 +380,6 @@ func (p *Platform) ReinforceFinding(id string) error {
 		return fmt.Errorf("kb: finding %q is retracted", id)
 	}
 	return p.commitKBEvent(kb.Event{Op: kb.EvReinforce, ID: id, At: time.Now().UnixNano()})
-}
-
-// RetractFinding withdraws a finding, routed through the same
-// replicated path as RecordFinding.
-func (p *Platform) RetractFinding(id string) error {
-	if _, err := p.kbase.Get(id); err != nil {
-		return err
-	}
-	return p.commitKBEvent(kb.Event{Op: kb.EvRetract, ID: id, At: time.Now().UnixNano()})
 }
 
 // commitKBEvent routes one KB event through the OLTP store's meta

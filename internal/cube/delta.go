@@ -19,7 +19,7 @@ import (
 //     Both extend in place in O(appended rows): exec.ExtendCoded writes
 //     only the new codes and dictionary entries, keeps each column's
 //     encoding until the column is next rebuilt (compaction, resync,
-//     InvalidateAttr), starts new RLE runs at the append boundary, and
+//     InvalidateDimension), starts new RLE runs at the append boundary, and
 //     leaves every older column header reading as it did; existing codes
 //     never change, so the bitmaps indexed by them stay valid, and only
 //     the bitmaps of members the batch adds rows to grow;
@@ -29,10 +29,10 @@ import (
 //     so this is exact; anything the delta cannot maintain is dropped
 //     and recomputed by the next query's scan.
 //
-// Targeted invalidation (InvalidateAttr / InvalidateDimension) covers
-// schema-shape mutations — feedback dimensions, SCD member rewrites —
-// dropping exactly the caches that could reference the changed attribute
-// instead of everything; InvalidateCaches remains the blanket fallback.
+// Targeted invalidation (InvalidateDimension) covers schema-shape
+// mutations — feedback dimensions — dropping exactly the caches that
+// could reference the changed dimension instead of everything;
+// InvalidateCaches remains the blanket fallback.
 
 // Delta describes one warehouse mutation batch applied to the fact
 // table: rows newly tombstoned via Retire (their ordinals) and the count
@@ -269,35 +269,6 @@ func (e *Engine) deltaEntryLocked(entry *latticeEntry, d Delta, oldN int) bool {
 func (e *Engine) dropAttrLocked(ref AttrRef) {
 	delete(e.codedCols, ref)
 	delete(e.bitmaps, ref)
-}
-
-// entryReferences reports whether a lattice entry depends on ref.
-func entryReferences(entry *latticeEntry, ref AttrRef) bool {
-	for _, a := range entry.attrs {
-		if a == ref {
-			return true
-		}
-	}
-	for _, s := range entry.slicers {
-		if s.Ref == ref {
-			return true
-		}
-	}
-	return entry.measure.Attr != nil && *entry.measure.Attr == ref
-}
-
-// InvalidateAttr drops exactly the caches that could reference one
-// attribute: its coded column, its member bitmaps, and
-// every lattice entry whose axes, slicers or measure touch it. Use after
-// mutating one attribute's values (an SCD type-1 rewrite); blanket
-// InvalidateCaches remains the fallback for anything broader.
-func (e *Engine) InvalidateAttr(ref AttrRef) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.dropAttrLocked(ref)
-	e.dropLatticeEntriesLocked(func(entry *latticeEntry) bool {
-		return entryReferences(entry, ref)
-	})
 }
 
 // InvalidateDimension drops every cache touching any attribute of the

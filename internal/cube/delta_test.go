@@ -189,12 +189,13 @@ func TestApplyDeltaMatchesFreshEngine(t *testing.T) {
 	runBattery(t, "replay", e, schema)
 }
 
-// TestInvalidateAttrTargeted checks per-attribute invalidation drops
-// exactly the caches naming the attribute and leaves the rest warm.
-func TestInvalidateAttrTargeted(t *testing.T) {
+// TestInvalidateDimensionTargeted checks per-dimension invalidation
+// scopes to the named dimension only.
+func TestInvalidateDimensionTargeted(t *testing.T) {
 	e := NewEngine(testStar(t))
 	warm := []Query{
 		{Rows: []AttrRef{refGender}, Measure: MeasureRef{Agg: storage.CountAgg}},
+		{Rows: []AttrRef{refBand10}, Measure: MeasureRef{Agg: storage.CountAgg}},
 		{Rows: []AttrRef{refDia}, Measure: MeasureRef{Agg: storage.CountAgg}},
 		{Rows: []AttrRef{refDia}, Slicers: []Slicer{{Ref: refGender, Values: []value.Value{value.Str("M")}}},
 			Measure: MeasureRef{Agg: storage.CountAgg}},
@@ -204,65 +205,22 @@ func TestInvalidateAttrTargeted(t *testing.T) {
 			t.Fatalf("warm query %d: %v", qi, err)
 		}
 	}
-	before := e.LatticeSize()
-	if before < 3 {
-		t.Fatalf("lattice holds %d entries after warming, want 3", before)
-	}
-	if _, ok := e.codedCols[refGender]; !ok {
-		t.Fatal("no coded column for Gender after group-by")
+	if size := e.LatticeSize(); size != 4 {
+		t.Fatalf("lattice holds %d entries after warming, want 4", size)
 	}
 	if _, ok := e.bitmaps[refGender]; !ok {
 		t.Fatal("no bitmaps for Gender after slicing")
 	}
 
-	e.InvalidateAttr(refGender)
-
-	if _, ok := e.codedCols[refGender]; ok {
-		t.Fatal("Gender coded column survived InvalidateAttr")
-	}
-	if _, ok := e.bitmaps[refGender]; ok {
-		t.Fatal("Gender bitmaps survived InvalidateAttr")
-	}
-	if _, ok := e.codedCols[refDia]; !ok {
-		t.Fatal("Diabetes coded column was collaterally dropped")
-	}
-	// Exactly the Gender-free lattice entry (count by Diabetes) survives.
-	if after := e.LatticeSize(); after != 1 {
-		t.Fatalf("lattice holds %d entries after InvalidateAttr(Gender), want 1", after)
-	}
-	// Queries over the invalidated attribute still answer correctly.
-	cs, err := e.ExecuteCtx(context.Background(), warm[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := cellAt(t, cs, "M", "(all)"); v.Int() != 4 {
-		t.Fatalf("count(M) after invalidation = %v, want 4", v)
-	}
-}
-
-// TestInvalidateDimensionTargeted checks per-dimension invalidation
-// scopes to the named dimension only.
-func TestInvalidateDimensionTargeted(t *testing.T) {
-	e := NewEngine(testStar(t))
-	warm := []Query{
-		{Rows: []AttrRef{refGender}, Measure: MeasureRef{Agg: storage.CountAgg}},
-		{Rows: []AttrRef{refBand10}, Measure: MeasureRef{Agg: storage.CountAgg}},
-		{Rows: []AttrRef{refDia}, Measure: MeasureRef{Agg: storage.CountAgg}},
-	}
-	for qi, q := range warm {
-		if _, err := e.ExecuteCtx(context.Background(), q); err != nil {
-			t.Fatalf("warm query %d: %v", qi, err)
-		}
-	}
-	if size := e.LatticeSize(); size != 3 {
-		t.Fatalf("lattice holds %d entries after warming, want 3", size)
-	}
-
 	e.InvalidateDimension("Personal")
 
-	// Both Personal entries (Gender, AgeBand10) go; Condition survives.
+	// Both Personal entries (Gender, AgeBand10) and the entry sliced on
+	// Gender go; the unsliced Condition entry survives.
 	if size := e.LatticeSize(); size != 1 {
 		t.Fatalf("lattice holds %d entries after InvalidateDimension(Personal), want 1", size)
+	}
+	if _, ok := e.bitmaps[refGender]; ok {
+		t.Fatal("Gender bitmaps survived InvalidateDimension")
 	}
 	for ref := range e.codedCols {
 		if ref.Dim == "Personal" {

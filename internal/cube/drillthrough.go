@@ -60,13 +60,3 @@ func (e *Engine) DrillThrough(q Query, rowTuple, colTuple []value.Value) ([]int,
 	}
 	return out, nil
 }
-
-// DrillThroughCell is a convenience form addressing the cell by its
-// position in an executed cell set (which must have come from the same
-// query).
-func (e *Engine) DrillThroughCell(q Query, cs *CellSet, row, col int) ([]int, error) {
-	if row < 0 || row >= cs.Rows() || col < 0 || col >= cs.Columns() {
-		return nil, fmt.Errorf("cube: cell (%d,%d) outside %dx%d result", row, col, cs.Rows(), cs.Columns())
-	}
-	return e.DrillThrough(q, cs.RowHeaders[row], cs.ColHeaders[col])
-}

@@ -23,7 +23,7 @@ func TestDrillThroughMatchesCellCounts(t *testing.T) {
 	// Every cell's count must equal the number of drilled-through facts.
 	for i := 0; i < cs.Rows(); i++ {
 		for j := 0; j < cs.Columns(); j++ {
-			facts, err := e.DrillThroughCell(q, cs, i, j)
+			facts, err := e.DrillThrough(q, cs.RowHeaders[i], cs.ColHeaders[j])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,13 +78,6 @@ func TestDrillThroughErrors(t *testing.T) {
 	}
 	if _, err := e.DrillThrough(q, []value.Value{value.Str("x")}, []value.Value{value.Str("y")}); err == nil {
 		t.Error("excess column tuple must fail")
-	}
-	cs, err := e.ExecuteCtx(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.DrillThroughCell(q, cs, 99, 0); err == nil {
-		t.Error("out-of-range cell must fail")
 	}
 	// Unknown coordinate values: empty result, not an error.
 	facts, err := e.DrillThrough(q, []value.Value{value.Str("no-such-band")}, nil)

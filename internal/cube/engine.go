@@ -74,7 +74,7 @@ func (e *Engine) SetMemberOrder(ref AttrRef, members []value.Value) {
 }
 
 // InvalidateCaches clears every memoised structure. Call after mutating
-// the star schema (feedback dimensions, SCD updates).
+// the star schema in a way InvalidateDimension does not scope.
 func (e *Engine) InvalidateCaches() {
 	e.mu.Lock()
 	defer e.mu.Unlock()

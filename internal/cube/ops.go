@@ -23,61 +23,29 @@ func Dice(q Query, slicers ...Slicer) Query {
 	return out
 }
 
-// Unslice removes every slicer on the given attribute.
-func Unslice(q Query, ref AttrRef) Query {
-	out := q
-	out.Slicers = nil
-	for _, s := range q.Slicers {
-		if s.Ref != ref {
-			out.Slicers = append(out.Slicers, s)
-		}
-	}
-	return out
-}
-
 // DrillDown replaces the axis attribute ref with the next finer level of
 // the hierarchy that contains it (e.g. AgeBand10 -> AgeBand5 for the
 // paper's Fig 5). It returns an error when ref is not on an axis, belongs
 // to no hierarchy, or is already at the finest level.
 func (e *Engine) DrillDown(q Query, ref AttrRef) (Query, error) {
-	finer, err := e.adjacentLevel(ref, true)
+	finer, err := e.finerLevel(ref)
 	if err != nil {
 		return Query{}, err
 	}
 	return replaceAxisAttr(q, ref, AttrRef{Dim: ref.Dim, Attr: finer})
 }
 
-// RollUp replaces the axis attribute ref with the next coarser level of
-// the hierarchy that contains it.
-func (e *Engine) RollUp(q Query, ref AttrRef) (Query, error) {
-	coarser, err := e.adjacentLevel(ref, false)
-	if err != nil {
-		return Query{}, err
-	}
-	return replaceAxisAttr(q, ref, AttrRef{Dim: ref.Dim, Attr: coarser})
-}
-
-func (e *Engine) adjacentLevel(ref AttrRef, finer bool) (string, error) {
+func (e *Engine) finerLevel(ref AttrRef) (string, error) {
 	dim, ok := e.schema.Dimension(ref.Dim)
 	if !ok {
 		return "", fmt.Errorf("cube: unknown dimension %q", ref.Dim)
 	}
 	for _, h := range dim.Hierarchies() {
-		var next string
-		if finer {
-			next = h.Finer(ref.Attr)
-		} else {
-			next = h.Coarser(ref.Attr)
-		}
-		if next != "" {
+		if next := h.Finer(ref.Attr); next != "" {
 			return next, nil
 		}
 	}
-	dir := "finer"
-	if !finer {
-		dir = "coarser"
-	}
-	return "", fmt.Errorf("cube: no %s level than %s in any hierarchy of %q", dir, ref, ref.Dim)
+	return "", fmt.Errorf("cube: no finer level than %s in any hierarchy of %q", ref, ref.Dim)
 }
 
 func replaceAxisAttr(q Query, from, to AttrRef) (Query, error) {

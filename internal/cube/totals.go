@@ -42,25 +42,6 @@ func (c *CellSet) PercentOfTotal() *CellSet {
 	})
 }
 
-// PercentOfRow returns a derived cell set whose cells are shares of their
-// row total, in percent — the view behind "the proportion of women with
-// diabetes drops substantially over 78".
-func (c *CellSet) PercentOfRow() *CellSet {
-	totals := c.RowTotals()
-	out := c.clone()
-	for i := range out.Cells {
-		for j := range out.Cells[i] {
-			f, ok := out.Cells[i][j].AsFloat()
-			if !ok || totals[i] == 0 {
-				out.Cells[i][j] = value.NA()
-				continue
-			}
-			out.Cells[i][j] = value.Float(100 * f / totals[i])
-		}
-	}
-	return out
-}
-
 // derive maps every cell through fn into a new cell set.
 func (c *CellSet) derive(fn func(value.Value) value.Value) *CellSet {
 	out := c.clone()

@@ -66,24 +66,6 @@ func TestPercentOfTotal(t *testing.T) {
 	}
 }
 
-func TestPercentOfRow(t *testing.T) {
-	cs := totalsCellSet(t)
-	pr := cs.PercentOfRow()
-	for i := 0; i < pr.Rows(); i++ {
-		var sum float64
-		any := false
-		for j := 0; j < pr.Columns(); j++ {
-			if v := pr.Cell(i, j); !v.IsNA() {
-				sum += v.Float()
-				any = true
-			}
-		}
-		if any && (sum < 99.999 || sum > 100.001) {
-			t.Errorf("row %d percents sum to %g", i, sum)
-		}
-	}
-}
-
 func TestPercentOfTotalZero(t *testing.T) {
 	cs := &CellSet{
 		RowHeaders: [][]value.Value{{value.Str("a")}},

@@ -61,21 +61,3 @@ func AssignCardinality(t *storage.Table, patientCol, timeCol, out string) error 
 		return card[i]
 	})
 }
-
-// VisitCounts returns the number of visits per patient id, for validating
-// cardinality assignment and for the Fig 3 harness.
-func VisitCounts(t *storage.Table, patientCol string) (map[value.Value]int, error) {
-	col, err := t.Column(patientCol)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[value.Value]int)
-	for i := 0; i < col.Len(); i++ {
-		v := col.Value(i)
-		if v.IsNA() {
-			continue
-		}
-		out[v]++
-	}
-	return out, nil
-}

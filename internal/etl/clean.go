@@ -1,9 +1,6 @@
 package etl
 
 import (
-	"fmt"
-	"sort"
-
 	"github.com/ddgms/ddgms/internal/storage"
 	"github.com/ddgms/ddgms/internal/value"
 )
@@ -13,76 +10,6 @@ type CleanReport struct {
 	Column   string
 	Step     string
 	Affected int
-}
-
-// ImputeMean replaces missing values of a numeric column with the column
-// mean (in place). It returns the number of imputed cells.
-func ImputeMean(t *storage.Table, column string) (CleanReport, error) {
-	rep := CleanReport{Column: column, Step: "impute-mean"}
-	stats, err := t.Stats(column)
-	if err != nil {
-		return rep, err
-	}
-	if stats.Count == 0 {
-		return rep, nil // nothing to impute from
-	}
-	kind := value.FloatKind
-	if j, ok := t.Schema().Lookup(column); ok {
-		kind = t.Schema().Field(j).Kind
-	}
-	fill := value.Float(stats.Mean)
-	if kind == value.IntKind {
-		fill = value.Int(int64(stats.Mean + 0.5))
-	}
-	for i := 0; i < t.Len(); i++ {
-		if t.MustValue(i, column).IsNA() {
-			if err := t.Set(i, column, fill); err != nil {
-				return rep, err
-			}
-			rep.Affected++
-		}
-	}
-	return rep, nil
-}
-
-// ImputeMode replaces missing values of any column with the most frequent
-// value (in place). It returns the number of imputed cells.
-func ImputeMode(t *storage.Table, column string) (CleanReport, error) {
-	rep := CleanReport{Column: column, Step: "impute-mode"}
-	mode, ok, err := t.Mode(column)
-	if err != nil {
-		return rep, err
-	}
-	if !ok {
-		return rep, nil
-	}
-	for i := 0; i < t.Len(); i++ {
-		if t.MustValue(i, column).IsNA() {
-			if err := t.Set(i, column, mode); err != nil {
-				return rep, err
-			}
-			rep.Affected++
-		}
-	}
-	return rep, nil
-}
-
-// DropMissing returns a new table without the rows that are missing any of
-// the named columns.
-func DropMissing(t *storage.Table, columns ...string) (*storage.Table, error) {
-	for _, c := range columns {
-		if _, ok := t.Schema().Lookup(c); !ok {
-			return nil, fmt.Errorf("etl: unknown column %q", c)
-		}
-	}
-	return t.Filter(func(tb *storage.Table, i int) bool {
-		for _, c := range columns {
-			if tb.MustValue(i, c).IsNA() {
-				return false
-			}
-		}
-		return true
-	}), nil
 }
 
 // RangeRule declares the physiologically plausible range of a clinical
@@ -115,57 +42,4 @@ func ApplyRangeRule(t *storage.Table, r RangeRule) (CleanReport, error) {
 		}
 	}
 	return rep, nil
-}
-
-// NullOutliersIQR nulls values outside the Tukey fences
-// [Q1 - k·IQR, Q3 + k·IQR] of the named numeric column (k = 1.5 is the
-// conventional fence). It reports how many cells it affected.
-func NullOutliersIQR(t *storage.Table, column string, k float64) (CleanReport, error) {
-	rep := CleanReport{Column: column, Step: "iqr-outliers"}
-	col, err := t.Column(column)
-	if err != nil {
-		return rep, err
-	}
-	var xs []float64
-	for i := 0; i < col.Len(); i++ {
-		if f, ok := col.Value(i).AsFloat(); ok {
-			xs = append(xs, f)
-		}
-	}
-	if len(xs) < 4 {
-		return rep, nil
-	}
-	q1, q3 := quantile(xs, 0.25), quantile(xs, 0.75)
-	iqr := q3 - q1
-	lo, hi := q1-k*iqr, q3+k*iqr
-	for i := 0; i < col.Len(); i++ {
-		f, ok := col.Value(i).AsFloat()
-		if !ok {
-			continue
-		}
-		if f < lo || f > hi {
-			if err := t.Set(i, column, value.NA()); err != nil {
-				return rep, err
-			}
-			rep.Affected++
-		}
-	}
-	return rep, nil
-}
-
-// quantile returns the linearly interpolated q-quantile of xs (xs is
-// copied and sorted).
-func quantile(xs []float64, q float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
 }

@@ -28,78 +28,6 @@ func cleanTable(t *testing.T) *storage.Table {
 	return tbl
 }
 
-func TestImputeMean(t *testing.T) {
-	tbl := cleanTable(t)
-	rep, err := ImputeMean(tbl, "FBG")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Affected != 1 {
-		t.Errorf("affected = %d", rep.Affected)
-	}
-	if v := tbl.MustValue(2, "FBG"); v.Float() != 6.0 {
-		t.Errorf("imputed = %v, want mean 6", v)
-	}
-	// Integer column imputes a rounded int.
-	rep, err = ImputeMean(tbl, "Visits")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Affected != 1 {
-		t.Errorf("visits affected = %d", rep.Affected)
-	}
-	if v := tbl.MustValue(1, "Visits"); v.Kind() != value.IntKind || v.Int() != 3 {
-		t.Errorf("imputed visits = %v (mean of 1,3,4 rounds to 3)", v)
-	}
-	if _, err := ImputeMean(tbl, "Nope"); err == nil {
-		t.Error("unknown column must fail")
-	}
-}
-
-func TestImputeMeanAllMissing(t *testing.T) {
-	tbl := storage.MustTable(storage.MustSchema(storage.Field{Name: "X", Kind: value.FloatKind}))
-	tbl.AppendRow([]value.Value{value.NA()})
-	rep, err := ImputeMean(tbl, "X")
-	if err != nil || rep.Affected != 0 {
-		t.Errorf("all-missing impute = %+v, %v", rep, err)
-	}
-	if !tbl.MustValue(0, "X").IsNA() {
-		t.Error("value must stay NA when there is nothing to impute from")
-	}
-}
-
-func TestImputeMode(t *testing.T) {
-	tbl := cleanTable(t)
-	rep, err := ImputeMode(tbl, "Gender")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Affected != 1 {
-		t.Errorf("affected = %d", rep.Affected)
-	}
-	if v := tbl.MustValue(3, "Gender"); v.Str() != "F" {
-		t.Errorf("imputed = %v, want mode F", v)
-	}
-}
-
-func TestDropMissing(t *testing.T) {
-	tbl := cleanTable(t)
-	out, err := DropMissing(tbl, "FBG", "Gender")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 2 {
-		t.Errorf("rows = %d, want 2", out.Len())
-	}
-	if _, err := DropMissing(tbl, "Nope"); err == nil {
-		t.Error("unknown column must fail")
-	}
-	// Original untouched.
-	if tbl.Len() != 4 {
-		t.Error("DropMissing must not modify input")
-	}
-}
-
 func TestApplyRangeRule(t *testing.T) {
 	tbl := storage.MustTable(storage.MustSchema(storage.Field{Name: "SBP", Kind: value.FloatKind}))
 	for _, v := range []float64{120, 135, -5, 400, 90} {
@@ -120,49 +48,5 @@ func TestApplyRangeRule(t *testing.T) {
 	}
 	if _, err := ApplyRangeRule(tbl, RangeRule{Column: "Nope"}); err == nil {
 		t.Error("unknown column must fail")
-	}
-}
-
-func TestNullOutliersIQR(t *testing.T) {
-	tbl := storage.MustTable(storage.MustSchema(storage.Field{Name: "X", Kind: value.FloatKind}))
-	for _, v := range []float64{10, 11, 12, 13, 14, 15, 16, 1000} {
-		tbl.AppendRow([]value.Value{value.Float(v)})
-	}
-	rep, err := NullOutliersIQR(tbl, "X", 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Affected != 1 {
-		t.Errorf("affected = %d", rep.Affected)
-	}
-	if !tbl.MustValue(7, "X").IsNA() {
-		t.Error("outlier not nulled")
-	}
-	// Tiny samples are left alone.
-	small := storage.MustTable(storage.MustSchema(storage.Field{Name: "X", Kind: value.FloatKind}))
-	small.AppendRow([]value.Value{value.Float(1)})
-	rep, err = NullOutliersIQR(small, "X", 1.5)
-	if err != nil || rep.Affected != 0 {
-		t.Errorf("small sample: %+v, %v", rep, err)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	if q := quantile(xs, 0); q != 1 {
-		t.Errorf("q0 = %g", q)
-	}
-	if q := quantile(xs, 1); q != 4 {
-		t.Errorf("q1 = %g", q)
-	}
-	if q := quantile(xs, 0.5); q != 2.5 {
-		t.Errorf("median = %g", q)
-	}
-	if q := quantile([]float64{7}, 0.9); q != 7 {
-		t.Errorf("singleton = %g", q)
-	}
-	// Input must not be reordered.
-	if xs[0] != 4 {
-		t.Error("quantile sorted its input in place")
 	}
 }

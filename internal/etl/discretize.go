@@ -164,27 +164,6 @@ func FitEqualWidth(vals []value.Value, k int) (*cutScheme, error) {
 	return &cutScheme{cuts: cuts, labels: rangeLabels(cuts)}, nil
 }
 
-// FitEqualFrequency fits an unsupervised equal-frequency discretizer with
-// k bins, placing cuts at the k-quantiles of the sample.
-func FitEqualFrequency(vals []value.Value, k int) (*cutScheme, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("etl: equal-frequency needs k >= 1, got %d", k)
-	}
-	xs := numericSamples(vals)
-	if len(xs) == 0 {
-		return nil, fmt.Errorf("etl: equal-frequency: no numeric samples")
-	}
-	sort.Float64s(xs)
-	var cuts []float64
-	for i := 1; i < k; i++ {
-		q := xs[i*len(xs)/k]
-		if len(cuts) == 0 || q > cuts[len(cuts)-1] {
-			cuts = append(cuts, q)
-		}
-	}
-	return &cutScheme{cuts: cuts, labels: rangeLabels(cuts)}, nil
-}
-
 // FitMDLP fits a supervised entropy-based discretizer (Fayyad & Irani's
 // minimum description length principle): cut points are chosen recursively
 // to maximise class-label information gain, stopping when the MDL criterion

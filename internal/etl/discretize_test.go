@@ -125,39 +125,6 @@ func TestFitEqualWidth(t *testing.T) {
 	}
 }
 
-func TestFitEqualFrequency(t *testing.T) {
-	vals := floats(1, 2, 3, 4, 5, 6, 7, 8)
-	d, err := FitEqualFrequency(vals, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Bins should each receive ~2 values.
-	counts := map[string]int{}
-	for _, v := range vals {
-		b, _ := d.Apply(v)
-		counts[b.Str()]++
-	}
-	for b, n := range counts {
-		if n < 1 || n > 3 {
-			t.Errorf("bin %q has %d values", b, n)
-		}
-	}
-	if len(counts) != 4 {
-		t.Errorf("bin count = %d, want 4", len(counts))
-	}
-	// Heavily tied data must not produce duplicate cuts.
-	d2, err := FitEqualFrequency(floats(1, 1, 1, 1, 1, 9), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cuts := d2.Cuts()
-	for i := 1; i < len(cuts); i++ {
-		if cuts[i] <= cuts[i-1] {
-			t.Errorf("duplicate cuts: %v", cuts)
-		}
-	}
-}
-
 func TestFitMDLPSeparatesClasses(t *testing.T) {
 	// Perfectly separable: FBG < 7 healthy, >= 7 diabetic.
 	var vals, labels []value.Value

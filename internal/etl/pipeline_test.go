@@ -3,7 +3,6 @@ package etl
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"github.com/ddgms/ddgms/internal/storage"
 	"github.com/ddgms/ddgms/internal/value"
@@ -81,27 +80,12 @@ func TestAssignCardinalityMissingKeys(t *testing.T) {
 	}
 }
 
-func TestVisitCounts(t *testing.T) {
-	tbl := visitsTable(t)
-	counts, err := VisitCounts(tbl, "PatientID")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counts[value.Int(1)] != 3 || counts[value.Int(2)] != 2 || counts[value.Int(3)] != 1 {
-		t.Errorf("counts = %v", counts)
-	}
-	if _, err := VisitCounts(tbl, "Nope"); err == nil {
-		t.Error("unknown column must fail")
-	}
-}
-
 func TestPipelineEndToEnd(t *testing.T) {
 	tbl := visitsTable(t)
 	fbgScheme := MustManualScheme("FBG", []float64{5.5, 6.1, 7},
 		[]string{"very good", "high", "preDiabetic", "Diabetic"})
 	var p Pipeline
 	p.AddRangeRule("FBG", 2, 30).
-		AddImputeMean("FBG").
 		AddDiscretize("FBG", "FBGBand", fbgScheme).
 		AddCardinality("PatientID", "VisitDate", "VisitNo")
 
@@ -113,14 +97,12 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if tbl.MustValue(5, "FBG").Float() != 400 {
 		t.Error("pipeline modified its input")
 	}
-	// The erroneous 400 was nulled then imputed with the mean of the rest.
-	v := out.MustValue(5, "FBG")
-	if v.IsNA() {
-		t.Fatal("erroneous value not imputed")
+	// The erroneous 400 was nulled, and its band is missing too.
+	if v := out.MustValue(5, "FBG"); !v.IsNA() {
+		t.Errorf("erroneous value = %v, want NA", v)
 	}
-	mean := (5.2 + 6.3 + 5.0 + 7.5) / 4
-	if diff := v.Float() - mean; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("imputed = %v, want %g", v, mean)
+	if v := out.MustValue(5, "FBGBand"); !v.IsNA() {
+		t.Errorf("band of a nulled value = %v, want NA", v)
 	}
 	// Discretised companion column exists alongside the original.
 	if _, ok := out.Schema().Lookup("FBG"); !ok {
@@ -136,7 +118,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 	// Step names recorded in order.
 	steps := p.Steps()
-	if len(steps) != 4 || steps[0] != "range[FBG]" {
+	if len(steps) != 3 || steps[0] != "range[FBG]" {
 		t.Errorf("steps = %v", steps)
 	}
 }
@@ -144,7 +126,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 func TestPipelineErrorPropagation(t *testing.T) {
 	tbl := visitsTable(t)
 	var p Pipeline
-	p.AddImputeMean("Nope")
+	p.AddRangeRule("Nope", 0, 1)
 	if _, err := p.Run(tbl); err == nil {
 		t.Error("pipeline must surface step errors")
 	}
@@ -165,68 +147,6 @@ func TestPipelineDiscretizeNonNumericFails(t *testing.T) {
 	}
 }
 
-func TestPipelineRetriesTransient(t *testing.T) {
-	tbl := visitsTable(t)
-	var slept []time.Duration
-	calls := 0
-	var p Pipeline
-	p.Add(Step{
-		Name: "flaky-source",
-		Apply: func(t *storage.Table) (*storage.Table, error) {
-			calls++
-			if calls < 3 {
-				// Mutate before failing: the retry must not see this.
-				t.MustValue(0, "FBG")
-				return nil, Transient(errors.New("share unreachable"))
-			}
-			return t, nil
-		},
-	}).AddImputeMean("FBG").WithRetry(RetryPolicy{
-		MaxAttempts: 4,
-		BaseDelay:   10 * time.Millisecond,
-		MaxDelay:    15 * time.Millisecond,
-		Sleep:       func(d time.Duration) { slept = append(slept, d) },
-	})
-	out, err := p.Run(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 3 {
-		t.Errorf("calls = %d, want 3", calls)
-	}
-	if out.Len() != tbl.Len() {
-		t.Errorf("rows = %d", out.Len())
-	}
-	// Backoff doubles from BaseDelay and is capped at MaxDelay.
-	want := []time.Duration{10 * time.Millisecond, 15 * time.Millisecond}
-	if len(slept) != len(want) || slept[0] != want[0] || slept[1] != want[1] {
-		t.Errorf("slept = %v, want %v", slept, want)
-	}
-}
-
-func TestPipelineRetryExhausted(t *testing.T) {
-	tbl := visitsTable(t)
-	calls := 0
-	var p Pipeline
-	p.Add(Step{
-		Name: "always-down",
-		Apply: func(t *storage.Table) (*storage.Table, error) {
-			calls++
-			return nil, Transient(errors.New("still unreachable"))
-		},
-	}).WithRetry(RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {}})
-	_, err := p.Run(tbl)
-	if err == nil {
-		t.Fatal("exhausted retries must fail")
-	}
-	if calls != 3 {
-		t.Errorf("calls = %d, want 3", calls)
-	}
-	if !IsTransient(err) {
-		t.Errorf("wrapped error lost its transient mark: %v", err)
-	}
-}
-
 func TestPipelinePermanentErrorNotRetried(t *testing.T) {
 	tbl := visitsTable(t)
 	calls := 0
@@ -237,60 +157,12 @@ func TestPipelinePermanentErrorNotRetried(t *testing.T) {
 			calls++
 			return nil, errors.New("no such column")
 		},
-	}).WithRetry(RetryPolicy{MaxAttempts: 5, Sleep: func(time.Duration) {}})
+	})
 	if _, err := p.Run(tbl); err == nil {
-		t.Fatal("permanent error must surface")
+		t.Fatal("step error must surface")
 	}
 	if calls != 1 {
-		t.Errorf("calls = %d, want 1 (permanent errors are not retried)", calls)
-	}
-}
-
-func TestPipelineRetryCloneIsolation(t *testing.T) {
-	// A step that mutates its input and then fails transiently must not
-	// leak the mutation into the successful attempt.
-	tbl := visitsTable(t)
-	calls := 0
-	var p Pipeline
-	p.Add(Step{
-		Name: "mutate-then-fail",
-		Apply: func(in *storage.Table) (*storage.Table, error) {
-			calls++
-			if err := in.AddColumn(storage.Field{Name: "Scratch", Kind: value.IntKind},
-				func(int) value.Value { return value.Int(int64(calls)) }); err != nil {
-				return nil, err
-			}
-			if calls == 1 {
-				return nil, Transient(errors.New("flake"))
-			}
-			return in, nil
-		},
-	}).WithRetry(RetryPolicy{MaxAttempts: 2, Sleep: func(time.Duration) {}})
-	out, err := p.Run(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Had the failed attempt's mutation leaked, the second AddColumn of
-	// "Scratch" would have errored on a duplicate column.
-	if got := out.MustValue(0, "Scratch").Int(); got != 2 {
-		t.Errorf("Scratch = %d, want 2 (value from the successful attempt)", got)
-	}
-}
-
-func TestTransientHelpers(t *testing.T) {
-	if Transient(nil) != nil {
-		t.Error("Transient(nil) must be nil")
-	}
-	base := errors.New("boom")
-	te := Transient(base)
-	if !IsTransient(te) {
-		t.Error("IsTransient(Transient(err)) = false")
-	}
-	if !errors.Is(te, base) {
-		t.Error("Transient must wrap the original error")
-	}
-	if IsTransient(base) {
-		t.Error("unmarked error reported transient")
+		t.Errorf("calls = %d, want 1 (a failed step is not retried)", calls)
 	}
 }
 
@@ -300,7 +172,7 @@ func TestPipelineCustomStep(t *testing.T) {
 	p.Add(Step{
 		Name: "drop-missing",
 		Apply: func(t *storage.Table) (*storage.Table, error) {
-			return DropMissing(t, "FBG")
+			return t.Filter(func(tb *storage.Table, i int) bool { return !tb.MustValue(i, "FBG").IsNA() }), nil
 		},
 	})
 	out, err := p.Run(tbl)

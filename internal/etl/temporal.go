@@ -14,8 +14,7 @@ import (
 // abstraction maps each reading into a qualitative state via a
 // discretisation scheme, trend abstraction classifies the local slope, and
 // persistence merging collapses consecutive identical states into
-// intervals. Conflict detection verifies that independently derived
-// abstractions agree where they overlap.
+// intervals.
 
 // Observation is one time-stamped reading of a variable.
 type Observation struct {
@@ -62,60 +61,12 @@ func AbstractStates(obs []Observation, d Discretizer) ([]Interval, error) {
 	return out, nil
 }
 
-// Trend labels produced by AbstractTrends.
+// Trend labels assigned by Pipeline.AddTrend.
 const (
 	TrendIncreasing = "increasing"
 	TrendDecreasing = "decreasing"
 	TrendSteady     = "steady"
 )
-
-// AbstractTrends classifies the change between consecutive numeric
-// observations as increasing, decreasing or steady (absolute slope per day
-// below epsilonPerDay), then persistence-merges runs of the same trend.
-// At least two non-NA observations are required to produce any interval.
-func AbstractTrends(obs []Observation, epsilonPerDay float64) ([]Interval, error) {
-	if epsilonPerDay < 0 {
-		return nil, fmt.Errorf("etl: trend abstraction: negative epsilon")
-	}
-	sorted := make([]Observation, 0, len(obs))
-	for _, o := range obs {
-		if o.V.IsNA() {
-			continue
-		}
-		if _, ok := o.V.AsFloat(); !ok {
-			return nil, fmt.Errorf("etl: trend abstraction: non-numeric %v value", o.V.Kind())
-		}
-		sorted = append(sorted, o)
-	}
-	sortObservations(sorted)
-	var out []Interval
-	for i := 1; i < len(sorted); i++ {
-		prev, cur := sorted[i-1], sorted[i]
-		pf, _ := prev.V.AsFloat()
-		cf, _ := cur.V.AsFloat()
-		days := cur.At.Sub(prev.At).Hours() / 24
-		var slope float64
-		if days > 0 {
-			slope = (cf - pf) / days
-		} else {
-			slope = 0
-		}
-		state := TrendSteady
-		switch {
-		case slope > epsilonPerDay:
-			state = TrendIncreasing
-		case slope < -epsilonPerDay:
-			state = TrendDecreasing
-		}
-		if n := len(out); n > 0 && out[n-1].State == state {
-			out[n-1].End = cur.At
-			out[n-1].N++
-			continue
-		}
-		out = append(out, Interval{State: state, Start: prev.At, End: cur.At, N: 2})
-	}
-	return out, nil
-}
 
 // TrendBaseline labels a visit with no usable predecessor (the patient's
 // first visit, or missing data either side).
@@ -185,31 +136,4 @@ func assignTrend(t *storage.Table, patientCol, timeCol, measureCol, out string, 
 	return t.AddColumn(storage.Field{Name: out, Kind: value.StringKind}, func(i int) value.Value {
 		return labels[i]
 	})
-}
-
-// Conflict reports a disagreement between two abstraction sequences over
-// the same variable: overlapping intervals that assert different states.
-type Conflict struct {
-	A, B Interval
-}
-
-// FindConflicts returns every pair of overlapping intervals from a and b
-// that disagree on state. The paper stresses that multivariate clinical
-// abstractions must not conflict; this is the checking half of that
-// requirement. Sequences with disjoint state vocabularies (e.g. states vs
-// trends) will report every overlap, so callers should compare like with
-// like.
-func FindConflicts(a, b []Interval) []Conflict {
-	var out []Conflict
-	for _, ia := range a {
-		for _, ib := range b {
-			if ia.End.Before(ib.Start) || ib.End.Before(ia.Start) {
-				continue
-			}
-			if ia.State != ib.State {
-				out = append(out, Conflict{A: ia, B: ib})
-			}
-		}
-	}
-	return out
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ddgms/ddgms/internal/storage"
 	"github.com/ddgms/ddgms/internal/value"
 )
 
@@ -70,71 +71,53 @@ func TestAbstractStatesEmpty(t *testing.T) {
 	}
 }
 
+// trendLabels runs the pipeline's trend step over one patient's readings
+// and returns the label of each reading, in input order.
+func trendLabels(t *testing.T, readings []Observation, epsilonPerDay float64) []string {
+	t.Helper()
+	tbl := storage.MustTable(storage.MustSchema(
+		storage.Field{Name: "P", Kind: value.IntKind},
+		storage.Field{Name: "D", Kind: value.TimeKind},
+		storage.Field{Name: "V", Kind: value.FloatKind},
+	))
+	for _, o := range readings {
+		if err := tbl.AppendRow([]value.Value{value.Int(1), value.Time(o.At), o.V}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var p Pipeline
+	out, err := p.AddTrend("P", "D", "V", "T", epsilonPerDay).Run(tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := make([]string, out.Len())
+	for i := range labels {
+		labels[i] = out.MustValue(i, "T").String()
+	}
+	return labels
+}
+
 func TestAbstractTrends(t *testing.T) {
 	readings := []Observation{
 		mkObs(0, 100), mkObs(10, 120), mkObs(20, 140), // increasing (2/day)
 		mkObs(30, 140.1), // steady (0.01/day)
 		mkObs(40, 100),   // decreasing
 	}
-	ivals, err := AbstractTrends(readings, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{TrendIncreasing, TrendSteady, TrendDecreasing}
-	if len(ivals) != len(want) {
-		t.Fatalf("intervals = %+v", ivals)
-	}
+	want := []string{TrendBaseline, TrendIncreasing, TrendIncreasing, TrendSteady, TrendDecreasing}
+	got := trendLabels(t, readings, 0.5)
 	for i, w := range want {
-		if ivals[i].State != w {
-			t.Errorf("interval %d = %s, want %s", i, ivals[i].State, w)
+		if got[i] != w {
+			t.Errorf("reading %d = %s, want %s", i, got[i], w)
 		}
-	}
-	// The increasing run covers three observations merged into one interval.
-	if ivals[0].N != 3 {
-		t.Errorf("increasing N = %d, want 3 (2 pairs merge to 3 observations)", ivals[0].N)
 	}
 }
 
 func TestAbstractTrendsEdgeCases(t *testing.T) {
-	if _, err := AbstractTrends(nil, -1); err == nil {
-		t.Error("negative epsilon must fail")
-	}
-	if ivals, err := AbstractTrends([]Observation{mkObs(0, 1)}, 0.5); err != nil || len(ivals) != 0 {
-		t.Errorf("single observation: %v, %v", ivals, err)
-	}
-	if _, err := AbstractTrends([]Observation{{At: day(0), V: value.Str("x")}, mkObs(1, 2)}, 0.5); err == nil {
-		t.Error("non-numeric must fail")
+	if got := trendLabels(t, []Observation{mkObs(0, 1)}, 0.5); got[0] != TrendBaseline {
+		t.Errorf("single observation = %v, want baseline", got)
 	}
 	// Same-timestamp observations: zero elapsed time counts as steady.
-	ivals, err := AbstractTrends([]Observation{mkObs(0, 1), mkObs(0, 100)}, 0.5)
-	if err != nil || len(ivals) != 1 || ivals[0].State != TrendSteady {
-		t.Errorf("zero-elapsed = %+v, %v", ivals, err)
-	}
-}
-
-func TestFindConflicts(t *testing.T) {
-	a := []Interval{
-		{State: "normal", Start: day(0), End: day(30)},
-		{State: "elevated", Start: day(31), End: day(60)},
-	}
-	b := []Interval{
-		{State: "normal", Start: day(10), End: day(40)}, // overlaps both
-	}
-	conflicts := FindConflicts(a, b)
-	if len(conflicts) != 1 {
-		t.Fatalf("conflicts = %d, want 1: %+v", len(conflicts), conflicts)
-	}
-	if conflicts[0].A.State != "elevated" || conflicts[0].B.State != "normal" {
-		t.Errorf("conflict = %+v", conflicts[0])
-	}
-	// Disjoint intervals never conflict.
-	c := []Interval{{State: "x", Start: day(100), End: day(110)}}
-	if got := FindConflicts(a, c); len(got) != 0 {
-		t.Errorf("disjoint conflicts = %+v", got)
-	}
-	// Agreement never conflicts.
-	d := []Interval{{State: "normal", Start: day(0), End: day(30)}}
-	if got := FindConflicts(a[:1], d); len(got) != 0 {
-		t.Errorf("agreeing conflicts = %+v", got)
+	if got := trendLabels(t, []Observation{mkObs(0, 1), mkObs(0, 100)}, 0.5); got[1] != TrendSteady {
+		t.Errorf("zero-elapsed = %v, want baseline then steady", got)
 	}
 }

@@ -200,9 +200,6 @@ func PackCodes(codes []uint32, values []value.Value) *PackedColumn {
 
 func (c *PackedColumn) Len() int { return c.n }
 
-// Width reports the per-code bit width.
-func (c *PackedColumn) Width() uint { return c.width }
-
 func (c *PackedColumn) Code(i int) uint32 {
 	return uint32(c.words[i/c.perW] >> (uint(i%c.perW) * c.width) & (1<<c.width - 1))
 }
@@ -289,9 +286,6 @@ func (c *RLEColumn) Len() int {
 	}
 	return int(c.ends[len(c.ends)-1])
 }
-
-// NumRuns reports the number of runs.
-func (c *RLEColumn) NumRuns() int { return len(c.codes) }
 
 // Run returns run r as [start, end) plus its code.
 func (c *RLEColumn) Run(r int) (start, end int, code uint32) {

@@ -7,3 +7,6 @@ var (
 	GroupByWorkers = groupBy
 	SameGroups     = sameGroups
 )
+
+// Width reports the per-code bit width.
+func (c *PackedColumn) Width() uint { return c.width }

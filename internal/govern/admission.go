@@ -3,7 +3,6 @@ package govern
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -23,41 +22,6 @@ type Admission struct {
 	mu    sync.Mutex
 	inUse int
 	queue []*waiter
-
-	// Cumulative disposition counters, mirrored into the obs registry.
-	// They are exported through Stats so harnesses (the load generator's
-	// reporter, the soak) can read shed counts without scraping the
-	// Prometheus text exposition.
-	admitted     atomic.Uint64
-	shedFull     atomic.Uint64
-	shedTimedOut atomic.Uint64
-	shedGone     atomic.Uint64
-}
-
-// AdmissionStats is a point-in-time census of an admission controller's
-// cumulative dispositions. Shed reasons match the reason label on the
-// ddgms_govern_shed_total metric family: queue_full maps to HTTP 429,
-// wait_timeout to 503, cancelled to requests whose client gave up while
-// queued.
-type AdmissionStats struct {
-	Admitted        uint64 `json:"admitted"`
-	ShedQueueFull   uint64 `json:"shed_queue_full"`
-	ShedWaitTimeout uint64 `json:"shed_wait_timeout"`
-	ShedCancelled   uint64 `json:"shed_cancelled"`
-}
-
-// Shed is the total number of requests refused for capacity reasons
-// (excluding client-side cancellations, which do not indict capacity).
-func (s AdmissionStats) Shed() uint64 { return s.ShedQueueFull + s.ShedWaitTimeout }
-
-// Stats snapshots the cumulative disposition counters.
-func (a *Admission) Stats() AdmissionStats {
-	return AdmissionStats{
-		Admitted:        a.admitted.Load(),
-		ShedQueueFull:   a.shedFull.Load(),
-		ShedWaitTimeout: a.shedTimedOut.Load(),
-		ShedCancelled:   a.shedGone.Load(),
-	}
 }
 
 // waiter is one queued request. granted flips under the admission lock
@@ -93,7 +57,6 @@ func NewAdmission(maxConcurrent, queueDepth int, maxWait time.Duration) *Admissi
 // context's error.
 func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
 	if err := ctx.Err(); err != nil {
-		a.shedGone.Add(1)
 		metricShed.WithLabelValues("cancelled").Inc()
 		return nil, err
 	}
@@ -102,14 +65,12 @@ func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
 		a.inUse++
 		running := a.inUse
 		a.mu.Unlock()
-		a.admitted.Add(1)
 		metricAdmitted.Inc()
 		metricRunning.Set(float64(running))
 		return a.releaseOnce(), nil
 	}
 	if len(a.queue) >= a.depth {
 		a.mu.Unlock()
-		a.shedFull.Add(1)
 		metricShed.WithLabelValues("queue_full").Inc()
 		return nil, ErrQueueFull
 	}
@@ -128,7 +89,6 @@ func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
 	select {
 	case <-wt.ready:
 		metricWaitSeconds.ObserveSince(start)
-		a.admitted.Add(1)
 		metricAdmitted.Inc()
 		return a.releaseOnce(), nil
 	case <-ctx.Done():
@@ -137,14 +97,12 @@ func (a *Admission) Acquire(ctx context.Context) (release func(), err error) {
 			// Granted in the race window: hand the slot straight back.
 			a.release()
 		}
-		a.shedGone.Add(1)
 		metricShed.WithLabelValues("cancelled").Inc()
 		return nil, err
 	case <-timeout:
 		if !a.abandon(wt) {
 			a.release()
 		}
-		a.shedTimedOut.Add(1)
 		metricShed.WithLabelValues("wait_timeout").Inc()
 		return nil, ErrWaitTimeout
 	}
@@ -201,18 +159,4 @@ func (a *Admission) abandon(wt *waiter) bool {
 	}
 	// Unreachable: an ungranted waiter is always linked.
 	return true
-}
-
-// Running reports the current number of admitted holders.
-func (a *Admission) Running() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.inUse
-}
-
-// Queued reports the current wait-queue length.
-func (a *Admission) Queued() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.queue)
 }

@@ -6,9 +6,35 @@ import (
 	"time"
 )
 
-// Stats must mirror the dispositions exactly: every Acquire lands in
-// precisely one counter.
+// dispositions is a reading of the admission metric counters. No govern
+// test runs in parallel, so the difference of two readings taken around
+// a test's Acquire calls counts exactly that test's dispositions.
+type dispositions struct {
+	admitted, queueFull, waitTimeout, cancelled uint64
+}
+
+func readDispositions() dispositions {
+	return dispositions{
+		admitted:    metricAdmitted.Value(),
+		queueFull:   metricShed.WithLabelValues("queue_full").Value(),
+		waitTimeout: metricShed.WithLabelValues("wait_timeout").Value(),
+		cancelled:   metricShed.WithLabelValues("cancelled").Value(),
+	}
+}
+
+func (d dispositions) since(before dispositions) dispositions {
+	return dispositions{
+		admitted:    d.admitted - before.admitted,
+		queueFull:   d.queueFull - before.queueFull,
+		waitTimeout: d.waitTimeout - before.waitTimeout,
+		cancelled:   d.cancelled - before.cancelled,
+	}
+}
+
+// The metrics must mirror the dispositions exactly: every Acquire lands
+// in precisely one counter.
 func TestAdmissionStats(t *testing.T) {
+	before := readDispositions()
 	a := NewAdmission(1, 0, 0)
 
 	release, err := a.Acquire(context.Background())
@@ -29,19 +55,14 @@ func TestAdmissionStats(t *testing.T) {
 	}
 	release()
 
-	st := a.Stats()
-	if st.Admitted != 2 {
-		t.Fatalf("admitted = %d, want 2", st.Admitted)
-	}
-	if st.ShedQueueFull != 1 {
-		t.Fatalf("shed_queue_full = %d, want 1", st.ShedQueueFull)
-	}
-	if st.Shed() != 1 {
-		t.Fatalf("Shed() = %d, want 1", st.Shed())
+	st := readDispositions().since(before)
+	if st != (dispositions{admitted: 2, queueFull: 1}) {
+		t.Fatalf("dispositions = %+v, want 2 admitted and 1 queue_full", st)
 	}
 }
 
 func TestAdmissionStatsWaitTimeout(t *testing.T) {
+	before := readDispositions()
 	a := NewAdmission(1, 4, 20*time.Millisecond)
 	release, err := a.Acquire(context.Background())
 	if err != nil {
@@ -52,16 +73,14 @@ func TestAdmissionStatsWaitTimeout(t *testing.T) {
 	}
 	release()
 
-	st := a.Stats()
-	if st.ShedWaitTimeout != 1 {
-		t.Fatalf("shed_wait_timeout = %d, want 1", st.ShedWaitTimeout)
-	}
-	if st.Admitted != 1 {
-		t.Fatalf("admitted = %d, want 1", st.Admitted)
+	st := readDispositions().since(before)
+	if st != (dispositions{admitted: 1, waitTimeout: 1}) {
+		t.Fatalf("dispositions = %+v, want 1 admitted and 1 wait_timeout", st)
 	}
 }
 
 func TestAdmissionStatsCancelled(t *testing.T) {
+	before := readDispositions()
 	a := NewAdmission(1, 4, 0)
 	release, err := a.Acquire(context.Background())
 	if err != nil {
@@ -80,12 +99,10 @@ func TestAdmissionStatsCancelled(t *testing.T) {
 	}
 	release()
 
-	st := a.Stats()
-	if st.ShedCancelled != 1 {
-		t.Fatalf("shed_cancelled = %d, want 1", st.ShedCancelled)
-	}
-	// Cancellations do not indict capacity: Shed() excludes them.
-	if st.Shed() != 0 {
-		t.Fatalf("Shed() = %d, want 0", st.Shed())
+	// A client that gives up while queued counts as cancelled, not as a
+	// capacity shed.
+	st := readDispositions().since(before)
+	if st != (dispositions{admitted: 1, cancelled: 1}) {
+		t.Fatalf("dispositions = %+v, want 1 admitted and 1 cancelled", st)
 	}
 }

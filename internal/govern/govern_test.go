@@ -360,3 +360,17 @@ func TestBreakerHealthFastFail(t *testing.T) {
 		t.Fatalf("state = %v", got)
 	}
 }
+
+// Running reports the current number of admitted holders.
+func (a *Admission) Running() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.inUse
+}
+
+// Queued reports the current wait-queue length.
+func (a *Admission) Queued() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.queue)
+}

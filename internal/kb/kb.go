@@ -7,9 +7,7 @@
 package kb
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -39,8 +37,9 @@ type Finding struct {
 	UpdatedAt time.Time `json:"updated_at"`
 }
 
-// Base is an in-memory knowledge base with JSON persistence. It is safe
-// for concurrent use.
+// Base is an in-memory knowledge base. Durable deployments persist it
+// through the OLTP store as events (see Event). It is safe for
+// concurrent use.
 type Base struct {
 	// PromotionThreshold is the evidence count at which a candidate is
 	// promoted; 0 means 3.
@@ -115,19 +114,6 @@ func (b *Base) reinforceLocked(f *Finding) {
 	}
 }
 
-// Retract marks a finding as withdrawn (e.g. contradicted by new data).
-func (b *Base) Retract(id string) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	f, ok := b.findings[id]
-	if !ok {
-		return fmt.Errorf("kb: unknown finding %q", id)
-	}
-	f.Status = Retracted
-	f.UpdatedAt = b.now()
-	return nil
-}
-
 // Get returns a copy of a finding.
 func (b *Base) Get(id string) (Finding, error) {
 	b.mu.RLock()
@@ -182,7 +168,7 @@ func (b *Base) Len() int {
 	return len(b.Search(""))
 }
 
-// persisted is the on-disk form, shared with the EvState event payload.
+// persisted is the state image an EvState event carries.
 type persisted struct {
 	PromotionThreshold int        `json:"promotion_threshold"`
 	Seq                int        `json:"seq"`
@@ -192,43 +178,4 @@ type persisted struct {
 // sortPersisted orders findings by id so encodings are deterministic.
 func sortPersisted(p *persisted) {
 	sort.Slice(p.Findings, func(a, c int) bool { return p.Findings[a].ID < p.Findings[c].ID })
-}
-
-// Save writes the knowledge base as JSON.
-func (b *Base) Save(path string) error {
-	b.mu.RLock()
-	p := persisted{PromotionThreshold: b.PromotionThreshold, Seq: b.seq}
-	for _, f := range b.findings {
-		cp := *f
-		p.Findings = append(p.Findings, &cp)
-	}
-	b.mu.RUnlock()
-	sortPersisted(&p)
-	data, err := json.MarshalIndent(p, "", "  ")
-	if err != nil {
-		return fmt.Errorf("kb: encoding: %w", err)
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("kb: writing: %w", err)
-	}
-	return os.Rename(tmp, path)
-}
-
-// Load reads a knowledge base previously written by Save.
-func Load(path string) (*Base, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("kb: reading: %w", err)
-	}
-	var p persisted
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("kb: decoding: %w", err)
-	}
-	b := New(p.PromotionThreshold)
-	b.seq = p.Seq
-	for _, f := range p.Findings {
-		b.findings[f.ID] = f
-	}
-	return b, nil
 }

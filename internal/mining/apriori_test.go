@@ -112,91 +112,6 @@ func TestAprioriErrors(t *testing.T) {
 	}
 }
 
-func TestKModesClustersSeparatedData(t *testing.T) {
-	ds := &Dataset{Features: []string{"A", "B", "C"}}
-	addN := func(a, b, c string, n int) {
-		for i := 0; i < n; i++ {
-			ds.X = append(ds.X, []value.Value{value.Str(a), value.Str(b), value.Str(c)})
-			ds.Y = append(ds.Y, value.Str("unused"))
-		}
-	}
-	addN("x", "x", "x", 40)
-	addN("y", "y", "y", 40)
-	km := NewKModes(2, 42)
-	assign, err := km.Fit(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Perfectly separated: all x-instances share a cluster, all y another.
-	if assign[0] == assign[40] {
-		t.Error("clusters not separated")
-	}
-	for i := 1; i < 40; i++ {
-		if assign[i] != assign[0] || assign[40+i] != assign[40] {
-			t.Fatalf("instance %d misassigned", i)
-		}
-	}
-	cost, err := km.Cost(ds, assign)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost != 0 {
-		t.Errorf("cost = %d, want 0 for perfectly separated data", cost)
-	}
-}
-
-func TestKModesDeterministicForSeed(t *testing.T) {
-	ds := diabetesDatasetCategorical(120, 21)
-	a1, err := NewKModes(3, 7).Fit(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := NewKModes(3, 7).Fit(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a1 {
-		if a1[i] != a2[i] {
-			t.Fatal("k-modes not deterministic for a fixed seed")
-		}
-	}
-}
-
-func diabetesDatasetCategorical(n int, seed int64) *Dataset {
-	raw := diabetesDataset(n, seed)
-	ds := &Dataset{Features: raw.Features}
-	for i, x := range raw.X {
-		band := "normal"
-		if f, _ := x[0].AsFloat(); f >= 7 {
-			band = "high"
-		}
-		ds.X = append(ds.X, []value.Value{value.Str(band), x[1], x[2]})
-		ds.Y = append(ds.Y, raw.Y[i])
-	}
-	return ds
-}
-
-func TestKModesErrors(t *testing.T) {
-	ds := diabetesDatasetCategorical(10, 22)
-	if _, err := NewKModes(0, 1).Fit(ds); err == nil {
-		t.Error("k=0 must fail")
-	}
-	if _, err := NewKModes(11, 1).Fit(ds); err == nil {
-		t.Error("k > n must fail")
-	}
-	km := NewKModes(2, 1)
-	if _, err := km.Cost(ds, nil); err == nil {
-		t.Error("cost before fit must fail")
-	}
-	assign, err := km.Fit(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := km.Cost(ds, assign[:1]); err == nil {
-		t.Error("short assignment must fail")
-	}
-}
-
 func TestKNNNeighbours(t *testing.T) {
 	ds := diabetesDataset(50, 23)
 	knn := NewKNN(3)

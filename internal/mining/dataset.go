@@ -1,9 +1,8 @@
 // Package mining implements the Data Analytics feature of the DD-DGMS
 // architecture: classification (Naive Bayes, ID3-style decision trees,
 // k-nearest-neighbour and the AWSum weight-of-evidence classifier of the
-// paper's ref [9]), association-rule mining (Apriori) and categorical
-// clustering (k-modes), together with stratified cross-validation and
-// confusion-matrix evaluation.
+// paper's ref [9]) and association-rule mining (Apriori), together with
+// stratified cross-validation and confusion-matrix evaluation.
 //
 // In the architecture these algorithms run over cube subsets isolated with
 // OLAP — "cubes of data that are of interest to the clinical scientist can

@@ -45,35 +45,6 @@ func (cm *ConfusionMatrix) Accuracy() float64 {
 	return float64(cm.Correct) / float64(cm.Total)
 }
 
-// Recall returns the per-class recall (sensitivity) for class c.
-func (cm *ConfusionMatrix) Recall(c value.Value) float64 {
-	row := cm.Counts[c]
-	total := 0
-	for _, n := range row {
-		total += n
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(row[c]) / float64(total)
-}
-
-// Precision returns the per-class precision for class c.
-func (cm *ConfusionMatrix) Precision(c value.Value) float64 {
-	tp, fp := 0, 0
-	for truth, row := range cm.Counts {
-		if truth.Equal(c) {
-			tp += row[c]
-		} else {
-			fp += row[c]
-		}
-	}
-	if tp+fp == 0 {
-		return 0
-	}
-	return float64(tp) / float64(tp+fp)
-}
-
 // String renders the matrix with classes sorted.
 func (cm *ConfusionMatrix) String() string {
 	classes := append([]value.Value(nil), cm.Classes...)
@@ -150,19 +121,4 @@ func CrossValidate(factory func() Classifier, d *Dataset, k int, seed int64) (*C
 		}
 	}
 	return cm, nil
-}
-
-// TrainTestSplit shuffles indices and splits them with trainFrac in the
-// training portion.
-func TrainTestSplit(d *Dataset, trainFrac float64, seed int64) (train, test []int, err error) {
-	if trainFrac <= 0 || trainFrac >= 1 {
-		return nil, nil, fmt.Errorf("mining: trainFrac must be in (0,1), got %g", trainFrac)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	idx := rng.Perm(d.Len())
-	cut := int(float64(d.Len()) * trainFrac)
-	if cut == 0 || cut == d.Len() {
-		return nil, nil, fmt.Errorf("mining: split leaves an empty side (%d instances, frac %g)", d.Len(), trainFrac)
-	}
-	return idx[:cut], idx[cut:], nil
 }

@@ -107,57 +107,3 @@ func TestWrapperFilterTopK(t *testing.T) {
 		t.Errorf("TopK=1 selected %v", res.Selected)
 	}
 }
-
-func TestRandomForestLearns(t *testing.T) {
-	ds := diabetesDataset(500, 41)
-	rf := NewRandomForest(15, 7)
-	if acc := holdoutAccuracy(t, rf, ds, 42); acc < 0.9 {
-		t.Errorf("forest accuracy = %.3f", acc)
-	}
-}
-
-func TestRandomForestDeterministic(t *testing.T) {
-	ds := diabetesDataset(200, 43)
-	a := NewRandomForest(9, 5)
-	b := NewRandomForest(9, 5)
-	if err := a.Fit(ds); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Fit(ds); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		pa, _ := a.Predict(ds.X[i])
-		pb, _ := b.Predict(ds.X[i])
-		if !pa.Equal(pb) {
-			t.Fatal("forest not deterministic for a fixed seed")
-		}
-	}
-}
-
-func TestRandomForestErrors(t *testing.T) {
-	rf := NewRandomForest(5, 1)
-	if _, err := rf.Predict(nil); err == nil {
-		t.Error("predict before fit must fail")
-	}
-	if err := rf.Fit(&Dataset{Features: []string{"A"}}); err == nil {
-		t.Error("empty dataset must fail")
-	}
-	ds := diabetesDataset(50, 44)
-	bad := NewRandomForest(5, 1)
-	bad.FeatureFraction = 2
-	if err := bad.Fit(ds); err == nil {
-		t.Error("fraction > 1 must fail")
-	}
-	neg := &RandomForest{Trees: -1}
-	if err := neg.Fit(ds); err == nil {
-		t.Error("negative trees must fail")
-	}
-	ok := NewRandomForest(3, 1)
-	if err := ok.Fit(ds); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ok.Predict([]value.Value{value.Float(1)}); err == nil {
-		t.Error("wrong arity must fail")
-	}
-}

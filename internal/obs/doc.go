@@ -14,8 +14,7 @@
 //
 //   - Counter — a monotonically increasing atomic uint64 (requests
 //     served, WAL fsyncs, rows scanned).
-//   - Gauge — an instantaneous float64 (in-flight requests); GaugeFunc
-//     samples a callback at exposition time (store health).
+//   - Gauge — an instantaneous float64 (in-flight requests).
 //   - Histogram — cumulative-bucket distribution with an exact sum and
 //     count. Observations are lock-striped across shards (TryLock over a
 //     small shard ring, so concurrent observers almost never contend)

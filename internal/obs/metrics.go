@@ -141,7 +141,6 @@ type metricKind int
 const (
 	counterKind metricKind = iota
 	gaugeKind
-	gaugeFuncKind
 	histogramKind
 )
 
@@ -149,7 +148,7 @@ func (k metricKind) String() string {
 	switch k {
 	case counterKind:
 		return "counter"
-	case gaugeKind, gaugeFuncKind:
+	case gaugeKind:
 		return "gauge"
 	case histogramKind:
 		return "histogram"
@@ -166,8 +165,7 @@ type family struct {
 	labels []string
 	bounds []float64 // histogram families only
 
-	single any            // *Counter / *Gauge / *Histogram, unlabeled families
-	fn     func() float64 // gaugeFuncKind
+	single any // *Counter / *Gauge / *Histogram, unlabeled families
 
 	mu       sync.Mutex
 	children map[string]any // label-tuple key -> instrument
@@ -246,12 +244,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 		f.single = &Gauge{}
 	}
 	return f.single.(*Gauge)
-}
-
-// GaugeFunc registers a gauge sampled by calling fn at exposition time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	f := r.register(name, help, gaugeFuncKind, nil, nil)
-	f.fn = fn
 }
 
 // Histogram registers (or returns) an unlabeled histogram with the

@@ -124,7 +124,6 @@ func TestPrometheusGolden(t *testing.T) {
 	c.Add(3)
 	g := r.Gauge("app_temperature", "")
 	g.Set(36.6)
-	r.GaugeFunc("app_up", "Liveness.", func() float64 { return 1 })
 	cv := r.CounterVec("app_errors_total", "Errors by route.", "route", "code")
 	cv.WithLabelValues("/query", "500").Inc()
 	cv.WithLabelValues(`/a"b\c`, "400").Add(2)
@@ -142,9 +141,6 @@ func TestPrometheusGolden(t *testing.T) {
 app_requests_total 3
 # TYPE app_temperature gauge
 app_temperature 36.6
-# HELP app_up Liveness.
-# TYPE app_up gauge
-app_up 1
 # HELP app_errors_total Errors by route.
 # TYPE app_errors_total counter
 app_errors_total{route="/query",code="500"} 1

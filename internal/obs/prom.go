@@ -27,7 +27,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
 		if len(f.labels) == 0 {
-			writeInstrument(bw, f, nil, f.instrument())
+			writeInstrument(bw, f, nil, f.single)
 			continue
 		}
 		f.mu.Lock()
@@ -44,22 +44,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return bw.Flush()
 }
 
-// instrument resolves the unlabeled family's sample source.
-func (f *family) instrument() any {
-	if f.kind == gaugeFuncKind {
-		return f.fn
-	}
-	return f.single
-}
-
 func writeInstrument(w io.Writer, f *family, labelVals []string, inst any) {
 	switch m := inst.(type) {
 	case *Counter:
 		fmt.Fprintf(w, "%s%s %d\n", f.name, labelSet(f.labels, labelVals, "", 0), m.Value())
 	case *Gauge:
 		fmt.Fprintf(w, "%s%s %s\n", f.name, labelSet(f.labels, labelVals, "", 0), formatFloat(m.Value()))
-	case func() float64:
-		fmt.Fprintf(w, "%s%s %s\n", f.name, labelSet(f.labels, labelVals, "", 0), formatFloat(m()))
 	case *Histogram:
 		s := m.Snapshot()
 		var cum uint64

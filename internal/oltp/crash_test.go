@@ -83,7 +83,7 @@ func runCrashWorkload(dir string, fs faultfs.FS, seed int64, txns int) crashOutc
 	defer s.Close()
 	// A live index lets applyLocked's index maintenance run during the
 	// workload too, not only at post-recovery rebuild.
-	if err := s.CreateIndex("Gender", false); err != nil {
+	if err := s.CreateIndex("Gender"); err != nil {
 		return out
 	}
 
@@ -186,7 +186,7 @@ func verifyRecovered(t *testing.T, label, dir string, out crashOutcome) {
 	}
 
 	// Secondary index must agree exactly with the recovered rows.
-	if err := s.CreateIndex("Gender", false); err != nil {
+	if err := s.CreateIndex("Gender"); err != nil {
 		t.Fatalf("%s: CreateIndex: %v", label, err)
 	}
 	ix := s.indexes["Gender"]

@@ -10,19 +10,10 @@ import (
 
 func timeUnixNano(n int64) time.Time { return time.Unix(0, n).UTC() }
 
-// index is a secondary index over one column: a hash map for point lookups
-// plus, when ordered, a sorted entry list for range scans.
+// index is a secondary hash index over one column, for point lookups.
 type index struct {
-	name    string
-	col     int
-	ordered bool
-	hash    map[value.Value][]RowID
-	entries []indexEntry // kept sorted when ordered
-}
-
-type indexEntry struct {
-	v  value.Value
-	id RowID
+	col  int
+	hash map[value.Value][]RowID
 }
 
 func (ix *index) add(v value.Value, id RowID) {
@@ -30,16 +21,6 @@ func (ix *index) add(v value.Value, id RowID) {
 		return // missing values are not indexed
 	}
 	ix.hash[v] = append(ix.hash[v], id)
-	if ix.ordered {
-		pos := sort.Search(len(ix.entries), func(i int) bool {
-			e := ix.entries[i]
-			c := e.v.Compare(v)
-			return c > 0 || (c == 0 && e.id >= id)
-		})
-		ix.entries = append(ix.entries, indexEntry{})
-		copy(ix.entries[pos+1:], ix.entries[pos:])
-		ix.entries[pos] = indexEntry{v: v, id: id}
-	}
 }
 
 func (ix *index) remove(v value.Value, id RowID) {
@@ -56,22 +37,12 @@ func (ix *index) remove(v value.Value, id RowID) {
 	if len(ix.hash[v]) == 0 {
 		delete(ix.hash, v)
 	}
-	if ix.ordered {
-		pos := sort.Search(len(ix.entries), func(i int) bool {
-			e := ix.entries[i]
-			c := e.v.Compare(v)
-			return c > 0 || (c == 0 && e.id >= id)
-		})
-		if pos < len(ix.entries) && ix.entries[pos].v.Equal(v) && ix.entries[pos].id == id {
-			ix.entries = append(ix.entries[:pos], ix.entries[pos+1:]...)
-		}
-	}
 }
 
-// CreateIndex builds a secondary index over the named column. Ordered
-// indexes additionally support Range queries. Existing rows are indexed
-// immediately. Creating an index that already exists is an error.
-func (s *Store) CreateIndex(column string, ordered bool) error {
+// CreateIndex builds a secondary index over the named column. Existing
+// rows are indexed immediately. Creating an index that already exists is
+// an error.
+func (s *Store) CreateIndex(column string) error {
 	col, ok := s.schema.Lookup(column)
 	if !ok {
 		return fmt.Errorf("oltp: unknown index column %q", column)
@@ -81,7 +52,7 @@ func (s *Store) CreateIndex(column string, ordered bool) error {
 	if _, dup := s.indexes[column]; dup {
 		return fmt.Errorf("oltp: index on %q already exists", column)
 	}
-	ix := &index{name: column, col: col, ordered: ordered, hash: make(map[value.Value][]RowID)}
+	ix := &index{col: col, hash: make(map[value.Value][]RowID)}
 	for id, vr := range s.rows {
 		ix.add(vr.row[col], id)
 	}
@@ -101,30 +72,4 @@ func (s *Store) Lookup(column string, v value.Value) ([]RowID, error) {
 	ids := append([]RowID(nil), ix.hash[v]...)
 	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 	return ids, nil
-}
-
-// Range returns the RowIDs whose indexed column value lies in [lo, hi]
-// (inclusive both ends), ordered by value then RowID. The column must have
-// an ordered index.
-func (s *Store) Range(column string, lo, hi value.Value) ([]RowID, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ix, ok := s.indexes[column]
-	if !ok {
-		return nil, fmt.Errorf("oltp: no index on %q", column)
-	}
-	if !ix.ordered {
-		return nil, fmt.Errorf("oltp: index on %q is not ordered", column)
-	}
-	start := sort.Search(len(ix.entries), func(i int) bool {
-		return ix.entries[i].v.Compare(lo) >= 0
-	})
-	var out []RowID
-	for i := start; i < len(ix.entries); i++ {
-		if ix.entries[i].v.Compare(hi) > 0 {
-			break
-		}
-		out = append(out, ix.entries[i].id)
-	}
-	return out, nil
 }

@@ -1,7 +1,6 @@
 package oltp
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -10,7 +9,7 @@ import (
 
 func TestHashIndexLookup(t *testing.T) {
 	s := mustOpen(t, "")
-	if err := s.CreateIndex("Gender", false); err != nil {
+	if err := s.CreateIndex("Gender"); err != nil {
 		t.Fatal(err)
 	}
 	tx := s.Begin()
@@ -36,7 +35,7 @@ func TestHashIndexLookup(t *testing.T) {
 
 func TestIndexMaintainedOnUpdateDelete(t *testing.T) {
 	s := mustOpen(t, "")
-	s.CreateIndex("Gender", false)
+	s.CreateIndex("Gender")
 	tx := s.Begin()
 	id, _ := tx.Insert(row(1, 5, "F"))
 	tx.Commit()
@@ -65,117 +64,76 @@ func TestIndexOnExistingRows(t *testing.T) {
 	tx.Insert(row(1, 5, "F"))
 	tx.Insert(row(2, 6, "M"))
 	tx.Commit()
-	if err := s.CreateIndex("Gender", false); err != nil {
+	if err := s.CreateIndex("Gender"); err != nil {
 		t.Fatal(err)
 	}
 	if ids, _ := s.Lookup("Gender", value.Str("M")); len(ids) != 1 {
 		t.Errorf("index did not backfill: %v", ids)
 	}
-	if err := s.CreateIndex("Gender", false); err == nil {
+	if err := s.CreateIndex("Gender"); err == nil {
 		t.Error("duplicate index must fail")
 	}
-	if err := s.CreateIndex("Nope", false); err == nil {
+	if err := s.CreateIndex("Nope"); err == nil {
 		t.Error("index on unknown column must fail")
-	}
-}
-
-func TestOrderedIndexRange(t *testing.T) {
-	s := mustOpen(t, "")
-	s.CreateIndex("FBG", true)
-	tx := s.Begin()
-	for i, fbg := range []float64{7.4, 5.2, 6.1, 5.8, 9.0} {
-		tx.Insert(row(int64(i), fbg, "F"))
-	}
-	tx.Commit()
-
-	ids, err := s.Range("FBG", value.Float(5.5), value.Float(7.0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Values in [5.5, 7.0]: 5.8, 6.1 → two rows, ordered by value.
-	if len(ids) != 2 {
-		t.Fatalf("Range = %v", ids)
-	}
-	check := s.Begin()
-	defer check.Rollback()
-	r1, _ := check.Get(ids[0])
-	r2, _ := check.Get(ids[1])
-	if r1[1].Float() != 5.8 || r2[1].Float() != 6.1 {
-		t.Errorf("range order: %v, %v", r1[1], r2[1])
-	}
-	if _, err := s.Range("Gender", value.Str("A"), value.Str("Z")); err == nil {
-		t.Error("range on missing index must fail")
-	}
-	s.CreateIndex("Gender", false)
-	if _, err := s.Range("Gender", value.Str("A"), value.Str("Z")); err == nil {
-		t.Error("range on unordered index must fail")
 	}
 }
 
 func TestIndexIgnoresNA(t *testing.T) {
 	s := mustOpen(t, "")
-	s.CreateIndex("FBG", true)
+	s.CreateIndex("FBG")
 	tx := s.Begin()
 	tx.Insert(Row{value.Int(1), value.NA(), value.Str("F")})
 	tx.Insert(row(2, 6.0, "M"))
 	tx.Commit()
-	ids, _ := s.Range("FBG", value.Float(0), value.Float(100))
-	if len(ids) != 1 {
-		t.Errorf("NA row leaked into index: %v", ids)
+	if n := len(s.indexes["FBG"].hash); n != 1 {
+		t.Errorf("index holds %d values, want 1: NA row leaked into index", n)
+	}
+	if ids, _ := s.Lookup("FBG", value.NA()); len(ids) != 0 {
+		t.Errorf("Lookup(NA) = %v", ids)
 	}
 }
 
-// Property: for random inserts/deletes, an ordered Range over the whole
-// domain returns exactly the live non-NA rows, sorted by value.
-func TestQuickOrderedIndexConsistency(t *testing.T) {
-	f := func(vals []float64, killMask []bool) bool {
+// Property: for random inserts/deletes, Lookup of each value returns
+// exactly the live rows holding it, in ascending RowID order.
+func TestQuickIndexConsistency(t *testing.T) {
+	f := func(vals []uint8, killMask []bool) bool {
 		s, err := Open("", testSchema())
 		if err != nil {
 			return false
 		}
-		s.CreateIndex("FBG", true)
+		s.CreateIndex("FBG")
 		tx := s.Begin()
 		ids := make([]RowID, len(vals))
 		for i, v := range vals {
-			if math.IsNaN(v) {
-				v = 0 // NaN has no total order; the store is not expected to index it meaningfully
-			}
-			vals[i] = v
-			ids[i], _ = tx.Insert(row(int64(i), v, "F"))
+			ids[i], _ = tx.Insert(row(int64(i), float64(v%8), "F"))
 		}
 		if tx.Commit() != nil {
 			return false
 		}
-		live := 0
+		want := map[float64][]RowID{}
 		tx = s.Begin()
-		for i := range vals {
+		for i, v := range vals {
 			if i < len(killMask) && killMask[i] {
 				if tx.Delete(ids[i]) != nil {
 					return false
 				}
 			} else {
-				live++
+				want[float64(v%8)] = append(want[float64(v%8)], ids[i])
 			}
 		}
 		if tx.Commit() != nil {
 			return false
 		}
-		got, err := s.Range("FBG", value.Float(math.Inf(-1)), value.Float(math.Inf(1)))
-		if err != nil || len(got) != live {
-			return false
-		}
-		check := s.Begin()
-		defer check.Rollback()
-		prev := math.Inf(-1)
-		for _, id := range got {
-			r, ok := check.Get(id)
-			if !ok {
+		for v := 0; v < 8; v++ {
+			got, err := s.Lookup("FBG", value.Float(float64(v)))
+			if err != nil || len(got) != len(want[float64(v)]) {
 				return false
 			}
-			if r[1].Float() < prev {
-				return false
+			for i, id := range got {
+				if id != want[float64(v)][i] {
+					return false
+				}
 			}
-			prev = r[1].Float()
 		}
 		return true
 	}

@@ -46,11 +46,6 @@ func MetaChange(payload []byte) Change {
 	return Change{Op: ChangeMeta, Row: metaRow(payload)}
 }
 
-// MetaPayload extracts the payload of a ChangeMeta change.
-func (c Change) MetaPayload() []byte {
-	return metaPayload(c.Row)
-}
-
 // metaRow encodes a payload as the single-string row shape shared with
 // the insert encoding.
 func metaRow(payload []byte) Row {

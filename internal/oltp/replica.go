@@ -36,13 +36,6 @@ func (s *Store) SetReplica(on bool) {
 	s.mu.Unlock()
 }
 
-// IsReplica reports whether the store is in replica mode.
-func (s *Store) IsReplica() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.replica
-}
-
 // RowIDs returns the ids of all committed rows in ascending order.
 func (s *Store) RowIDs() []RowID {
 	s.mu.RLock()

@@ -4,8 +4,8 @@
 //
 // The store provides serializable transactions via optimistic concurrency
 // control with commit-time validation (per-row version numbers, with locks
-// acquired in sorted row order so commits cannot deadlock), and hash plus
-// ordered secondary indexes for point and range reporting queries.
+// acquired in sorted row order so commits cannot deadlock), and hash
+// secondary indexes for point reporting queries.
 //
 // Durability is a segmented write-ahead log: length+CRC32-C framed
 // records with per-transaction commit markers, fsynced before apply.

@@ -44,7 +44,7 @@ func queryBattery() []cube.Query {
 		{Rows: []cube.AttrRef{core.RefDiabetes}, Measure: cube.MeasureRef{Agg: storage.AvgAgg, Column: "FBG"}},
 		{Rows: []cube.AttrRef{core.RefFBGBand}, Cols: []cube.AttrRef{core.RefGender},
 			Measure: cube.MeasureRef{Agg: storage.SumAgg, Column: "FBG"}},
-		{Rows: []cube.AttrRef{core.RefFBGTrend}, Measure: cube.MeasureRef{Agg: storage.CountAgg}},
+		{Rows: []cube.AttrRef{{Dim: "FastingBloods", Attr: "FBGTrend"}}, Measure: cube.MeasureRef{Agg: storage.CountAgg}},
 		{Rows: []cube.AttrRef{core.RefVisitNo}, Measure: cube.MeasureRef{Agg: storage.CountAgg}},
 	}
 }

@@ -201,38 +201,3 @@ func findings(w io.Writer, p *core.Platform) {
 		fmt.Fprintf(w, "  [%s] %s: %s (evidence %d)\n", f.ID, f.Topic, f.Statement, f.Evidence)
 	}
 }
-
-// Interventions derives a treatment-candidate list with warehouse-
-// estimated exposures, ready for optimize.OptimizeRegimen — the bridge
-// from reporting to decision optimisation.
-func Interventions(p *core.Platform) (map[string]float64, error) {
-	exposure := func(ref cube.AttrRef, val string) (float64, error) {
-		cs, err := p.QueryCtx(context.TODO(), cube.Query{
-			Rows:    []cube.AttrRef{ref},
-			Slicers: []cube.Slicer{{Ref: ref, Values: []value.Value{value.Str(val)}}},
-			Measure: core.PatientCountMeasure(),
-		})
-		if err != nil {
-			return 0, err
-		}
-		return cs.Total(), nil
-	}
-	out := make(map[string]float64)
-	for name, target := range map[string]struct {
-		ref cube.AttrRef
-		val string
-	}{
-		"preDiabetic":  {core.RefFBGBand, "preDiabetic"},
-		"diabetic":     {core.RefFBGBand, "Diabetic"},
-		"sedentary":    {core.RefExercise, "none"},
-		"hypertensive": {core.RefHTStatus, "Yes"},
-		"lowRRVar":     {core.RefRRVarBand, "low"},
-	} {
-		v, err := exposure(target.ref, target.val)
-		if err != nil {
-			return nil, err
-		}
-		out[name] = v
-	}
-	return out, nil
-}

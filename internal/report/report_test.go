@@ -75,24 +75,3 @@ func TestWriteSectionsSkippable(t *testing.T) {
 		t.Error("empty-findings note missing")
 	}
 }
-
-func TestInterventions(t *testing.T) {
-	p := testPlatform(t)
-	exposures, err := Interventions(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"preDiabetic", "diabetic", "sedentary", "hypertensive", "lowRRVar"} {
-		v, ok := exposures[key]
-		if !ok {
-			t.Errorf("missing exposure %q", key)
-			continue
-		}
-		if v <= 0 {
-			t.Errorf("exposure %q = %g, want > 0", key, v)
-		}
-		if v > 200 {
-			t.Errorf("exposure %q = %g exceeds cohort size", key, v)
-		}
-	}
-}

@@ -140,9 +140,9 @@ func TestDrainSheds503WithRetryAfter(t *testing.T) {
 // Oversized bodies on the baseline endpoints answer 413, same as
 // /query.
 func TestBaselineBodyCap(t *testing.T) {
-	srv := New(testPlatform(t), WithMaxBodyBytes(128))
+	srv := New(testPlatform(t))
 	ts := serveHandler(t, srv)
-	huge := append([]byte(`{"sql": "`), bytes.Repeat([]byte("x"), 1024)...)
+	huge := append([]byte(`{"sql": "`), bytes.Repeat([]byte("x"), maxBodyBytes)...)
 	huge = append(huge, []byte(`"}`)...)
 	resp, err := http.Post(ts.URL+"/sql", "application/json", bytes.NewReader(huge))
 	if err != nil {

@@ -94,8 +94,8 @@ func TestHandlePromote(t *testing.T) {
 	if code := getJSON(t, rts.URL+"/replication", &again); code != http.StatusOK || again.Role != "primary" || again.Epoch != 2 {
 		t.Fatalf("GET /replication after promote = %d %+v", code, again)
 	}
-	if replica.Store().IsReplica() {
-		t.Fatal("promoted store still refuses local writes")
+	if _, err := replica.RecordFinding("failover", "promoted node accepts writes", "test"); err != nil {
+		t.Fatalf("promoted store still refuses local writes: %v", err)
 	}
 }
 

@@ -124,21 +124,10 @@ func WithQueryTimeout(d time.Duration) Option {
 	return func(s *Server) { s.queryTimeout = d }
 }
 
-// WithMaxBodyBytes caps POST request bodies. Default 1 MiB.
-func WithMaxBodyBytes(n int64) Option {
-	return func(s *Server) { s.maxBody = n }
-}
-
 // WithLogger routes server diagnostics (panics, failed response writes)
 // somewhere other than the process default logger.
 func WithLogger(l *log.Logger) Option {
 	return func(s *Server) { s.log = l }
-}
-
-// WithTracer substitutes the per-query tracer (default: a ring of the
-// 128 most recent traces). Pass nil to disable query tracing entirely.
-func WithTracer(t *obs.Tracer) Option {
-	return func(s *Server) { s.tracer = t }
 }
 
 // WithAdmission bounds /query concurrency with an admission controller:
@@ -164,27 +153,28 @@ func WithQueryBudget(newBudget func() *govern.Budget) Option {
 	return func(s *Server) { s.newBudget = newBudget }
 }
 
-// WithHealthTimeout bounds a deep health probe (/healthz?deep=1); a
-// probe that cannot finish in time answers 503 "probe timed out" rather
-// than hanging the health endpoint on a wedged store. 0 disables the
-// bound. Default 1s.
-func WithHealthTimeout(d time.Duration) Option {
-	return func(s *Server) { s.healthTimeout = d }
-}
+const (
+	// maxBodyBytes caps POST request bodies; larger ones answer 413.
+	maxBodyBytes = 1 << 20
+	// healthTimeout bounds a deep health probe (/healthz?deep=1): a probe
+	// that cannot finish in time answers 503 "probe timed out" rather
+	// than hanging the health endpoint on a wedged store.
+	healthTimeout = time.Second
+	// traceRing is how many recent query traces /debug/traces keeps.
+	traceRing = 128
+)
 
 // Server wraps a platform with an http.Handler. The platform must have
 // its warehouse built before any /query arrives.
 type Server struct {
-	platform      Platform
-	mux           *http.ServeMux
-	queryTimeout  time.Duration
-	healthTimeout time.Duration
-	maxBody       int64
-	log           *log.Logger
-	tracer        *obs.Tracer
-	admission     *govern.Admission
-	breaker       *govern.Breaker
-	newBudget     func() *govern.Budget
+	platform     Platform
+	mux          *http.ServeMux
+	queryTimeout time.Duration
+	log          *log.Logger
+	tracer       *obs.Tracer
+	admission    *govern.Admission
+	breaker      *govern.Breaker
+	newBudget    func() *govern.Budget
 
 	// routes records every registered mux pattern so tests (and the
 	// router's classification table) can be checked for drift against
@@ -204,13 +194,11 @@ type Server struct {
 // New creates a server over a platform.
 func New(p Platform, opts ...Option) *Server {
 	s := &Server{
-		platform:      p,
-		mux:           http.NewServeMux(),
-		queryTimeout:  30 * time.Second,
-		healthTimeout: time.Second,
-		maxBody:       1 << 20,
-		log:           log.Default(),
-		tracer:        obs.NewTracer(128),
+		platform:     p,
+		mux:          http.NewServeMux(),
+		queryTimeout: 30 * time.Second,
+		log:          log.Default(),
+		tracer:       obs.NewTracer(traceRing),
 	}
 	s.shutdownCtx, s.shutdownCancel = context.WithCancel(context.Background())
 	for _, o := range opts {
@@ -284,7 +272,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 	if r.Body != nil && r.Method == http.MethodPost {
-		r.Body = http.MaxBytesReader(sr, r.Body, s.maxBody)
+		r.Body = http.MaxBytesReader(sr, r.Body, maxBodyBytes)
 	}
 	s.mux.ServeHTTP(sr, r)
 }
@@ -399,7 +387,7 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 // handleHealth is liveness; with ?deep=1 it also reports readiness: the
 // warehouse must be built and the OLTP store open and un-poisoned, so ops
 // can tell "process up" from "able to serve". The deep probe honours the
-// request context and its own short bound (WithHealthTimeout): a store
+// request context and its own short bound (healthTimeout): a store
 // wedged mid-commit answers 503 "probe timed out" within the bound
 // instead of holding the health endpoint — and the ops dashboards
 // polling it — hostage.
@@ -408,12 +396,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 		return
 	}
-	ctx := r.Context()
-	if s.healthTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.healthTimeout)
-		defer cancel()
-	}
+	ctx, cancel := context.WithTimeout(r.Context(), healthTimeout)
+	defer cancel()
 	type probe struct {
 		doc    map[string]string
 		status int

@@ -203,15 +203,28 @@ func TestHandlerPanicRecovered(t *testing.T) {
 }
 
 func TestPostBodyCapped(t *testing.T) {
-	ts := serveHandler(t, New(testPlatform(t), WithMaxBodyBytes(128)))
-	big := `{"mdx": "` + strings.Repeat("X", 4096) + `"}`
-	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(big))
+	ts := serveHandler(t, New(testPlatform(t)))
+	// body returns a JSON query document of exactly n bytes.
+	body := func(n int) string {
+		const head, tail = `{"mdx": "`, `"}`
+		return head + strings.Repeat("X", n-len(head)-len(tail)) + tail
+	}
+	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body(maxBodyBytes+1)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized body status = %d, want 413", resp.StatusCode)
+	}
+	// A body of exactly the cap is read (and then fails to parse as MDX).
+	resp, err = http.Post(ts.URL+"/query", "application/json", strings.NewReader(body(maxBodyBytes)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode == http.StatusRequestEntityTooLarge {
+		t.Errorf("body at the cap answered 413")
 	}
 	// A normal-sized query still works.
 	if code := postJSON(t, ts.URL+"/query", queryRequest{MDX: `

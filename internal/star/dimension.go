@@ -6,14 +6,13 @@
 // (ETL-transformed) table.
 //
 // The paper's central argument is that this model's plasticity — the
-// ability to add, remove and feed back dimensions without restructuring
-// facts — is what enables multivariate decision guidance; the feedback
-// API in this package implements the closed loop.
+// ability to add and feed back dimensions without restructuring facts —
+// is what enables multivariate decision guidance; the feedback API in
+// this package implements the closed loop.
 package star
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/ddgms/ddgms/internal/storage"
@@ -46,17 +45,6 @@ func (h Hierarchy) Finer(attr string) string {
 	return ""
 }
 
-// Coarser returns the attribute one level coarser than attr, or "" when
-// attr is already the coarsest level or absent from the hierarchy.
-func (h Hierarchy) Coarser(attr string) string {
-	for i, l := range h.Levels {
-		if l == attr && i > 0 {
-			return h.Levels[i-1]
-		}
-	}
-	return ""
-}
-
 // Dimension is one subject-area dimension: a surrogate-keyed table of
 // member rows over a fixed attribute schema, with optional hierarchies.
 type Dimension struct {
@@ -65,7 +53,6 @@ type Dimension struct {
 	hierarchies []Hierarchy
 	members     *storage.Table
 	lookup      map[string]Key
-	outriggers  map[string]*outriggerLink // snowflake links, by outrigger name
 }
 
 // NewDimension creates an empty dimension with the given attributes.
@@ -161,108 +148,24 @@ func (d *Dimension) Member(k Key) ([]value.Value, error) {
 	return d.members.Row(int(k)), nil
 }
 
-// Attr returns one attribute of the member identified by k. Dotted names
-// ("Outrigger.Attr") traverse an attached snowflake outrigger.
+// Attr returns one attribute of the member identified by k.
 func (d *Dimension) Attr(k Key, attr string) (value.Value, error) {
-	if v, handled, err := d.outriggerAttr(k, attr); handled {
-		return v, err
-	}
 	if k < 0 || int(k) >= d.members.Len() {
 		return value.NA(), fmt.Errorf("star: dimension %q: key %d out of range", d.name, k)
 	}
 	return d.members.Value(int(k), attr)
 }
 
-// HasAttr reports whether the name resolves to a plain attribute or a
-// dotted outrigger attribute.
+// HasAttr reports whether the dimension has the named attribute.
 func (d *Dimension) HasAttr(attr string) bool {
-	if _, ok := d.schema.Lookup(attr); ok {
-		return true
-	}
-	return d.hasOutriggerAttr(attr)
+	_, ok := d.schema.Lookup(attr)
+	return ok
 }
 
-// AttrKind returns the value kind of a plain or dotted attribute.
+// AttrKind returns the value kind of an attribute.
 func (d *Dimension) AttrKind(attr string) (value.Kind, bool) {
 	if j, ok := d.schema.Lookup(attr); ok {
 		return d.schema.Field(j).Kind, true
 	}
-	if link, inner, ok := d.resolveOutrigger(attr); ok {
-		if j, ok2 := link.rig.schema.Lookup(inner); ok2 {
-			return link.rig.schema.Field(j).Kind, true
-		}
-	}
 	return value.NAKind, false
-}
-
-// AttrValues returns the distinct non-NA values of a plain or dotted
-// attribute across all members, sorted ascending. These are the "members
-// of a level" exposed in OLAP queries.
-func (d *Dimension) AttrValues(attr string) ([]value.Value, error) {
-	if d.hasOutriggerAttr(attr) {
-		seen := make(map[value.Value]struct{})
-		var out []value.Value
-		for k := 0; k < d.members.Len(); k++ {
-			v, _, err := d.outriggerAttr(Key(k), attr)
-			if err != nil {
-				return nil, err
-			}
-			if v.IsNA() {
-				continue
-			}
-			if _, dup := seen[v]; dup {
-				continue
-			}
-			seen[v] = struct{}{}
-			out = append(out, v)
-		}
-		sortValues(out)
-		return out, nil
-	}
-	dist, err := d.members.Distinct(attr)
-	if err != nil {
-		return nil, fmt.Errorf("star: dimension %q: %w", d.name, err)
-	}
-	var out []value.Value
-	for i := 0; i < dist.Len(); i++ {
-		v := dist.MustValue(i, attr)
-		if !v.IsNA() {
-			out = append(out, v)
-		}
-	}
-	return out, nil
-}
-
-func sortValues(vs []value.Value) {
-	sort.Slice(vs, func(a, b int) bool { return vs[a].Less(vs[b]) })
-}
-
-// UpdateMember overwrites the attributes of an existing member in place —
-// a type-1 slowly-changing-dimension update (history is not kept; every
-// fact pointing at the key sees the new attributes).
-func (d *Dimension) UpdateMember(k Key, attrs []value.Value) error {
-	if k < 0 || int(k) >= d.members.Len() {
-		return fmt.Errorf("star: dimension %q: key %d out of range", d.name, k)
-	}
-	if len(attrs) != d.schema.Len() {
-		return fmt.Errorf("star: dimension %q: member has %d attributes, schema has %d",
-			d.name, len(attrs), d.schema.Len())
-	}
-	old := d.members.Row(int(k))
-	delete(d.lookup, memberKey(old))
-	for j := 0; j < d.schema.Len(); j++ {
-		if err := d.members.Set(int(k), d.schema.Field(j).Name, attrs[j]); err != nil {
-			return err
-		}
-	}
-	d.lookup[memberKey(attrs)] = k
-	return nil
-}
-
-// VersionMember implements a type-2 slowly-changing-dimension change: the
-// old member row is retained (so historical facts keep their original
-// context) and a new member row with the new attributes is interned and
-// returned for use by subsequent facts.
-func (d *Dimension) VersionMember(attrs []value.Value) (Key, error) {
-	return d.AddMember(attrs)
 }

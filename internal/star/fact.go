@@ -158,11 +158,3 @@ func (f *FactTable) KeyColumn(dim string) ([]Key, error) {
 func (f *FactTable) Measure(name string) (storage.Column, error) {
 	return f.measures.Column(name)
 }
-
-// MeasureValue returns one measure cell.
-func (f *FactTable) MeasureValue(i int, name string) (value.Value, error) {
-	if i < 0 || i >= f.n {
-		return value.NA(), fmt.Errorf("star: fact row %d out of range", i)
-	}
-	return f.measures.Value(i, name)
-}

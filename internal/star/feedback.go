@@ -54,25 +54,3 @@ func (s *Schema) AddFeedbackDimension(name string, attrs []storage.Field, classi
 	s.fact.keys = append(s.fact.keys, keys)
 	return nil
 }
-
-// RemoveDimension detaches a dimension from the schema and fact table —
-// the inverse plasticity operation, used by the decision-optimisation
-// feature to test aggregate stability under dimension ablation. The fact
-// rows themselves are untouched.
-func (s *Schema) RemoveDimension(name string) error {
-	j, ok := s.fact.dimIdx[name]
-	if !ok {
-		return fmt.Errorf("star: unknown dimension %q", name)
-	}
-	if len(s.fact.dimNames) == 1 {
-		return fmt.Errorf("star: cannot remove the last dimension")
-	}
-	delete(s.dims, name)
-	s.fact.dimNames = append(s.fact.dimNames[:j], s.fact.dimNames[j+1:]...)
-	s.fact.keys = append(s.fact.keys[:j], s.fact.keys[j+1:]...)
-	s.fact.dimIdx = make(map[string]int, len(s.fact.dimNames))
-	for i, n := range s.fact.dimNames {
-		s.fact.dimIdx[n] = i
-	}
-	return nil
-}

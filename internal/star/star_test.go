@@ -86,21 +86,6 @@ func TestBuildInternsDimensionMembers(t *testing.T) {
 	}
 }
 
-func TestAttrValues(t *testing.T) {
-	s := buildStar(t)
-	pi, _ := s.Dimension("PersonalInformation")
-	bands, err := pi.AttrValues("AgeBand10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bands) != 2 || bands[0].Str() != "40-60" || bands[1].Str() != "70-80" {
-		t.Errorf("bands = %v", bands)
-	}
-	if _, err := pi.AttrValues("Nope"); err == nil {
-		t.Error("unknown attribute must fail")
-	}
-}
-
 func TestHierarchyNavigation(t *testing.T) {
 	s := buildStar(t)
 	pi, _ := s.Dimension("PersonalInformation")
@@ -113,12 +98,6 @@ func TestHierarchyNavigation(t *testing.T) {
 	}
 	if got := h.Finer("AgeBand5"); got != "" {
 		t.Errorf("Finer at finest = %q", got)
-	}
-	if got := h.Coarser("AgeBand5"); got != "AgeBand10" {
-		t.Errorf("Coarser = %q", got)
-	}
-	if got := h.Coarser("AgeBand10"); got != "" {
-		t.Errorf("Coarser at coarsest = %q", got)
 	}
 	if _, ok := pi.Hierarchy("Nope"); ok {
 		t.Error("unknown hierarchy must report !ok")
@@ -199,65 +178,17 @@ func TestAllNADimensionGetsNoKey(t *testing.T) {
 	}
 }
 
-func TestSCDType1Update(t *testing.T) {
-	s := buildStar(t)
-	mc, _ := s.Dimension("MedicalCondition")
-	k, _ := s.Fact().Key(0, "MedicalCondition")
-	if err := mc.UpdateMember(k, []value.Value{value.Str("Remission")}); err != nil {
-		t.Fatal(err)
-	}
-	// Every fact pointing at k now reads the new attribute.
-	v, _ := mc.Attr(k, "Diabetes")
-	if v.Str() != "Remission" {
-		t.Errorf("after type-1 update: %v", v)
-	}
-	// Interning the old tuple creates a fresh member (lookup was rekeyed).
-	k2, err := mc.AddMember([]value.Value{value.Str("Yes")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k2 == k {
-		t.Error("old tuple must not resolve to the updated member")
-	}
-	if err := mc.UpdateMember(999, []value.Value{value.Str("x")}); err == nil {
-		t.Error("out-of-range update must fail")
-	}
-	if err := mc.UpdateMember(k, []value.Value{value.Str("a"), value.Str("b")}); err == nil {
-		t.Error("arity mismatch must fail")
-	}
-}
-
-func TestSCDType2Version(t *testing.T) {
-	s := buildStar(t)
-	mc, _ := s.Dimension("MedicalCondition")
-	before := mc.Len()
-	k, err := mc.VersionMember([]value.Value{value.Str("Type2-Managed")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mc.Len() != before+1 {
-		t.Errorf("members = %d, want %d", mc.Len(), before+1)
-	}
-	// Old members retained.
-	if _, err := mc.Member(0); err != nil {
-		t.Errorf("historical member lost: %v", err)
-	}
-	if int(k) != before {
-		t.Errorf("new version key = %d, want %d", k, before)
-	}
-}
-
 func TestAddFeedbackDimension(t *testing.T) {
 	s := buildStar(t)
 	// Clinician feedback: flag facts with FBG >= 7 as "review".
 	err := s.AddFeedbackDimension("ClinicianFlag",
 		[]storage.Field{{Name: "Flag", Kind: value.StringKind}},
 		func(sc *Schema, i int) ([]value.Value, error) {
-			fbg, err := sc.Fact().MeasureValue(i, "FBG")
+			fbg, err := sc.Fact().Measure("FBG")
 			if err != nil {
 				return nil, err
 			}
-			if f, ok := fbg.AsFloat(); ok && f >= 7 {
+			if f, ok := fbg.Value(i).AsFloat(); ok && f >= 7 {
 				return []value.Value{value.Str("review")}, nil
 			}
 			return []value.Value{value.Str("ok")}, nil
@@ -284,30 +215,6 @@ func TestAddFeedbackDimension(t *testing.T) {
 	// Duplicate name rejected.
 	if err := s.AddFeedbackDimension("ClinicianFlag", nil, nil); err == nil {
 		t.Error("duplicate feedback dimension must fail")
-	}
-}
-
-func TestRemoveDimension(t *testing.T) {
-	s := buildStar(t)
-	if err := s.RemoveDimension("Cardinality"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Dimension("Cardinality"); ok {
-		t.Error("dimension still present")
-	}
-	if _, err := s.Fact().Key(0, "Cardinality"); err == nil {
-		t.Error("fact key column still present")
-	}
-	// Remaining dimensions still resolve correctly.
-	if _, err := s.Fact().Key(0, "MedicalCondition"); err != nil {
-		t.Errorf("surviving dimension broken: %v", err)
-	}
-	if err := s.RemoveDimension("Nope"); err == nil {
-		t.Error("unknown dimension must fail")
-	}
-	s.RemoveDimension("MedicalCondition")
-	if err := s.RemoveDimension("PersonalInformation"); err == nil {
-		t.Error("removing the last dimension must fail")
 	}
 }
 

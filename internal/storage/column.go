@@ -351,12 +351,3 @@ func (c *stringColumn) Set(i int, v value.Value) error {
 	c.nulls.setValid(i, true)
 	return nil
 }
-
-// DictSize reports the number of distinct strings seen by a string column.
-// It returns 0 for non-string columns.
-func DictSize(c Column) int {
-	if sc, ok := c.(*stringColumn); ok {
-		return len(sc.dict)
-	}
-	return 0
-}

@@ -4,13 +4,10 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-
-	"github.com/ddgms/ddgms/internal/value"
 )
 
 // WriteCSV writes the table as CSV with a header row. Values use their
-// String rendering; NA renders as the empty string so round-tripping
-// through ReadCSV preserves missingness.
+// String rendering; NA renders as the empty string.
 func (t *Table) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(t.schema.Names()); err != nil {
@@ -32,116 +29,4 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV reads a CSV stream with a header row into a table with the given
-// schema. Header names must match the schema names exactly and in order.
-// Each field parses with value.ParseAs against the schema kind.
-func ReadCSV(r io.Reader, schema *Schema) (*Table, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("storage: reading CSV header: %w", err)
-	}
-	names := schema.Names()
-	if len(header) != len(names) {
-		return nil, fmt.Errorf("storage: CSV has %d columns, schema has %d", len(header), len(names))
-	}
-	for i := range header {
-		if header[i] != names[i] {
-			return nil, fmt.Errorf("storage: CSV column %d is %q, schema expects %q", i, header[i], names[i])
-		}
-	}
-	t := MustTable(schema)
-	row := make([]value.Value, schema.Len())
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("storage: reading CSV line %d: %w", line, err)
-		}
-		for j, field := range rec {
-			v, err := value.ParseAs(field, schema.Field(j).Kind)
-			if err != nil {
-				return nil, fmt.Errorf("storage: CSV line %d column %q: %w", line, names[j], err)
-			}
-			row[j] = v
-		}
-		if err := t.AppendRow(row); err != nil {
-			return nil, fmt.Errorf("storage: CSV line %d: %w", line, err)
-		}
-	}
-	return t, nil
-}
-
-// InferCSV reads a CSV stream with a header row, inferring each column's
-// kind from its contents with value.Parse. A column whose non-NA values mix
-// kinds falls back to string.
-func InferCSV(r io.Reader) (*Table, error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("storage: reading CSV: %w", err)
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("storage: CSV has no header row")
-	}
-	header := records[0]
-	rows := records[1:]
-
-	kinds := make([]value.Kind, len(header))
-	for j := range header {
-		kinds[j] = value.NAKind
-		for _, rec := range rows {
-			if j >= len(rec) {
-				continue
-			}
-			v := value.Parse(rec[j])
-			if v.IsNA() {
-				continue
-			}
-			switch {
-			case kinds[j] == value.NAKind:
-				kinds[j] = v.Kind()
-			case kinds[j] == v.Kind():
-			case kinds[j] == value.IntKind && v.Kind() == value.FloatKind,
-				kinds[j] == value.FloatKind && v.Kind() == value.IntKind:
-				kinds[j] = value.FloatKind
-			default:
-				kinds[j] = value.StringKind
-			}
-		}
-		if kinds[j] == value.NAKind {
-			kinds[j] = value.StringKind // all-missing column
-		}
-	}
-	fields := make([]Field, len(header))
-	for j, name := range header {
-		fields[j] = Field{Name: name, Kind: kinds[j]}
-	}
-	schema, err := NewSchema(fields...)
-	if err != nil {
-		return nil, err
-	}
-	t := MustTable(schema)
-	row := make([]value.Value, len(fields))
-	for line, rec := range rows {
-		for j := range fields {
-			if j >= len(rec) {
-				row[j] = value.NA()
-				continue
-			}
-			v, err := value.ParseAs(rec[j], kinds[j])
-			if err != nil {
-				return nil, fmt.Errorf("storage: CSV line %d column %q: %w", line+2, header[j], err)
-			}
-			row[j] = v
-		}
-		if err := t.AppendRow(row); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
 }

@@ -140,19 +140,6 @@ func (t *Table) Dict(name string) (exec.CodedColumn, error) {
 	return c.Dict(), nil
 }
 
-// AppendTable appends all rows of o, whose schema must equal t's.
-func (t *Table) AppendTable(o *Table) error {
-	if !t.schema.Equal(o.schema) {
-		return fmt.Errorf("storage: appending table with mismatched schema")
-	}
-	for i := 0; i < o.Len(); i++ {
-		if err := t.AppendRow(o.Row(i)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // AddColumn appends a new field populated by fn(row index). The returned
 // error is non-nil if the name already exists or a produced value has the
 // wrong kind.

@@ -163,7 +163,7 @@ func TestStringDictionaryEncoding(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := DictSize(tbl.MustColumn("G")); n != 2 {
+	if n := len(tbl.MustColumn("G").(*stringColumn).dict); n != 2 {
 		t.Errorf("dictionary size = %d, want 2", n)
 	}
 }
@@ -191,22 +191,5 @@ func TestAddColumnAndClone(t *testing.T) {
 	cl.Set(0, "Gender", value.Str("F"))
 	if tbl.MustValue(0, "Gender").Str() != "M" {
 		t.Error("Clone must be independent")
-	}
-}
-
-func TestAppendTable(t *testing.T) {
-	a := MustTable(patientSchema(t))
-	b := MustTable(patientSchema(t))
-	a.AppendRow(patientRow(1, "M", 64, true, 1))
-	b.AppendRow(patientRow(2, "F", 70, false, 2))
-	if err := a.AppendTable(b); err != nil {
-		t.Fatalf("AppendTable: %v", err)
-	}
-	if a.Len() != 2 {
-		t.Errorf("Len = %d", a.Len())
-	}
-	other := MustTable(MustSchema(Field{"X", value.IntKind}))
-	if err := a.AppendTable(other); err == nil {
-		t.Error("mismatched schema must fail")
 	}
 }

@@ -143,17 +143,6 @@ func (v Value) AsFloat() (float64, bool) {
 	return 0, false
 }
 
-// AsInt coerces numeric values to int64, truncating floats toward zero.
-func (v Value) AsInt() (int64, bool) {
-	switch v.kind {
-	case IntKind, BoolKind:
-		return v.i, true
-	case FloatKind:
-		return int64(v.f), true
-	}
-	return 0, false
-}
-
 // String renders the value for display. NA renders as "NA". Timestamps use
 // RFC 3339. This is the format emitted by CSV export and parsed back by
 // Parse.
@@ -292,33 +281,4 @@ func ParseAs(s string, k Kind) (Value, error) {
 		return NA(), fmt.Errorf("value: parsing %q as time", s)
 	}
 	return NA(), fmt.Errorf("value: unknown kind %v", k)
-}
-
-// Coerce converts v to kind k where a lossless or conventional conversion
-// exists (int<->float, anything->string via String, bool->int). It returns
-// false when no conversion applies. NA coerces to NA of any kind.
-func Coerce(v Value, k Kind) (Value, bool) {
-	if v.kind == k {
-		return v, true
-	}
-	if v.IsNA() {
-		return NA(), true
-	}
-	switch k {
-	case IntKind:
-		if i, ok := v.AsInt(); ok {
-			return Int(i), true
-		}
-	case FloatKind:
-		if f, ok := v.AsFloat(); ok {
-			return Float(f), true
-		}
-	case StringKind:
-		return Str(v.String()), true
-	case BoolKind:
-		if i, ok := v.AsInt(); ok {
-			return Bool(i != 0), true
-		}
-	}
-	return NA(), false
 }

@@ -80,15 +80,6 @@ func TestAsFloat(t *testing.T) {
 	}
 }
 
-func TestAsInt(t *testing.T) {
-	if i, ok := Float(7.9).AsInt(); !ok || i != 7 {
-		t.Errorf("Float(7.9).AsInt() = (%d,%v), want (7,true)", i, ok)
-	}
-	if _, ok := Str("7").AsInt(); ok {
-		t.Error("Str should not coerce to int")
-	}
-}
-
 func TestString(t *testing.T) {
 	cases := []struct {
 		v    Value
@@ -197,27 +188,6 @@ func TestValueUsableAsMapKey(t *testing.T) {
 	}
 }
 
-func TestCoerce(t *testing.T) {
-	if v, ok := Coerce(Int(3), FloatKind); !ok || v.Float() != 3 {
-		t.Errorf("Coerce int->float = %v, %v", v, ok)
-	}
-	if v, ok := Coerce(Float(3.9), IntKind); !ok || v.Int() != 3 {
-		t.Errorf("Coerce float->int = %v, %v", v, ok)
-	}
-	if v, ok := Coerce(Int(7), StringKind); !ok || v.Str() != "7" {
-		t.Errorf("Coerce int->string = %v, %v", v, ok)
-	}
-	if v, ok := Coerce(NA(), FloatKind); !ok || !v.IsNA() {
-		t.Errorf("Coerce NA = %v, %v", v, ok)
-	}
-	if _, ok := Coerce(Str("x"), FloatKind); ok {
-		t.Error("Coerce string->float should fail")
-	}
-	if v, ok := Coerce(Int(0), BoolKind); !ok || v.Bool() {
-		t.Errorf("Coerce 0->bool = %v, %v", v, ok)
-	}
-}
-
 func TestKindString(t *testing.T) {
 	want := map[Kind]string{
 		NAKind: "na", IntKind: "int", FloatKind: "float",
@@ -265,20 +235,5 @@ func TestQuickStringParseRoundTrip(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 500}
 	if err := quick.Check(ff, cfg); err != nil {
 		t.Errorf("float round-trip: %v", err)
-	}
-}
-
-// Property: Coerce to string never fails for non-NA values.
-func TestQuickCoerceStringTotal(t *testing.T) {
-	f := func(a int64, b float64, s string) bool {
-		for _, v := range []Value{Int(a), Float(b), Str(s), Bool(a%2 == 0)} {
-			if _, ok := Coerce(v, StringKind); !ok {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -7,7 +7,6 @@ package viz
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"github.com/ddgms/ddgms/internal/cube"
@@ -190,34 +189,4 @@ func CrossTabWithTotals(w io.Writer, title string, cs *cube.CellSet) error {
 	}
 	fmt.Fprintf(w, "  %*g\n", colWidths[cs.Columns()], grand)
 	return nil
-}
-
-// Histogram draws the distribution of xs over nbins equal-width bins.
-func Histogram(w io.Writer, title string, xs []float64, nbins int) error {
-	if nbins < 1 {
-		return fmt.Errorf("viz: nbins must be >= 1")
-	}
-	if len(xs) == 0 {
-		return fmt.Errorf("viz: no samples")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	lo, hi := sorted[0], sorted[len(sorted)-1]
-	if hi == lo {
-		hi = lo + 1
-	}
-	width := (hi - lo) / float64(nbins)
-	counts := make([]float64, nbins)
-	labels := make([]string, nbins)
-	for _, x := range xs {
-		b := int((x - lo) / width)
-		if b >= nbins {
-			b = nbins - 1
-		}
-		counts[b]++
-	}
-	for b := range labels {
-		labels[b] = fmt.Sprintf("[%.3g,%.3g)", lo+float64(b)*width, lo+float64(b+1)*width)
-	}
-	return BarChart(w, title, labels, counts)
 }

@@ -124,26 +124,3 @@ func TestCrossTabWithTotals(t *testing.T) {
 		}
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	var sb strings.Builder
-	xs := []float64{1, 1.5, 2, 2.5, 3, 9.5}
-	if err := Histogram(&sb, "FBG distribution", xs, 3); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if strings.Count(out, "[") != 3 {
-		t.Errorf("bin labels missing:\n%s", out)
-	}
-	if err := Histogram(&sb, "", nil, 3); err == nil {
-		t.Error("empty samples must fail")
-	}
-	if err := Histogram(&sb, "", xs, 0); err == nil {
-		t.Error("zero bins must fail")
-	}
-	// Constant samples: all in one bin, no division by zero.
-	sb.Reset()
-	if err := Histogram(&sb, "", []float64{5, 5, 5}, 2); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -2,6 +2,13 @@
 # Tier-1+ gate: everything the repo requires before a change lands.
 # Extends the tier-1 command (go build + go test) with vet and the race
 # detector, which the parallel execution kernel makes load-bearing.
+#
+# After the full -race pass, each (package, -run filter, environment)
+# combination runs at most once more, and only where the full pass cannot
+# stand in for it: -count=2 flake re-runs, forced column encodings, the
+# allocation gate (its tests skip under -race) and churn seeds other
+# than the default. scripts/soak.sh and scripts/failover_soak.sh re-run
+# subsets the full pass already covers; they stay operator entry points.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -37,11 +44,9 @@ go test -race -run 'Crash|Fault' -count=2 ./internal/oltp/ ./internal/faultfs/
 
 stage "metrics suite (registry + trace + exposition under race, -count=2)"
 go test -race -count=2 ./internal/obs/
-go test -race -run 'Trace|Metrics|ErrorCounter' ./internal/server/
 
 stage "refresh-equivalence soak (randomized commit/refresh interleavings, retention pins, follow-loop backoff, -count=2)"
 go test -race -run 'TestRefresh' -count=2 ./internal/refresh/
-go test -race -run 'TestTailWAL' ./internal/oltp/
 
 stage "refresh-equivalence soak per column encoding (flat/packed/rle forced)"
 # The cube reads raw codes in ApplyDelta, DrillThrough and bitmap
@@ -54,27 +59,18 @@ for enc in flat packed rle; do
 	DDGMS_FORCE_ENCODING=$enc go test -race -run 'TestExtendCoded|FuzzExtendCoded' ./internal/exec/
 done
 
-stage "encoding equivalence battery (coded kernels vs scalar oracle)"
-go test -race -run 'TestEncodingEquivalence|Fuzz' ./internal/exec/
-
 stage "allocation regression gate (arena kernel, O(delta) refresh; no race detector)"
 go test -run 'TestGroupByCodedAllocBudget|TestEncodedColumnBytesReduction|TestApplyDeltaAllocScaling' .
 
-stage "replication partition soak (fault sweep, kill/restart, figure equivalence)"
+stage "replication partition soak (fault sweep, kill/restart, disk bound, snapshot bootstrap, -count=2)"
 go test -race -run 'TestFaultSweep|TestFollowerRestart|TestPrimaryDiskBounded|TestSnapshotBootstrap' -count=2 ./internal/repl/
-go test -race -count=1 ./internal/faultnet/
-go test -race -run 'TestReplicaFiguresMatchPrimary' -count=1 ./internal/core/
-go test -race -run 'TestApplyReplicated|TestPinWALAtDurable|TestRetentionFloor' -count=1 ./internal/oltp/
 
-stage "failover suite (promotion, fencing, vote sweeps, election simulation, routing front smoke)"
+stage "failover suite (routing front -count=2, unattended chaos soak over churn seeds 2 and 3)"
 go test -race -count=2 ./internal/router/
-go test -race -run 'TestRouterClassifiesEveryRoute|TestHandlePromote|TestHandleVote' ./internal/server/
-sh scripts/failover_soak.sh -auto
-
-stage "governance suite (cancellation, admission, budgets, breaker)"
-go test -race -run 'Cancel|Budget|Admission|Breaker|Timeout|Shutdown' \
-	./internal/exec/ ./internal/govern/ ./internal/server/ ./internal/refresh/
-sh scripts/soak.sh
+for seed in 2 3; do
+	echo "   -- churn seed $seed"
+	DDGMS_SOAK_SEED=$seed go test -race -run 'TestUnattendedFailoverConvergence' -count=1 .
+done
 
 stage "loadgen smoke (open-loop run against self-serve target, zero 5xx)"
 sh scripts/loadgen_smoke.sh
