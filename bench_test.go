@@ -43,7 +43,11 @@ func BenchmarkTableIDiscretisation(b *testing.B) {
 	}
 	cols := map[string]storage.Column{}
 	for name := range schemes {
-		cols[name] = flat.MustColumn(name)
+		col, err := flat.Column(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cols[name] = col
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -64,12 +68,10 @@ func BenchmarkTableIDiscretisation(b *testing.B) {
 func BenchmarkTableIAlgorithmic(b *testing.B) {
 	p := platformFor(b, 900)
 	flat := p.Flat()
-	fbg := flat.MustColumn("FBG")
-	dia := flat.MustColumn("DiabetesStatus")
 	var vals, labels []value.Value
 	for i := 0; i < flat.Len(); i++ {
-		vals = append(vals, fbg.Value(i))
-		labels = append(labels, dia.Value(i))
+		vals = append(vals, flat.MustValue(i, "FBG"))
+		labels = append(labels, flat.MustValue(i, "DiabetesStatus"))
 	}
 	b.Run("mdlp", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

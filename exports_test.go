@@ -26,8 +26,6 @@ var unreachedAllowed = map[string]string{
 	"server.Server.Routes":        "exported so the router drift test can list every registered route",
 	"core.Platform.PatientRecord": "point lookup through the oltp hash index, kept for the refresh mirror's planned read-through",
 	"oltp.Tx.Delete":              "the transaction API's write verb set stays whole; replication and recovery tests delete rows",
-	"cube.Engine.DrillThrough":    "drill-through from a crosstab cell to its facts; its per-encoding suite checks raw-code reads",
-	"storage.Table.Stats":         "column summary statistics; the cohort tests check generated value ranges with it",
 }
 
 // goFile is one parsed non-test file of the tree.

@@ -17,12 +17,10 @@ import (
 //     appended rows (retired rows stay physically present and are masked
 //     by filterBitmap, so those caches need no change for retirement).
 //     Both extend in place in O(appended rows): exec.ExtendCoded writes
-//     only the new codes and dictionary entries, keeps each column's
-//     encoding until the column is next rebuilt (compaction, resync,
-//     InvalidateDimension), starts new RLE runs at the append boundary, and
-//     leaves every older column header reading as it did; existing codes
-//     never change, so the bitmaps indexed by them stay valid, and only
-//     the bitmaps of members the batch adds rows to grow;
+//     only the new codes and dictionary entries and leaves every older
+//     column header reading as it did; existing codes never change, so
+//     the bitmaps indexed by them stay valid, and only the bitmaps of
+//     members the batch adds rows to grow;
 //   - lattice entries have the per-row partial aggregates of retired
 //     rows retracted (exec.AggState.Unmerge) and of appended rows merged
 //     (exec.AggState.Merge). Only additive measures live in the lattice,
@@ -140,11 +138,11 @@ func (e *Engine) appendedValues(ref AttrRef, oldN int) ([]value.Value, error) {
 // code's bitmap, which grows to reach it, and a code the append added to
 // the dictionary gets a new bitmap. Bitmaps of members no appended row
 // carries are left short of the fact table, which Or reads as unset.
-func growBitmaps(members []*Bitmap, cc exec.CodedColumn, oldN int) []*Bitmap {
+func growBitmaps(members []*Bitmap, cc *exec.CodedColumn, oldN int) []*Bitmap {
 	for len(members) < cc.Card() {
 		members = append(members, nil)
 	}
-	for j, code := range cc.AppendCodes(nil, oldN, cc.Len()) {
+	for j, code := range cc.Codes()[oldN:] {
 		if members[code] == nil {
 			members[code] = &Bitmap{}
 		}
@@ -166,11 +164,11 @@ func (e *Engine) deltaEntryLocked(entry *latticeEntry, d Delta, oldN int) bool {
 	// Every referenced column must be cached (they were, when the entry
 	// was stored; targeted invalidation removes entries with their
 	// columns).
-	coded := func(ref AttrRef) (exec.CodedColumn, bool) {
+	coded := func(ref AttrRef) (*exec.CodedColumn, bool) {
 		cc, ok := e.codedCols[ref]
 		return cc, ok && cc.Len() == fact.Len()
 	}
-	axisCols := make([]exec.CodedColumn, len(entry.attrs))
+	axisCols := make([]*exec.CodedColumn, len(entry.attrs))
 	for i, ref := range entry.attrs {
 		cc, ok := coded(ref)
 		if !ok {
@@ -179,8 +177,8 @@ func (e *Engine) deltaEntryLocked(entry *latticeEntry, d Delta, oldN int) bool {
 		axisCols[i] = cc
 	}
 	type sliceSet struct {
-		col  exec.CodedColumn
-		want []bool // by code
+		codes []uint32
+		want  []bool // by code
 	}
 	slicers := make([]sliceSet, len(entry.slicers))
 	for i, s := range entry.slicers {
@@ -188,7 +186,7 @@ func (e *Engine) deltaEntryLocked(entry *latticeEntry, d Delta, oldN int) bool {
 		if !ok {
 			return false
 		}
-		slicers[i] = sliceSet{col: cc, want: wantedCodes(cc.Values(), s.Values)}
+		slicers[i] = sliceSet{codes: cc.Codes(), want: wantedCodes(cc.Values(), s.Values)}
 	}
 	var measure exec.Measure
 	switch {
@@ -208,7 +206,7 @@ func (e *Engine) deltaEntryLocked(entry *latticeEntry, d Delta, oldN int) bool {
 
 	matches := func(i int) bool {
 		for _, s := range slicers {
-			if !s.want[s.col.Code(i)] {
+			if !s.want[s.codes[i]] {
 				return false
 			}
 		}
@@ -226,7 +224,7 @@ func (e *Engine) deltaEntryLocked(entry *latticeEntry, d Delta, oldN int) bool {
 	tupleAt := func(i int) []value.Value {
 		tuple := make([]value.Value, len(axisCols))
 		for a, cc := range axisCols {
-			tuple[a] = cc.Values()[cc.Code(i)]
+			tuple[a] = cc.Value(i)
 		}
 		return tuple
 	}

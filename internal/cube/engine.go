@@ -23,7 +23,7 @@ type Engine struct {
 	useLattice bool
 
 	mu        sync.Mutex
-	codedCols map[AttrRef]exec.CodedColumn
+	codedCols map[AttrRef]*exec.CodedColumn
 	// bitmaps holds member bitmaps indexed by dictionary code. ApplyDelta
 	// grows only those of members a batch adds rows to, so a bitmap may
 	// be shorter than the fact table; rows past its end are unset.
@@ -45,7 +45,7 @@ func NewEngine(schema *star.Schema, opts ...Option) *Engine {
 	e := &Engine{
 		schema:      schema,
 		useLattice:  true,
-		codedCols:   make(map[AttrRef]exec.CodedColumn),
+		codedCols:   make(map[AttrRef]*exec.CodedColumn),
 		bitmaps:     make(map[AttrRef][]*Bitmap),
 		lattice:     make(map[string][]*latticeEntry),
 		memberOrder: make(map[AttrRef]map[value.Value]int),
@@ -78,7 +78,7 @@ func (e *Engine) SetMemberOrder(ref AttrRef, members []value.Value) {
 func (e *Engine) InvalidateCaches() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.codedCols = make(map[AttrRef]exec.CodedColumn)
+	e.codedCols = make(map[AttrRef]*exec.CodedColumn)
 	e.bitmaps = make(map[AttrRef][]*Bitmap)
 	e.lattice = make(map[string][]*latticeEntry)
 }
@@ -105,7 +105,7 @@ func (e *Engine) attrSource(ref AttrRef) (*star.Dimension, []star.Key, error) {
 // representation the execution kernel groups on. Codes are interned
 // straight from the fact key column through the member attribute values;
 // facts with NoKey get NA.
-func (e *Engine) attrCoded(ref AttrRef) (exec.CodedColumn, error) {
+func (e *Engine) attrCoded(ref AttrRef) (*exec.CodedColumn, error) {
 	e.mu.Lock()
 	cc, ok := e.codedCols[ref]
 	e.mu.Unlock()
@@ -141,7 +141,7 @@ func (e *Engine) attrCoded(ref AttrRef) (exec.CodedColumn, error) {
 // indexed by dictionary code, together with the coded column whose
 // dictionary resolves values to those codes. A code no fact row carries
 // has a nil bitmap.
-func (e *Engine) bitmapFor(ref AttrRef) ([]*Bitmap, exec.CodedColumn, error) {
+func (e *Engine) bitmapFor(ref AttrRef) ([]*Bitmap, *exec.CodedColumn, error) {
 	e.mu.Lock()
 	perCode, cc := e.bitmaps[ref], e.codedCols[ref]
 	e.mu.Unlock()
@@ -154,7 +154,7 @@ func (e *Engine) bitmapFor(ref AttrRef) ([]*Bitmap, exec.CodedColumn, error) {
 		return nil, nil, err
 	}
 	perCode = make([]*Bitmap, cc.Card())
-	for i, code := range exec.MaterializeCodes(cc) {
+	for i, code := range cc.Codes() {
 		b := perCode[code]
 		if b == nil {
 			b = NewBitmap(cc.Len())
@@ -169,8 +169,8 @@ func (e *Engine) bitmapFor(ref AttrRef) ([]*Bitmap, exec.CodedColumn, error) {
 }
 
 // wantedCodes marks the dictionary codes whose value is one of vals: how
-// slicer and drill-through values resolve to codes. A value the
-// dictionary lacks marks nothing.
+// slicer values resolve to codes. A value the dictionary lacks marks
+// nothing.
 func wantedCodes(dict, vals []value.Value) []bool {
 	want := make(map[value.Value]struct{}, len(vals))
 	for _, v := range vals {
@@ -184,8 +184,8 @@ func wantedCodes(dict, vals []value.Value) []bool {
 }
 
 // filterBitmap evaluates all slicers into one fact-row bitmap. Retired
-// (tombstoned) fact rows are masked out first, so every scan, aggregate
-// and drill-through sees only live facts.
+// (tombstoned) fact rows are masked out first, so every scan and
+// aggregate sees only live facts.
 func (e *Engine) filterBitmap(slicers []Slicer) (*Bitmap, error) {
 	fact := e.schema.Fact()
 	n := fact.Len()
@@ -264,7 +264,7 @@ func (e *Engine) ExecuteCtx(ctx context.Context, q Query) (*CellSet, error) {
 
 	encode := sp.Start("cube.encode")
 	axes := append(append([]AttrRef{}, q.Rows...), q.Cols...)
-	axisCoded := make([]exec.CodedColumn, len(axes))
+	axisCoded := make([]*exec.CodedColumn, len(axes))
 	for i, ref := range axes {
 		cc, err := e.attrCoded(ref)
 		if err != nil {

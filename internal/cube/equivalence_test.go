@@ -16,6 +16,18 @@ import (
 // routes (surrogate-keyed warehouse vs direct scan). For random data they
 // must agree cell for cell — a strong mutual check on both engines.
 
+// flatResultCell returns the aggregate of the flat result's (a, b) group;
+// ok reports whether the group exists.
+func flatResultCell(r *flatquery.Result, a, b value.Value) (v value.Value, ok bool) {
+	g := r.Grouped
+	for i := 0; i < g.Len(); i++ {
+		if g.ColumnAt(0).Value(i).Equal(a) && g.ColumnAt(1).Value(i).Equal(b) {
+			return g.MustValue(i, r.AggName), true
+		}
+	}
+	return value.NA(), false
+}
+
 // randomFlat builds a flat table from a byte seed: two categorical
 // grouping columns, one filter column, one measure.
 func randomFlat(seed []byte) (*storage.Table, error) {
@@ -111,7 +123,7 @@ func TestQuickCubeAgreesWithFlatScan(t *testing.T) {
 			for i := 0; i < cs.Rows(); i++ {
 				for j := 0; j < cs.Columns(); j++ {
 					cubeCell := cs.Cell(i, j)
-					flatCell, ok := fr.Cell([]value.Value{cs.RowHeaders[i][0], cs.ColHeaders[j][0]})
+					flatCell, ok := flatResultCell(fr, cs.RowHeaders[i][0], cs.ColHeaders[j][0])
 					if cubeCell.IsNA() {
 						// Either no facts at this coordinate (flat result
 						// lacks the cell) or an all-NA measure group.

@@ -15,7 +15,7 @@ import (
 var (
 	metricStepSeconds = obs.Default().HistogramVec(
 		"ddgms_etl_step_seconds",
-		"Time per ETL step, including retries.",
+		"Time per ETL step.",
 		nil,
 		"step")
 )

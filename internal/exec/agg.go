@@ -76,7 +76,7 @@ func ResultKind(k AggKind) value.Kind {
 }
 
 // Measure provides per-row values for one aggregate input. storage.Column
-// and CodedColumn both satisfy it.
+// and *CodedColumn both satisfy it.
 type Measure interface {
 	Value(i int) value.Value
 }

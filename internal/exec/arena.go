@@ -37,9 +37,9 @@ type aggPlan struct {
 	mode  aggMode
 	m     Measure
 	fm    FloatMeasure
-	coded CodedColumn // modeDistinctCoded: the dictionary-coded measure
-	words int         // modeDistinctCoded: bitset words per group
-	off   int         // modeDistinctCoded: word offset inside a group's bitset span
+	codes []uint32 // modeDistinctCoded: the measure's code vector
+	words int      // modeDistinctCoded: bitset words per group
+	off   int      // modeDistinctCoded: word offset inside a group's bitset span
 }
 
 // planAggs compiles the aggregate inputs for the dense path. Distinct
@@ -61,11 +61,11 @@ func planAggs(aggs []AggInput, numRows, denseSize int) ([]aggPlan, int) {
 			p.mode = modeRows
 		case a.Kind == DistinctAgg:
 			p.mode = modeGeneric
-			if cc, ok := a.Measure.(CodedColumn); ok && cc.Len() >= numRows && !dictHasNaN(cc.Values()) {
+			if cc, ok := a.Measure.(*CodedColumn); ok && cc.Len() >= numRows && !dictHasNaN(cc.Values()) {
 				words := (cc.Card() + 63) / 64
 				if denseSize*(distWords+words) <= maxDistinctBitsetWords {
 					p.mode = modeDistinctCoded
-					p.coded = cc
+					p.codes = cc.codes
 					p.words = words
 					p.off = distWords
 					distWords += words
@@ -148,9 +148,8 @@ func (a *denseArena) group(slot uint64, c *scanCtl) (g int, ok bool) {
 	return g, true
 }
 
-// observe folds row i into group g. off is the row's offset inside the
-// current decode block, indexing the measure code slices in mcodes.
-func (a *denseArena) observe(g, i, off int, mcodes [][]uint32) {
+// observe folds row i into group g.
+func (a *denseArena) observe(g, i int) {
 	base := g * a.nAggs
 	for k := range a.plan {
 		p := &a.plan[k]
@@ -175,7 +174,7 @@ func (a *denseArena) observe(g, i, off int, mcodes [][]uint32) {
 			}
 		case modeDistinctCoded:
 			st.Rows++
-			if code := mcodes[k][off]; code != NACode {
+			if code := p.codes[i]; code != NACode {
 				st.Count++
 				st.Any = true
 				a.bits[g*a.distWords+p.off+int(code>>6)] |= 1 << (code & 63)
@@ -223,96 +222,4 @@ func (a *denseArena) seal(g int) {
 		}
 		a.states[g*a.nAggs+k].Distinct = n
 	}
-}
-
-// blockReader decodes the code vectors of a column set one block at a
-// time: flat columns are referenced zero-copy, packed columns decode
-// word-at-a-time and RLE columns expand runs, all into per-column
-// buffers reused across blocks.
-type blockReader struct {
-	cols []CodedColumn
-	flat [][]uint32 // zero-copy backing, nil for compressed columns
-	bufs [][]uint32
-	out  [][]uint32
-}
-
-func newBlockReader(cols []CodedColumn) *blockReader {
-	r := &blockReader{
-		cols: cols,
-		flat: make([][]uint32, len(cols)),
-		bufs: make([][]uint32, len(cols)),
-		out:  make([][]uint32, len(cols)),
-	}
-	for k, col := range cols {
-		if f, ok := col.(*FlatColumn); ok {
-			r.flat[k] = f.codes
-		} else {
-			r.bufs[k] = make([]uint32, 0, cancelCheckRows)
-		}
-	}
-	return r
-}
-
-// read returns the codes of rows [lo, hi) for every column. The returned
-// slices are valid until the next read.
-func (r *blockReader) read(lo, hi int) [][]uint32 {
-	for k, col := range r.cols {
-		if r.flat[k] != nil {
-			r.out[k] = r.flat[k][lo:hi]
-			continue
-		}
-		r.bufs[k] = col.AppendCodes(r.bufs[k][:0], lo, hi)
-		r.out[k] = r.bufs[k]
-	}
-	return r.out
-}
-
-// measureReader is a blockReader over the dictionary-coded measures of a
-// plan: only modeDistinctCoded entries are decoded, at their aggregate's
-// index, so arena.observe can index the result by plan position.
-type measureReader struct {
-	plan   []aggPlan
-	active bool
-	flat   [][]uint32
-	bufs   [][]uint32
-	out    [][]uint32
-}
-
-func newMeasureReader(plan []aggPlan) *measureReader {
-	r := &measureReader{plan: plan}
-	for k := range plan {
-		if plan[k].mode != modeDistinctCoded {
-			continue
-		}
-		if !r.active {
-			r.active = true
-			r.flat = make([][]uint32, len(plan))
-			r.bufs = make([][]uint32, len(plan))
-			r.out = make([][]uint32, len(plan))
-		}
-		if f, ok := plan[k].coded.(*FlatColumn); ok {
-			r.flat[k] = f.codes
-		} else {
-			r.bufs[k] = make([]uint32, 0, cancelCheckRows)
-		}
-	}
-	return r
-}
-
-func (r *measureReader) read(lo, hi int) [][]uint32 {
-	if !r.active {
-		return nil
-	}
-	for k := range r.plan {
-		if r.plan[k].mode != modeDistinctCoded {
-			continue
-		}
-		if r.flat[k] != nil {
-			r.out[k] = r.flat[k][lo:hi]
-			continue
-		}
-		r.bufs[k] = r.plan[k].coded.AppendCodes(r.bufs[k][:0], lo, hi)
-		r.out[k] = r.bufs[k]
-	}
-	return r.out
 }

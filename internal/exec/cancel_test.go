@@ -19,14 +19,14 @@ func cancelInputs(rows int) map[string]GroupInput {
 	dense := buildInput(rows)
 	hashed := GroupInput{
 		NumRows: rows,
-		Keys: []CodedColumn{
+		Keys: []*CodedColumn{
 			highCardColumn(rows, 500, rng),
 			highCardColumn(rows, 400, rng),
 			highCardColumn(rows, 300, rng),
 		},
 		Aggs: []AggInput{{Kind: CountAgg}, {Kind: SumAgg, Measure: constMeasure{rows}}},
 	}
-	wideKeys := make([]CodedColumn, 6)
+	wideKeys := make([]*CodedColumn, 6)
 	for k := range wideKeys {
 		wideKeys[k] = highCardColumn(rows, 20000, rng)
 	}
@@ -158,7 +158,7 @@ func TestCellBudgetAbortsHighCardinality(t *testing.T) {
 	rows := 30000
 	in := GroupInput{
 		NumRows: rows,
-		Keys: []CodedColumn{
+		Keys: []*CodedColumn{
 			highCardColumn(rows, 500, rng),
 			highCardColumn(rows, 400, rng),
 			highCardColumn(rows, 300, rng),
@@ -175,7 +175,7 @@ func TestCellBudgetAbortsHighCardinality(t *testing.T) {
 func TestByteBudgetAbortsWidePath(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	rows := 30000
-	keys := make([]CodedColumn, 6)
+	keys := make([]*CodedColumn, 6)
 	for k := range keys {
 		keys[k] = highCardColumn(rows, 20000, rng)
 	}

@@ -8,12 +8,9 @@
 // partitions the row range across a GOMAXPROCS-sized worker pool, and
 // merges per-worker partial aggregates deterministically.
 //
-// Coded columns come in three physical encodings — flat []uint32,
-// bit-packed words, and RLE runs — chosen per column at build time from a
-// stats pass (see encoding.go). The kernel operates on the compressed
-// form directly: block cursors decode packed words a word at a time,
-// all-RLE key sets group per run instead of per row, and partial
-// aggregate state lives in per-worker arenas.
+// A coded column is one flat []uint32 code vector plus its dictionary.
+// The kernel indexes the code vectors directly, and partial aggregate
+// state lives in per-worker arenas.
 //
 // The kernel picks one of three accumulation paths per invocation from
 // the packed key width: a direct-indexed dense table when the whole
@@ -42,50 +39,50 @@ import (
 // can test missingness with a single integer compare.
 const NACode uint32 = 0
 
-// CodedColumn is the dictionary-encoded view of a column: a per-row code
-// vector in one of three physical encodings (flat, bit-packed, RLE) plus
-// the reverse table mapping codes back to values. Values()[0] is always
-// NA. Every header reads the same rows, codes and values for its whole
-// life, so concurrent readers may share one freely; ExtendCoded is the
-// one operation that needs them quiesced (see there).
-//
-// Code and Value are the random-access accessors; scans should prefer
-// AppendCodes, which decodes a row range in bulk (word-at-a-time for
-// packed columns, run expansion for RLE), or type-switch on the concrete
-// encodings for zero-copy (FlatColumn) and per-run (RLEColumn) access.
-type CodedColumn interface {
-	// Len reports the number of rows.
-	Len() int
-	// Card reports the dictionary cardinality, including the reserved NA
-	// entry.
-	Card() int
-	// Code returns the dictionary code of row i.
-	Code(i int) uint32
-	// Value materialises row i. It implements the Measure accessor, so a
-	// coded column can be aggregated over directly (the cube's distinct
-	// patient counts take this path).
-	Value(i int) value.Value
-	// IsNA reports whether row i is missing.
-	IsNA(i int) bool
-	// Values returns the dictionary (code -> value). Callers must not
-	// mutate it.
-	Values() []value.Value
-	// Encoding reports the physical layout.
-	Encoding() Encoding
-	// CodeBytes reports the resident size of the code vector in bytes
-	// (dictionary excluded) — the quantity the storage gauges track.
-	CodeBytes() int
-	// AppendCodes appends the codes of rows [lo, hi) to dst and returns
-	// the extended slice.
-	AppendCodes(dst []uint32, lo, hi int) []uint32
-
-	// dict and extend are what ExtendCoded drives; being unexported, they
-	// also keep the implementations to this package's three encodings.
-	dict() *dictionary
-	// extend returns a new header with codes appended to this one's
-	// storage in place, over dictionary d (see ExtendCoded).
-	extend(codes []uint32, d dictionary) CodedColumn
+// CodedColumn is the dictionary-encoded view of a column: one uint32 code
+// per row plus the reverse table mapping codes back to values. Values()[0]
+// is always NA. Every header reads the same rows, codes and values for
+// its whole life, so concurrent readers may share one freely; ExtendCoded
+// is the one operation with a concurrency rule (see there).
+type CodedColumn struct {
+	codes  []uint32
+	values []value.Value
+	idx    *dictIndex
 }
+
+// NewCodedColumn wraps a code vector and its dictionary without copying,
+// taking ownership of both. Each is capped at its length, so the first
+// ExtendCoded reallocates instead of writing into capacity some other
+// slice may share.
+func NewCodedColumn(codes []uint32, values []value.Value) *CodedColumn {
+	return &CodedColumn{
+		codes:  codes[:len(codes):len(codes)],
+		values: values[:len(values):len(values)],
+		idx:    &dictIndex{rows: len(codes)},
+	}
+}
+
+// Len reports the number of rows.
+func (c *CodedColumn) Len() int { return len(c.codes) }
+
+// Card reports the dictionary cardinality, including the reserved NA
+// entry.
+func (c *CodedColumn) Card() int { return len(c.values) }
+
+// Value materialises row i. It implements the Measure accessor, so a
+// coded column can be aggregated over directly (the cube's distinct
+// patient counts take this path).
+func (c *CodedColumn) Value(i int) value.Value { return c.values[c.codes[i]] }
+
+// Codes returns the code vector, one code per row, without copying.
+// Callers must not mutate it; it is capped at its length, so an append by
+// the caller cannot reach rows a newer header added.
+func (c *CodedColumn) Codes() []uint32 { return c.codes[:len(c.codes):len(c.codes)] }
+
+// Values returns the dictionary (code -> value). Callers must not mutate
+// it; it is capped at its length, so an append by the caller cannot reach
+// entries a newer header added.
+func (c *CodedColumn) Values() []value.Value { return c.values[:len(c.values):len(c.values)] }
 
 // dictIndex is the value -> code index of a dictionary. A built column
 // keeps none (its builder's is dropped, sparing every column that is
@@ -115,8 +112,7 @@ func (ix *dictIndex) fill(values []value.Value) {
 
 func isNaN(v value.Value) bool { return v.Kind() == value.FloatKind && math.IsNaN(v.Float()) }
 
-// dictBuilder interns values into a flat code vector under construction;
-// finish() re-encodes it into the chosen physical layout.
+// dictBuilder interns values into a code vector under construction.
 type dictBuilder struct {
 	codes  []uint32
 	values []value.Value
@@ -155,7 +151,7 @@ func (b *dictBuilder) append(v value.Value) {
 	b.codes = append(b.codes, b.intern(v))
 }
 
-func (b *dictBuilder) finish() CodedColumn {
+func (b *dictBuilder) finish() *CodedColumn {
 	return NewCodedColumn(b.codes, b.values)
 }
 
@@ -163,7 +159,7 @@ func (b *dictBuilder) finish() CodedColumn {
 // encode their typed payloads through it, and the cube engine its
 // attribute columns straight from fact keys, neither materialising a
 // []value.Value first.
-func EncodeFunc(n int, at func(i int) value.Value) CodedColumn {
+func EncodeFunc(n int, at func(i int) value.Value) *CodedColumn {
 	b := newDictBuilder(n)
 	for i := 0; i < n; i++ {
 		b.append(at(i))
@@ -172,42 +168,35 @@ func EncodeFunc(n int, at func(i int) value.Value) CodedColumn {
 }
 
 // ExtendCoded returns c with vals appended, in O(len(vals)) amortised:
-// the appended codes go into the spare capacity of c's own code storage
-// (flat: the vector; packed: the last word, then new words; RLE: new runs
-// after the last one, never lengthening it) and new values into its
-// dictionary, interned through an index kept with the column. Existing
-// codes never change, and every header handed out before — c included —
-// still reads exactly its own rows and dictionary afterwards, because the
-// extension lies past its length. The encoding is not re-chosen: a column
-// keeps the layout it was built with until it is rebuilt (EncodeFunc,
-// NewCodedColumn); only a packed column whose dictionary outgrows its bit
-// width repacks, at the wider width. An empty vals returns c itself.
+// the appended codes go into the spare capacity of c's code vector and
+// new values into its dictionary, interned through an index kept with
+// the column. Existing codes never change, and every header handed out
+// before — c included — still reads exactly its own rows and dictionary
+// afterwards, because the extension lies past its length. An empty vals
+// returns c itself.
 //
 // Extend the newest header of a chain; extending an older one is correct
-// but copies it first, O(rows). Extends must not run concurrently with
-// each other or with readers of c: a packed extend ORs into the word c's
-// last rows live in. The cube calls it under the refresh maintainer's
-// write lock, with queries quiesced.
-func ExtendCoded(c CodedColumn, vals []value.Value) CodedColumn {
+// but copies it first, O(rows). Extends of one chain must not run
+// concurrently with each other: they share its index and spare capacity.
+// The cube calls it under the refresh maintainer's write lock, with
+// queries quiesced.
+func ExtendCoded(c *CodedColumn, vals []value.Value) *CodedColumn {
 	if len(vals) == 0 {
 		return c
 	}
-	if c.dict().idx.rows != c.Len() {
+	if c.idx.rows != c.Len() {
 		// A newer header owns the spare capacity past c; extend a copy.
-		codes := c.AppendCodes(make([]uint32, 0, c.Len()), 0, c.Len())
-		c = encodeAs(c.Encoding(), codes, c.Values())
+		c = NewCodedColumn(append([]uint32(nil), c.codes...), c.values)
 	}
-	d := *c.dict()
-	if d.idx.index == nil {
-		d.idx.fill(d.values)
+	if c.idx.index == nil {
+		c.idx.fill(c.values)
 	}
-	b := &dictBuilder{codes: make([]uint32, 0, len(vals)), values: d.values, dictIndex: d.idx}
+	b := &dictBuilder{codes: c.codes, values: c.values, dictIndex: c.idx}
 	for _, v := range vals {
 		b.append(v)
 	}
-	d.values = b.values
-	d.idx.rows = c.Len() + len(vals)
-	return c.extend(b.codes, d)
+	c.idx.rows = len(b.codes)
+	return &CodedColumn{codes: b.codes, values: b.values, idx: c.idx}
 }
 
 // EncodeTuple canonically encodes a tuple of values as a string map key:

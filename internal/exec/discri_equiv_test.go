@@ -42,7 +42,7 @@ func flatTable(t *testing.T) *storage.Table {
 // cached dictionaries, other measures the column itself.
 func groupInput(t *testing.T, tbl *storage.Table, keys []string, aggs []storage.AggSpec) exec.GroupInput {
 	t.Helper()
-	dict := func(name string) exec.CodedColumn {
+	dict := func(name string) *exec.CodedColumn {
 		cc, err := tbl.Dict(name)
 		if err != nil {
 			t.Fatal(err)
@@ -60,7 +60,11 @@ func groupInput(t *testing.T, tbl *storage.Table, keys []string, aggs []storage.
 		case a.Kind == storage.DistinctAgg:
 			ai.Measure = dict(a.Column)
 		default:
-			ai.Measure = tbl.MustColumn(a.Column)
+			col, err := tbl.Column(a.Column)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ai.Measure = col
 		}
 		in.Aggs = append(in.Aggs, ai)
 	}
@@ -116,7 +120,10 @@ func TestKernelMatchesOracleOnPaperFigures(t *testing.T) {
 				{Kind: q.Measure.Agg, Column: q.Measure.Attr.Attr},
 			})
 			slicer := q.Slicers[0]
-			col := flat.MustColumn(slicer.Ref.Attr)
+			col, err := flat.Dict(slicer.Ref.Attr)
+			if err != nil {
+				t.Fatal(err)
+			}
 			in.Filter = func(i int) bool { return col.Value(i).Equal(slicer.Values[0]) }
 			kernelMatchesOracle(t, in, 1, 4)
 		})

@@ -11,8 +11,7 @@ import (
 )
 
 // groupSpec is one randomized group-by scenario: raw key/measure values
-// plus a filter, from which each encoding under test builds its own
-// coded columns.
+// plus a filter, from which input builds the coded columns.
 type groupSpec struct {
 	rows     int
 	keys     [][]value.Value
@@ -23,8 +22,7 @@ type groupSpec struct {
 
 // randomSpec draws a scenario aimed at one of the kernel's key paths:
 // dense (packed key fits maxDenseBits), hashed (fits a word) or wide
-// (beyond 64 bits). Sorted variants produce long runs so forced RLE
-// exercises the fused per-run scan.
+// (beyond 64 bits). Sorted variants produce long runs of equal keys.
 func randomSpec(rng *rand.Rand, path string, sorted bool) groupSpec {
 	rows := 200 + rng.Intn(2200)
 	var cards []int
@@ -76,9 +74,8 @@ func randomSpec(rng *rand.Rand, path string, sorted bool) groupSpec {
 	return sp
 }
 
-// input builds the GroupInput under the process's current forced
-// encoding (or the stats heuristic when unforced). The distinct measure
-// is passed as a CodedColumn so the dense path's bitset accumulation is
+// input builds the GroupInput. The distinct measure is passed as a
+// CodedColumn so the dense path's bitset accumulation is
 // in play whenever the plan admits it.
 func (sp groupSpec) input() GroupInput {
 	in := GroupInput{NumRows: sp.rows, Filter: sp.filter}
@@ -124,37 +121,27 @@ func sameGroupsNaN(t *testing.T, got, want []Group) {
 	}
 }
 
-// TestEncodingEquivalenceRandomSpecs is the cross-encoding oracle
-// battery: for randomized scenarios spanning the dense, hashed and wide
-// key paths, the vectorized kernel over flat, packed and RLE columns
-// must produce exactly the groups of the legacy scalar path.
+// TestEncodingEquivalenceRandomSpecs is the coded-column oracle battery:
+// for randomized scenarios spanning the dense, hashed and wide key paths,
+// the vectorized kernel at 1 and 4 workers must produce exactly the
+// groups of the legacy scalar path.
 func TestEncodingEquivalenceRandomSpecs(t *testing.T) {
 	for seed := 0; seed < 12; seed++ {
 		path := []string{"dense", "hashed", "wide"}[seed%3]
 		sorted := seed%2 == 0
 		t.Run(fmt.Sprintf("seed%d_%s_sorted%v", seed, path, sorted), func(t *testing.T) {
 			sp := randomSpec(rand.New(rand.NewSource(int64(seed))), path, sorted)
-
-			t.Setenv(ForceEncodingEnv, "flat")
-			legacy, err := oracleGroupBy(sp.input())
+			in := sp.input()
+			legacy, err := oracleGroupBy(in)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, enc := range []string{"flat", "packed", "rle"} {
-				t.Setenv(ForceEncodingEnv, enc)
-				in := sp.input()
-				for _, k := range in.Keys {
-					if k.Encoding().String() != enc {
-						t.Fatalf("key encoding %v under forced %q", k.Encoding(), enc)
-					}
+			for _, workers := range []int{1, 4} {
+				got, err := groupBy(context.Background(), in, workers)
+				if err != nil {
+					t.Fatalf("%d workers: %v", workers, err)
 				}
-				for _, workers := range []int{1, 4} {
-					got, err := groupBy(context.Background(), in, workers)
-					if err != nil {
-						t.Fatalf("%s/%d workers: %v", enc, workers, err)
-					}
-					sameGroupsNaN(t, got, legacy)
-				}
+				sameGroupsNaN(t, got, legacy)
 			}
 		})
 	}

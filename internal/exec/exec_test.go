@@ -10,7 +10,7 @@ import (
 )
 
 // Encode dictionary-encodes a materialised value slice.
-func Encode(vals []value.Value) CodedColumn {
+func Encode(vals []value.Value) *CodedColumn {
 	return EncodeFunc(len(vals), func(i int) value.Value { return vals[i] })
 }
 
@@ -39,23 +39,24 @@ func TestEncodeRoundTrip(t *testing.T) {
 		if !cc.Value(i).Equal(v) {
 			t.Errorf("row %d: decoded %v, want %v", i, cc.Value(i), v)
 		}
-		if cc.IsNA(i) != v.IsNA() {
-			t.Errorf("row %d: IsNA %v, want %v", i, cc.IsNA(i), v.IsNA())
+		if na := cc.Codes()[i] == NACode; na != v.IsNA() {
+			t.Errorf("row %d: coded NA %v, want %v", i, na, v.IsNA())
 		}
 	}
 	// Repeated values share codes.
-	if cc.Code(0) != cc.Code(3) {
-		t.Errorf("codes for repeated value differ: %d vs %d", cc.Code(0), cc.Code(3))
+	if codes := cc.Codes(); codes[0] != codes[3] {
+		t.Errorf("codes for repeated value differ: %d vs %d", codes[0], codes[3])
 	}
 }
 
 func TestEncodeNaNFoldsToOneCode(t *testing.T) {
 	nan := value.Float(math.NaN())
 	cc := Encode([]value.Value{nan, value.Float(1), nan, nan})
-	if cc.Code(0) != cc.Code(2) || cc.Code(0) != cc.Code(3) {
-		t.Fatalf("NaN rows got distinct codes: %v", MaterializeCodes(cc))
+	codes := cc.Codes()
+	if codes[0] != codes[2] || codes[0] != codes[3] {
+		t.Fatalf("NaN rows got distinct codes: %v", codes)
 	}
-	if cc.Code(0) == NACode {
+	if codes[0] == NACode {
 		t.Fatal("NaN mapped to the NA code")
 	}
 }
@@ -92,7 +93,7 @@ func buildInput(rows int) GroupInput {
 	}
 	return GroupInput{
 		NumRows: rows,
-		Keys:    []CodedColumn{Encode(as), Encode(bs)},
+		Keys:    []*CodedColumn{Encode(as), Encode(bs)},
 		Aggs: []AggInput{
 			{Kind: CountAgg},
 			{Kind: SumAgg, Measure: ValueSlice(ms)},
@@ -174,7 +175,7 @@ func TestZeroKeysSingleGroup(t *testing.T) {
 }
 
 func TestZeroRowsNoGroups(t *testing.T) {
-	groups, err := GroupBy(context.Background(), GroupInput{NumRows: 0, Keys: []CodedColumn{Encode(nil)}})
+	groups, err := GroupBy(context.Background(), GroupInput{NumRows: 0, Keys: []*CodedColumn{Encode(nil)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestZeroAggsActsAsDistinct(t *testing.T) {
 }
 
 func TestShortKeyColumnRejected(t *testing.T) {
-	_, err := GroupBy(context.Background(), GroupInput{NumRows: 10, Keys: []CodedColumn{Encode(make([]value.Value, 5))}})
+	_, err := GroupBy(context.Background(), GroupInput{NumRows: 10, Keys: []*CodedColumn{Encode(make([]value.Value, 5))}})
 	if err == nil {
 		t.Fatal("expected error for short key column")
 	}
@@ -209,7 +210,7 @@ func TestShortKeyColumnRejected(t *testing.T) {
 
 // highCardColumn builds a column with the requested cardinality so tests
 // can force the hashed and wide key paths.
-func highCardColumn(rows, card int, rng *rand.Rand) CodedColumn {
+func highCardColumn(rows, card int, rng *rand.Rand) *CodedColumn {
 	vals := make([]value.Value, rows)
 	for i := range vals {
 		vals[i] = value.Int(int64(rng.Intn(card)))
@@ -224,7 +225,7 @@ func TestHashedPathMatchesScalar(t *testing.T) {
 	// within uint64.
 	in := GroupInput{
 		NumRows: rows,
-		Keys: []CodedColumn{
+		Keys: []*CodedColumn{
 			highCardColumn(rows, 500, rng),
 			highCardColumn(rows, 400, rng),
 			highCardColumn(rows, 300, rng),
@@ -248,7 +249,7 @@ func TestHashedPathMatchesScalar(t *testing.T) {
 func TestWidePathMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	rows := 3000
-	keys := make([]CodedColumn, 6)
+	keys := make([]*CodedColumn, 6)
 	for k := range keys {
 		keys[k] = highCardColumn(rows, 20000, rng) // ~12 bits realised each, >64 total
 	}

@@ -7,6 +7,3 @@ var (
 	GroupByWorkers = groupBy
 	SameGroups     = sameGroups
 )
-
-// Width reports the per-code bit width.
-func (c *PackedColumn) Width() uint { return c.width }

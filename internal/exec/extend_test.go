@@ -11,8 +11,7 @@ import (
 
 // extendValues maps raw bytes onto a value stream with everything an
 // extend must preserve: NA, float NaN (one pinned code however many
-// appear), ints and strings — up to 154 distinct values, enough for a
-// packed column to cross several bit widths.
+// appear), ints and strings — up to 154 distinct values.
 func extendValues(data []byte) []value.Value {
 	vals := make([]value.Value, len(data))
 	for i, b := range data {
@@ -34,32 +33,13 @@ func sameValue(a, b value.Value) bool {
 	return a == b || (isNaN(a) && isNaN(b))
 }
 
-// builder builds the first header of an extend chain from the codes and
-// dictionary a dictBuilder interned.
-type builder func(codes []uint32, values []value.Value) CodedColumn
-
-func forced(enc Encoding) builder {
-	return func(codes []uint32, values []value.Value) CodedColumn { return encodeAs(enc, codes, values) }
-}
-
-// builders covers each encoding, plus the stats heuristic, which honours
-// DDGMS_FORCE_ENCODING; builderNames fixes their order.
-var builderNames = []string{"flat", "packed", "rle", "heuristic"}
-
-var builders = map[string]builder{
-	"flat":      forced(EncFlat),
-	"packed":    forced(EncPacked),
-	"rle":       forced(EncRLE),
-	"heuristic": NewCodedColumn,
-}
-
 // checkSameColumn asserts got reads exactly as a one-shot EncodeFunc of
-// vals: length, dictionary, and every row's code, value and missingness.
-func checkSameColumn(t *testing.T, label string, got CodedColumn, vals []value.Value) {
+// vals: length, dictionary, and every row's code and value.
+func checkSameColumn(t *testing.T, label string, got *CodedColumn, vals []value.Value) {
 	t.Helper()
 	want := EncodeFunc(len(vals), func(i int) value.Value { return vals[i] })
 	if got.Len() != want.Len() || got.Card() != want.Card() {
-		t.Fatalf("%s: %v Len/Card = %d/%d, want %d/%d", label, got.Encoding(), got.Len(), got.Card(), want.Len(), want.Card())
+		t.Fatalf("%s: Len/Card = %d/%d, want %d/%d", label, got.Len(), got.Card(), want.Len(), want.Card())
 	}
 	gv, wv := got.Values(), want.Values()
 	for code := range wv {
@@ -67,42 +47,40 @@ func checkSameColumn(t *testing.T, label string, got CodedColumn, vals []value.V
 			t.Fatalf("%s: Values()[%d] = %v, want %v", label, code, gv[code], wv[code])
 		}
 	}
-	wantCodes := want.AppendCodes(nil, 0, want.Len())
-	checkCodedRoundTrip(t, got, wantCodes)
+	gc, wc := got.Codes(), want.Codes()
 	for i := range vals {
+		if gc[i] != wc[i] {
+			t.Fatalf("%s: code of row %d = %d, want %d", label, i, gc[i], wc[i])
+		}
 		if !sameValue(got.Value(i), want.Value(i)) {
 			t.Fatalf("%s: Value(%d) = %v, want %v", label, i, got.Value(i), want.Value(i))
 		}
 	}
 }
 
-// checkExtendChain builds vals[:cuts[0]] with build and extends it by
+// checkExtendChain builds vals[:cuts[0]] and extends it by
 // each following batch, vals[cuts[i-1]:cuts[i]]. Only after the whole
 // chain exists does it check every header against a one-shot build of
 // its prefix, so an extend that disturbed an older header shows. It then
 // extends an older header a second time, which must leave both branches
 // intact.
-func checkExtendChain(t *testing.T, build builder, vals []value.Value, cuts []int) []CodedColumn {
+func checkExtendChain(t *testing.T, vals []value.Value, cuts []int) {
 	t.Helper()
 	b := newDictBuilder(cuts[0])
 	for _, v := range vals[:cuts[0]] {
 		b.append(v)
 	}
-	chain := []CodedColumn{build(b.codes, b.values)}
-	enc := chain[0].Encoding()
+	chain := []*CodedColumn{b.finish()}
 	for i := 1; i < len(cuts); i++ {
 		prev := chain[len(chain)-1]
 		next := ExtendCoded(prev, vals[cuts[i-1]:cuts[i]])
 		if cuts[i] == cuts[i-1] && next != prev {
 			t.Fatalf("empty extend of %d rows returned a new column", prev.Len())
 		}
-		if next.Encoding() != enc {
-			t.Fatalf("extend re-chose the encoding: %v -> %v", enc, next.Encoding())
-		}
 		// A caller appending to what an older header hands out must not
 		// reach the storage the newer header shares with it.
 		_ = append(prev.Values(), value.Str("clobbered"))
-		_ = append(MaterializeCodes(prev), 1<<20)
+		_ = append(prev.Codes(), 1<<20)
 		chain = append(chain, next)
 	}
 	for i, c := range chain {
@@ -118,7 +96,6 @@ func checkExtendChain(t *testing.T, build builder, vals []value.Value, cuts []in
 			checkSameColumn(t, "chain header after branch", c, vals[:cuts[i]])
 		}
 	}
-	return chain
 }
 
 // randomCuts splits n rows into a built prefix and batches of 0–8 rows.
@@ -136,7 +113,7 @@ func randomCuts(rng *rand.Rand, n int) []int {
 
 // TestExtendCodedMatchesOneShotBuild: a column built and then extended
 // in random batch splits reads exactly as EncodeFunc over the whole
-// stream, in every encoding.
+// stream. Subtests are named after the one code layout, flat.
 func TestExtendCodedMatchesOneShotBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	runs := make([]byte, 0, 300)
@@ -156,56 +133,33 @@ func TestExtendCodedMatchesOneShotBuild(t *testing.T) {
 		name string
 		data []byte
 	}{{"runs", runs}, {"churn", churn}, {"na_nan", missing}, {"new_members", growing}}
-	for _, name := range builderNames {
-		build := builders[name]
-		for _, stream := range streams {
-			vals := extendValues(stream.data)
-			for trial := 0; trial < 3; trial++ {
-				checkExtendChain(t, build, vals, randomCuts(rng, len(vals)))
-			}
-			// Single-row batches, the refresh path's common case.
-			cuts := []int{len(vals) - 64}
-			for at := cuts[0] + 1; at <= len(vals); at++ {
-				cuts = append(cuts, at)
-			}
-			t.Run(name+"/"+stream.name, func(t *testing.T) { checkExtendChain(t, build, vals, cuts) })
+	for _, stream := range streams {
+		vals := extendValues(stream.data)
+		for trial := 0; trial < 3; trial++ {
+			checkExtendChain(t, vals, randomCuts(rng, len(vals)))
 		}
+		// Single-row batches, the refresh path's common case.
+		cuts := []int{len(vals) - 64}
+		for at := cuts[0] + 1; at <= len(vals); at++ {
+			cuts = append(cuts, at)
+		}
+		t.Run("flat/"+stream.name, func(t *testing.T) { checkExtendChain(t, vals, cuts) })
 	}
 }
 
-// TestExtendCodedPackedWidening: a packed column whose dictionary
-// outgrows its bit width repacks at the wider width and stays packed.
-func TestExtendCodedPackedWidening(t *testing.T) {
-	data := []byte{2, 3, 2, 3, 2} // card 3: width 2
-	for v := 4; v < 128; v++ {    // then past 4, 8, 16, 32 and 64 members
-		data = append(data, byte(v), 2, byte(v))
-	}
-	vals := extendValues(data)
-	cuts := []int{5}
-	for at := 5; at < len(vals); {
-		at += 3
-		cuts = append(cuts, at)
-	}
-	chain := checkExtendChain(t, forced(EncPacked), vals, cuts)
-	first, last := chain[0].(*PackedColumn), chain[len(chain)-1].(*PackedColumn)
-	if first.Width() != 2 || last.Width() != packWidth(last.Card()) || last.Width() <= first.Width() {
-		t.Fatalf("widths %d -> %d over card %d -> %d", first.Width(), last.Width(), first.Card(), last.Card())
-	}
-}
-
-// FuzzExtendCoded: for any value stream, encoding and batch split, an
-// extended column equals the one-shot build and no older header moves.
+// FuzzExtendCoded: for any value stream and batch split, an extended
+// column equals the one-shot build and no older header moves. data[0]
+// seeds the split; the rest is the stream.
 func FuzzExtendCoded(f *testing.F) {
 	f.Add([]byte{0, 1})
 	f.Add([]byte{1, 2, 5, 5, 5, 0, 1, 1, 200, 5})
 	f.Add(append([]byte{2, 3}, bytes.Repeat([]byte{9, 9, 9, 9, 1, 0}, 30)...))
 	f.Add(append([]byte{3, 4}, bytes.Repeat([]byte{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18}, 8)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 2 {
+		if len(data) < 1 {
 			return
 		}
-		build := builders[builderNames[int(data[0])%len(builderNames)]]
-		vals := extendValues(data[2:])
-		checkExtendChain(t, build, vals, randomCuts(rand.New(rand.NewSource(int64(data[1]))), len(vals)))
+		vals := extendValues(data[1:])
+		checkExtendChain(t, vals, randomCuts(rand.New(rand.NewSource(int64(data[0]))), len(vals)))
 	})
 }

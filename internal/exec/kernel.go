@@ -27,7 +27,7 @@ type GroupInput struct {
 	NumRows int
 	// Keys are the grouping columns, dictionary-encoded. Each must have at
 	// least NumRows rows.
-	Keys []CodedColumn
+	Keys []*CodedColumn
 	// Aggs are the aggregates computed per group.
 	Aggs []AggInput
 	// Filter, when non-nil, restricts the rows that participate. It must
@@ -56,10 +56,7 @@ const minRowsPerWorker = 2048
 // cancelCheckRows is the cooperative-cancellation cadence: every scan
 // worker re-checks its context (and charges the row budget) once per
 // this many rows, bounding both cancellation latency and the per-row
-// overhead of governance (one atomic load per batch when idle). It is
-// also the kernel's decode block size: compressed code vectors are
-// expanded into per-worker buffers one block at a time on the same
-// cadence.
+// overhead of governance (one atomic load per batch when idle).
 const cancelCheckRows = 4096
 
 // wideEntryBytes approximates the heap cost of one wide-path hash map
@@ -247,7 +244,7 @@ type keyLayout struct {
 	packable bool
 }
 
-func layoutFor(keys []CodedColumn) keyLayout {
+func layoutFor(keys []*CodedColumn) keyLayout {
 	l := keyLayout{shift: make([]uint, len(keys)), width: make([]uint, len(keys)), packable: true}
 	for k, key := range keys {
 		w := uint(bits.Len(uint(key.Card() - 1)))
@@ -275,7 +272,7 @@ func (l keyLayout) appendTuple(dst []value.Value, packed uint64, keyValues [][]v
 	return dst
 }
 
-func (l keyLayout) unpack(packed uint64, keys []CodedColumn) []value.Value {
+func (l keyLayout) unpack(packed uint64, keys []*CodedColumn) []value.Value {
 	tuple := make([]value.Value, len(keys))
 	for k, key := range keys {
 		code := (packed >> l.shift[k]) & (1<<l.width[k] - 1)
@@ -363,40 +360,28 @@ func runWorkers(n, workers int, fn func(w, lo, hi int)) {
 	wg.Wait()
 }
 
-// allRLE reports whether every key column is run-length encoded, which
-// enables the fused per-run dense scan.
-func allRLE(keys []CodedColumn) bool {
-	if len(keys) == 0 {
-		return false
+// codeVectors returns the code vector of each key column, indexed by row.
+func codeVectors(keys []*CodedColumn) [][]uint32 {
+	codes := make([][]uint32, len(keys))
+	for k, key := range keys {
+		codes[k] = key.codes
 	}
-	for _, key := range keys {
-		if _, ok := key.(*RLEColumn); !ok {
-			return false
-		}
-	}
-	return true
+	return codes
 }
 
 // groupDense is the fast path for low-cardinality keys (the clinical
 // norm): per-worker arenas addressed directly by the packed code — no
-// hashing, no per-group heap allocation. Key codes are consumed in their
-// compressed form: flat vectors zero-copy, packed words decoded a word
-// at a time, and all-RLE key sets grouped per run intersection instead
-// of per row.
+// hashing, no per-group heap allocation.
 func groupDense(in GroupInput, layout keyLayout, workers int, c *scanCtl, sp *obs.Span) ([]Group, error) {
 	size := 1 << layout.total
 	plan, distWords := planAggs(in.Aggs, in.NumRows, size)
 	arenas := make([]*denseArena, workers)
+	kcodes := codeVectors(in.Keys)
 	scan := scanSpan(sp, in.NumRows, workers)
-	fused := allRLE(in.Keys)
 	runWorkers(in.NumRows, workers, func(w, lo, hi int) {
 		a := newDenseArena(size, plan, distWords)
 		arenas[w] = a
-		if fused {
-			scanDenseRuns(in, layout, a, c, lo, hi)
-		} else {
-			scanDenseBlocks(in, layout, a, c, lo, hi)
-		}
+		scanDense(in, kcodes, layout, a, c, lo, hi)
 	})
 	scan.End()
 	if err := c.aborted(); err != nil {
@@ -456,12 +441,9 @@ func groupDense(in GroupInput, layout keyLayout, workers int, c *scanCtl, sp *ob
 	return out, nil
 }
 
-// scanDenseBlocks is the dense scan over block-decoded key codes: one
-// decode per column per cancelCheckRows block, then a tight packed-slot
-// loop over the block.
-func scanDenseBlocks(in GroupInput, layout keyLayout, a *denseArena, c *scanCtl, lo, hi int) {
-	kr := newBlockReader(in.Keys)
-	mr := newMeasureReader(a.plan)
+// scanDense folds rows [lo, hi) into arena a, one packed-slot lookup per
+// row, checking the scan controller once per cancelCheckRows block.
+func scanDense(in GroupInput, kcodes [][]uint32, layout keyLayout, a *denseArena, c *scanCtl, lo, hi int) {
 	for lo < hi {
 		end := lo + cancelCheckRows
 		if end > hi {
@@ -470,91 +452,32 @@ func scanDenseBlocks(in GroupInput, layout keyLayout, a *denseArena, c *scanCtl,
 		if !c.next(end - lo) {
 			return
 		}
-		kcodes := kr.read(lo, end)
-		mcodes := mr.read(lo, end)
 		for i := lo; i < end; i++ {
 			if in.Filter != nil && !in.Filter(i) {
 				continue
 			}
 			var slot uint64
 			for k := range kcodes {
-				slot |= uint64(kcodes[k][i-lo]) << layout.shift[k]
+				slot |= uint64(kcodes[k][i]) << layout.shift[k]
 			}
 			g, ok := a.group(slot, c)
 			if !ok {
 				return
 			}
-			a.observe(g, i, i-lo, mcodes)
+			a.observe(g, i)
 		}
 		lo = end
 	}
 }
 
-// scanDenseRuns is the fused filter+aggregate scan for all-RLE key sets:
-// rows are consumed per run intersection — the packed slot is computed
-// and the group resolved once per segment, and only the filter and the
-// measures are evaluated per row. Group creation stays lazy so filtered
-// segments that contribute no rows produce no group, matching the
-// row-at-a-time paths.
-func scanDenseRuns(in GroupInput, layout keyLayout, a *denseArena, c *scanCtl, lo, hi int) {
-	keys := make([]*RLEColumn, len(in.Keys))
-	run := make([]int, len(in.Keys))
-	for k := range in.Keys {
-		keys[k] = in.Keys[k].(*RLEColumn)
-		run[k] = keys[k].RunIndex(lo)
-	}
-	mr := newMeasureReader(a.plan)
-	for lo < hi {
-		bend := lo + cancelCheckRows
-		if bend > hi {
-			bend = hi
-		}
-		if !c.next(bend - lo) {
-			return
-		}
-		mcodes := mr.read(lo, bend)
-		for i := lo; i < bend; {
-			var slot uint64
-			segEnd := bend
-			for k := range keys {
-				_, end, code := keys[k].Run(run[k])
-				slot |= uint64(code) << layout.shift[k]
-				if end < segEnd {
-					segEnd = end
-				}
-			}
-			g := -1
-			for ; i < segEnd; i++ {
-				if in.Filter != nil && !in.Filter(i) {
-					continue
-				}
-				if g < 0 {
-					var ok bool
-					if g, ok = a.group(slot, c); !ok {
-						return
-					}
-				}
-				a.observe(g, i, i-lo, mcodes)
-			}
-			for k := range keys {
-				if _, end, _ := keys[k].Run(run[k]); end == i {
-					run[k]++
-				}
-			}
-		}
-		lo = bend
-	}
-}
-
 // groupHashed handles packed keys wider than the dense budget: per-worker
-// hash maps keyed by the packed uint64 over block-decoded codes, merged
-// in worker order.
+// hash maps keyed by the packed uint64, merged in worker order.
 func groupHashed(in GroupInput, layout keyLayout, workers int, c *scanCtl, sp *obs.Span) ([]Group, error) {
 	partials := make([]map[uint64][]*AggState, workers)
+	kcodes := codeVectors(in.Keys)
 	scan := scanSpan(sp, in.NumRows, workers)
 	runWorkers(in.NumRows, workers, func(w, lo, hi int) {
 		local := make(map[uint64][]*AggState)
-		kr := newBlockReader(in.Keys)
 		for lo < hi {
 			end := lo + cancelCheckRows
 			if end > hi {
@@ -563,14 +486,13 @@ func groupHashed(in GroupInput, layout keyLayout, workers int, c *scanCtl, sp *o
 			if !c.next(end - lo) {
 				return
 			}
-			kcodes := kr.read(lo, end)
 			for i := lo; i < end; i++ {
 				if in.Filter != nil && !in.Filter(i) {
 					continue
 				}
 				var packed uint64
 				for k := range kcodes {
-					packed |= uint64(kcodes[k][i-lo]) << layout.shift[k]
+					packed |= uint64(kcodes[k][i]) << layout.shift[k]
 				}
 				states, ok := local[packed]
 				if !ok {
@@ -623,8 +545,8 @@ func groupHashed(in GroupInput, layout keyLayout, workers int, c *scanCtl, sp *o
 }
 
 // groupWide handles key tuples whose packed form exceeds 64 bits: the key
-// is the raw code bytes (still no per-value string formatting), read from
-// block-decoded code vectors. Its hash map entries are the kernel's only
+// is the raw code bytes (still no per-value string formatting). Its hash
+// map entries are the kernel's only
 // unbounded-size accumulators, so new groups are charged against the byte
 // budget as well as the cell budget.
 func groupWide(in GroupInput, workers int, c *scanCtl, sp *obs.Span) ([]Group, error) {
@@ -633,10 +555,10 @@ func groupWide(in GroupInput, workers int, c *scanCtl, sp *obs.Span) ([]Group, e
 		states []*AggState
 	}
 	partials := make([]map[string]*entry, workers)
+	kcodes := codeVectors(in.Keys)
 	scan := scanSpan(sp, in.NumRows, workers)
 	runWorkers(in.NumRows, workers, func(w, lo, hi int) {
 		local := make(map[string]*entry)
-		kr := newBlockReader(in.Keys)
 		buf := make([]byte, 4*len(in.Keys))
 		for lo < hi {
 			end := lo + cancelCheckRows
@@ -646,13 +568,12 @@ func groupWide(in GroupInput, workers int, c *scanCtl, sp *obs.Span) ([]Group, e
 			if !c.next(end - lo) {
 				return
 			}
-			kcodes := kr.read(lo, end)
 			for i := lo; i < end; i++ {
 				if in.Filter != nil && !in.Filter(i) {
 					continue
 				}
 				for k := range kcodes {
-					code := kcodes[k][i-lo]
+					code := kcodes[k][i]
 					buf[4*k] = byte(code)
 					buf[4*k+1] = byte(code >> 8)
 					buf[4*k+2] = byte(code >> 16)
@@ -665,7 +586,7 @@ func groupWide(in GroupInput, workers int, c *scanCtl, sp *obs.Span) ([]Group, e
 					}
 					codes := make([]uint32, len(in.Keys))
 					for k := range kcodes {
-						codes[k] = kcodes[k][i-lo]
+						codes[k] = kcodes[k][i]
 					}
 					g = &entry{codes: codes, states: newStates(in.Aggs)}
 					local[string(buf)] = g

@@ -76,7 +76,7 @@ func ExecuteCtx(ctx context.Context, t *storage.Table, q Query) (*Result, error)
 				}
 			}
 		}
-		filters[k] = codeFilter{codes: exec.MaterializeCodes(dict), allowed: allowed}
+		filters[k] = codeFilter{codes: dict.Codes(), allowed: allowed}
 	}
 	groupCols := append(append([]string{}, q.Rows...), q.Cols...)
 	groupCodes := make([][]uint32, len(groupCols))
@@ -85,7 +85,7 @@ func ExecuteCtx(ctx context.Context, t *storage.Table, q Query) (*Result, error)
 		if err != nil {
 			return nil, fmt.Errorf("flatquery: unknown group column %q", c)
 		}
-		groupCodes[k] = exec.MaterializeCodes(dict)
+		groupCodes[k] = dict.Codes()
 	}
 	compile.Annotate("filters", len(filters))
 	compile.End()
@@ -114,39 +114,4 @@ func ExecuteCtx(ctx context.Context, t *storage.Table, q Query) (*Result, error)
 		return nil, fmt.Errorf("flatquery: %w", err)
 	}
 	return &Result{Grouped: grouped, AggName: aggName}, nil
-}
-
-// Cell returns the aggregate for one coordinate (rowVals then colVals must
-// match the query's Rows/Cols order). The boolean reports whether the
-// coordinate exists.
-func (r *Result) Cell(coord []value.Value) (value.Value, bool) {
-	n := r.Grouped.Schema().Len() - 1 // group columns precede the agg column
-	if len(coord) != n {
-		return value.NA(), false
-	}
-	for i := 0; i < r.Grouped.Len(); i++ {
-		match := true
-		for j := 0; j < n; j++ {
-			if !r.Grouped.ColumnAt(j).Value(i).Equal(coord[j]) {
-				match = false
-				break
-			}
-		}
-		if match {
-			return r.Grouped.MustValue(i, r.AggName), true
-		}
-	}
-	return value.NA(), false
-}
-
-// Total sums the aggregate column.
-func (r *Result) Total() float64 {
-	var t float64
-	col := r.Grouped.MustColumn(r.AggName)
-	for i := 0; i < col.Len(); i++ {
-		if f, ok := col.Value(i).AsFloat(); ok {
-			t += f
-		}
-	}
-	return t
 }

@@ -96,8 +96,7 @@ func (f *FactTable) Append(keys map[string]Key, measures []value.Value) error {
 }
 
 // Retire tombstones fact row i: it stays physically present (keys and
-// measures keep their ordinals) but every aggregate and drill-through
-// must skip it. Retiring an already-retired row is a no-op, which makes
+// measures keep their ordinals) but every aggregate must skip it. Retiring an already-retired row is a no-op, which makes
 // at-least-once delta application idempotent.
 func (f *FactTable) Retire(i int) error {
 	if i < 0 || i >= f.n {

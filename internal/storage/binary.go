@@ -26,8 +26,7 @@ import (
 //	values, valid rows only, by kind:
 //	  int/bool/time: zig-zag varint
 //	  float:         8-byte IEEE-754 bits
-//	  string:        dictionary-compressed — snapshots carry the same
-//	    dictionary + packed-code shape the execution kernels operate on:
+//	  string:        dictionary-compressed, the codes bit-packed:
 //	      ndict   uvarint   distinct strings, first-appearance order
 //	      dict    ndict × { uvarint len + bytes }
 //	      width   1 byte    bits per code, ceil(log2(ndict)); 0 when ndict <= 1

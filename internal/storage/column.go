@@ -26,13 +26,12 @@ type Column interface {
 	// Set replaces row i. NA is always accepted; otherwise kinds must
 	// match.
 	Set(i int, v value.Value) error
-	// Dict returns the dictionary-encoded view of the column: a per-row
-	// code vector (flat, bit-packed or RLE, chosen by column stats) plus
-	// the code -> value reverse table, with NA pinned to code 0. The view
+	// Dict returns the dictionary-encoded view of the column: one code per
+	// row plus the code -> value reverse table, with NA pinned to code 0. The view
 	// is built lazily, cached, and invalidated by Append/Set; the
 	// returned snapshot is immutable, so concurrent readers may hold it
 	// across later mutations.
-	Dict() exec.CodedColumn
+	Dict() *exec.CodedColumn
 }
 
 // dictCache memoises a column's coded view. The mutex makes concurrent
@@ -41,19 +40,19 @@ type Column interface {
 // single-goroutine, so invalidate simply clears the pointer.
 type dictCache struct {
 	mu   sync.Mutex
-	dict exec.CodedColumn
+	dict *exec.CodedColumn
 }
 
 // dictHit / dictMiss are resolved once; each lookup pays one atomic.
 var dictHit, dictMiss = exec.DictLookupCounters("storage")
 
-func (d *dictCache) get(build func() exec.CodedColumn) exec.CodedColumn {
+func (d *dictCache) get(build func() *exec.CodedColumn) *exec.CodedColumn {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.dict == nil {
 		dictMiss.Inc()
 		d.dict = build()
-		noteDictBuilt(d.dict.Encoding().String(), d.dict.CodeBytes())
+		metricColumnBytes.Add(float64(4 * d.dict.Len()))
 	} else {
 		dictHit.Inc()
 	}
@@ -63,7 +62,7 @@ func (d *dictCache) get(build func() exec.CodedColumn) exec.CodedColumn {
 func (d *dictCache) invalidate() {
 	d.mu.Lock()
 	if d.dict != nil {
-		noteDictDropped(d.dict.Encoding().String(), d.dict.CodeBytes())
+		metricColumnBytes.Add(float64(-4 * d.dict.Len()))
 		d.dict = nil
 	}
 	d.mu.Unlock()
@@ -153,8 +152,8 @@ func (c *intColumn) Append(v value.Value) error {
 	return nil
 }
 
-func (c *intColumn) Dict() exec.CodedColumn {
-	return c.dc.get(func() exec.CodedColumn { return exec.EncodeFunc(c.Len(), c.Value) })
+func (c *intColumn) Dict() *exec.CodedColumn {
+	return c.dc.get(func() *exec.CodedColumn { return exec.EncodeFunc(c.Len(), c.Value) })
 }
 
 // FloatAt reads row i as a float without materialising a value.Value.
@@ -220,8 +219,8 @@ func (c *floatColumn) Value(i int) value.Value {
 	return value.Float(c.data[i])
 }
 
-func (c *floatColumn) Dict() exec.CodedColumn {
-	return c.dc.get(func() exec.CodedColumn { return exec.EncodeFunc(c.Len(), c.Value) })
+func (c *floatColumn) Dict() *exec.CodedColumn {
+	return c.dc.get(func() *exec.CodedColumn { return exec.EncodeFunc(c.Len(), c.Value) })
 }
 
 // FloatAt reads row i as a float without materialising a value.Value.
@@ -305,8 +304,8 @@ func (c *stringColumn) code(s string) uint32 {
 // Dict shifts the column's existing string dictionary by one to make
 // room for the pinned NA code — no per-row hashing, unlike the generic
 // encode path.
-func (c *stringColumn) Dict() exec.CodedColumn {
-	return c.dc.get(func() exec.CodedColumn {
+func (c *stringColumn) Dict() *exec.CodedColumn {
+	return c.dc.get(func() *exec.CodedColumn {
 		codes := make([]uint32, len(c.codes))
 		values := make([]value.Value, len(c.dict)+1)
 		values[exec.NACode] = value.NA()

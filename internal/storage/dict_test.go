@@ -42,11 +42,11 @@ func TestDictRoundTripAllKinds(t *testing.T) {
 			}
 		}
 		// Rows 0 and 3 hold equal values, so they must share a code.
-		if dict.Code(0) != dict.Code(3) {
-			t.Errorf("%s: equal values got codes %d and %d", name, dict.Code(0), dict.Code(3))
+		if dict.Codes()[0] != dict.Codes()[3] {
+			t.Errorf("%s: equal values got codes %d and %d", name, dict.Codes()[0], dict.Codes()[3])
 		}
-		if dict.Code(1) != exec.NACode {
-			t.Errorf("%s: NA row coded %d, want %d", name, dict.Code(1), exec.NACode)
+		if dict.Codes()[1] != exec.NACode {
+			t.Errorf("%s: NA row coded %d, want %d", name, dict.Codes()[1], exec.NACode)
 		}
 	}
 }
@@ -58,7 +58,7 @@ func TestDictCachedAndInvalidated(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	col := tbl.MustColumn("S")
+	col := tbl.ColumnAt(0)
 	d1 := col.Dict()
 	if d2 := col.Dict(); d2 != d1 {
 		t.Fatal("second Dict call did not return the cached snapshot")
@@ -87,7 +87,7 @@ func TestDictCachedAndInvalidated(t *testing.T) {
 	if d4 == d3 {
 		t.Fatal("Set did not invalidate the dictionary cache")
 	}
-	if d4.Code(0) != exec.NACode {
-		t.Fatalf("row 0 coded %d after Set(NA), want %d", d4.Code(0), exec.NACode)
+	if d4.Codes()[0] != exec.NACode {
+		t.Fatalf("row 0 coded %d after Set(NA), want %d", d4.Codes()[0], exec.NACode)
 	}
 }

@@ -2,31 +2,10 @@ package storage
 
 import "github.com/ddgms/ddgms/internal/obs"
 
-// Column-encoding gauge families: how many coded columns are resident in
-// dictionary caches per physical encoding, and how many bytes their code
-// vectors occupy. Together they make the compression win of bit-packing
-// and RLE visible on /metrics: a healthy clinical workload shows most
-// columns (and far fewer bytes) under "packed" and "rle".
-var (
-	metricColumnEncoding = obs.Default().GaugeVec(
-		"ddgms_storage_column_encoding",
-		"Resident dictionary-coded columns by physical encoding.",
-		"encoding")
-	metricColumnBytes = obs.Default().GaugeVec(
-		"ddgms_storage_column_bytes",
-		"Resident code-vector bytes of dictionary-coded columns by physical encoding.",
-		"encoding")
-)
-
-// noteDictBuilt / noteDictDropped keep the gauges in sync with dictionary
-// cache churn: built on first Dict() after a mutation, dropped when the
-// next mutation invalidates the cached column.
-func noteDictBuilt(enc string, bytes int) {
-	metricColumnEncoding.WithLabelValues(enc).Add(1)
-	metricColumnBytes.WithLabelValues(enc).Add(float64(bytes))
-}
-
-func noteDictDropped(enc string, bytes int) {
-	metricColumnEncoding.WithLabelValues(enc).Add(-1)
-	metricColumnBytes.WithLabelValues(enc).Add(float64(-bytes))
-}
+// metricColumnBytes tracks the resident code-vector bytes of the
+// dictionary-coded columns held in dictionary caches: 4 bytes per row,
+// added when Dict() builds a column's coded view and subtracted when the
+// next mutation drops it.
+var metricColumnBytes = obs.Default().Gauge(
+	"ddgms_storage_column_bytes",
+	"Resident code-vector bytes of dictionary-coded columns.")

@@ -3,7 +3,6 @@ package storage
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"github.com/ddgms/ddgms/internal/exec"
@@ -169,7 +168,7 @@ func (t *Table) GroupByFiltered(ctx context.Context, keys []string, aggs []AggSp
 	}
 	in := exec.GroupInput{
 		NumRows: t.n,
-		Keys:    make([]exec.CodedColumn, len(keys)),
+		Keys:    make([]*exec.CodedColumn, len(keys)),
 		Aggs:    make([]exec.AggInput, len(aggs)),
 	}
 	for k, j := range keyIdx {
@@ -246,84 +245,4 @@ func (t *Table) Distinct(names ...string) (*Table, error) {
 		}
 	}
 	return t.GroupBy(names, nil)
-}
-
-// FloatStats summarises the non-NA numeric content of a column.
-type FloatStats struct {
-	Count    int
-	NACount  int
-	Mean     float64
-	Std      float64
-	Min, Max float64
-}
-
-// Stats computes summary statistics for the named numeric column.
-func (t *Table) Stats(name string) (FloatStats, error) {
-	col, err := t.Column(name)
-	if err != nil {
-		return FloatStats{}, err
-	}
-	var s FloatStats
-	s.Min, s.Max = math.Inf(1), math.Inf(-1)
-	var sum, sumSq float64
-	for i := 0; i < col.Len(); i++ {
-		v := col.Value(i)
-		if v.IsNA() {
-			s.NACount++
-			continue
-		}
-		f, ok := v.AsFloat()
-		if !ok {
-			continue
-		}
-		s.Count++
-		sum += f
-		sumSq += f * f
-		if f < s.Min {
-			s.Min = f
-		}
-		if f > s.Max {
-			s.Max = f
-		}
-	}
-	if s.Count > 0 {
-		s.Mean = sum / float64(s.Count)
-		variance := sumSq/float64(s.Count) - s.Mean*s.Mean
-		if variance < 0 {
-			variance = 0
-		}
-		s.Std = math.Sqrt(variance)
-	} else {
-		s.Min, s.Max = 0, 0
-	}
-	return s, nil
-}
-
-// Mode returns the most frequent non-NA value of the named column, with
-// ties broken by value order. The boolean result is false when the column
-// holds no non-NA values.
-func (t *Table) Mode(name string) (value.Value, bool, error) {
-	col, err := t.Column(name)
-	if err != nil {
-		return value.NA(), false, err
-	}
-	counts := make(map[value.Value]int)
-	for i := 0; i < col.Len(); i++ {
-		v := col.Value(i)
-		if v.IsNA() {
-			continue
-		}
-		counts[v]++
-	}
-	if len(counts) == 0 {
-		return value.NA(), false, nil
-	}
-	var best value.Value
-	bestN := -1
-	for v, n := range counts {
-		if n > bestN || (n == bestN && v.Less(best)) {
-			best, bestN = v, n
-		}
-	}
-	return best, true, nil
 }

@@ -201,55 +201,6 @@ func TestDistinct(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
-	tbl := visitsTable(t)
-	tbl.Set(0, "Age", value.NA())
-	s, err := tbl.Stats("Age")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Count != 5 || s.NACount != 1 {
-		t.Errorf("count=%d na=%d", s.Count, s.NACount)
-	}
-	if s.Min != 45 || s.Max != 77 {
-		t.Errorf("min/max = %g/%g", s.Min, s.Max)
-	}
-	wantMean := (73.0 + 77 + 45 + 45 + 77) / 5
-	if diff := s.Mean - wantMean; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("mean = %g want %g", s.Mean, wantMean)
-	}
-	if _, err := tbl.Stats("Nope"); err == nil {
-		t.Error("Stats unknown column must fail")
-	}
-}
-
-func TestStatsEmpty(t *testing.T) {
-	tbl := MustTable(MustSchema(Field{"V", value.FloatKind}))
-	s, err := tbl.Stats("V")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Count != 0 || s.Min != 0 || s.Max != 0 {
-		t.Errorf("empty stats = %+v", s)
-	}
-}
-
-func TestMode(t *testing.T) {
-	tbl := visitsTable(t)
-	m, ok, err := tbl.Mode("Gender")
-	if err != nil || !ok {
-		t.Fatalf("Mode: %v ok=%v", err, ok)
-	}
-	// 3 F vs 3 M: tie broken by value order → F.
-	if m.Str() != "F" {
-		t.Errorf("mode = %v", m)
-	}
-	empty := MustTable(MustSchema(Field{"V", value.StringKind}))
-	if _, ok, _ := empty.Mode("V"); ok {
-		t.Error("mode of empty column must report !ok")
-	}
-}
-
 func TestParseAggKind(t *testing.T) {
 	for s, want := range map[string]AggKind{
 		"count": CountAgg, "sum": SumAgg, "avg": AvgAgg, "mean": AvgAgg,

@@ -118,21 +118,12 @@ func (t *Table) Column(name string) (Column, error) {
 	return t.cols[j], nil
 }
 
-// MustColumn is like Column but panics on unknown columns.
-func (t *Table) MustColumn(name string) Column {
-	c, err := t.Column(name)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // ColumnAt returns the column at position j.
 func (t *Table) ColumnAt(j int) Column { return t.cols[j] }
 
 // Dict returns the cached dictionary-encoded view of the named column
 // (see Column.Dict).
-func (t *Table) Dict(name string) (exec.CodedColumn, error) {
+func (t *Table) Dict(name string) (*exec.CodedColumn, error) {
 	c, err := t.Column(name)
 	if err != nil {
 		return nil, err

@@ -163,7 +163,7 @@ func TestStringDictionaryEncoding(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := len(tbl.MustColumn("G").(*stringColumn).dict); n != 2 {
+	if n := len(tbl.ColumnAt(0).(*stringColumn).dict); n != 2 {
 		t.Errorf("dictionary size = %d, want 2", n)
 	}
 }

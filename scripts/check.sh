@@ -5,9 +5,8 @@
 #
 # After the full -race pass, each (package, -run filter, environment)
 # combination runs at most once more, and only where the full pass cannot
-# stand in for it: -count=2 flake re-runs, forced column encodings, the
-# allocation gate (its tests skip under -race) and churn seeds other
-# than the default. scripts/soak.sh and scripts/failover_soak.sh re-run
+# stand in for it: -count=2 flake re-runs, the allocation gate (its tests
+# skip under -race) and churn seeds other than the default. scripts/soak.sh and scripts/failover_soak.sh re-run
 # subsets the full pass already covers; they stay operator entry points.
 set -eu
 cd "$(dirname "$0")/.."
@@ -48,19 +47,8 @@ go test -race -count=2 ./internal/obs/
 stage "refresh-equivalence soak (randomized commit/refresh interleavings, retention pins, follow-loop backoff, -count=2)"
 go test -race -run 'TestRefresh' -count=2 ./internal/refresh/
 
-stage "refresh-equivalence soak per column encoding (flat/packed/rle forced)"
-# The cube reads raw codes in ApplyDelta, DrillThrough and bitmap
-# construction, so its delta, lattice and drill-through suites run per
-# encoding too, as does the in-place column extend they all build on.
-for enc in flat packed rle; do
-	echo "   -- DDGMS_FORCE_ENCODING=$enc"
-	DDGMS_FORCE_ENCODING=$enc go test -race -run 'TestRefresh' ./internal/refresh/
-	DDGMS_FORCE_ENCODING=$enc go test -race -run 'TestApplyDelta|TestQuick|TestLattice|TestDrillThrough' ./internal/cube/
-	DDGMS_FORCE_ENCODING=$enc go test -race -run 'TestExtendCoded|FuzzExtendCoded' ./internal/exec/
-done
-
 stage "allocation regression gate (arena kernel, O(delta) refresh; no race detector)"
-go test -run 'TestGroupByCodedAllocBudget|TestEncodedColumnBytesReduction|TestApplyDeltaAllocScaling' .
+go test -run 'TestGroupByCodedAllocBudget|TestApplyDeltaAllocScaling' .
 
 stage "replication partition soak (fault sweep, kill/restart, disk bound, snapshot bootstrap, -count=2)"
 go test -race -run 'TestFaultSweep|TestFollowerRestart|TestPrimaryDiskBounded|TestSnapshotBootstrap' -count=2 ./internal/repl/
