@@ -119,11 +119,18 @@ func NewDiScRiPipeline() *etl.Pipeline {
 		Name: "derive[ReflexStatus]",
 		Apply: func(t *storage.Table) (*storage.Table, error) {
 			status := make([]value.Value, t.Len())
-			cols := []string{"KneeReflexLeft", "KneeReflexRight", "AnkleReflexLeft", "AnkleReflexRight"}
+			var cols []storage.Column
+			for _, name := range []string{"KneeReflexLeft", "KneeReflexRight", "AnkleReflexLeft", "AnkleReflexRight"} {
+				c, err := t.Column(name)
+				if err != nil {
+					return nil, err
+				}
+				cols = append(cols, c)
+			}
 			for i := 0; i < t.Len(); i++ {
 				anyAbsent, anySeen := false, false
 				for _, c := range cols {
-					v := t.MustValue(i, c)
+					v := c.Value(i)
 					if v.IsNA() {
 						continue
 					}

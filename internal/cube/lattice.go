@@ -1,6 +1,7 @@
 package cube
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -145,13 +146,18 @@ func (e *Engine) latticeStore(q Query, groups []exec.Group) {
 	base := latticeBase(q)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for i, ex := range e.lattice[base] {
+	entries := e.lattice[base]
+	for i, ex := range entries {
 		if sameAttrs(ex.attrs, sorted) {
-			e.lattice[base][i] = entry
+			// latticeLookup iterates the slice it read after unlocking,
+			// so an entry is replaced in a copy, never in place.
+			entries = slices.Clone(entries)
+			entries[i] = entry
+			e.lattice[base] = entries
 			return
 		}
 	}
-	e.lattice[base] = append(e.lattice[base], entry)
+	e.lattice[base] = append(entries, entry)
 }
 
 // latticeLookup answers q from the cache if possible: an entry with the

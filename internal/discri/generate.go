@@ -223,12 +223,21 @@ func Generate(cfg Config) (*storage.Table, error) {
 	schema := Schema()
 	tbl := storage.MustTable(schema)
 	row := make([]value.Value, schema.Len())
+	// The named clinical columns come first, the laboratory panels after.
+	// A visit writes the named ones in schema order, so set finds each by
+	// scanning forward from the column it wrote last instead of looking
+	// the name up: a column it passes over stays NA.
+	panels := len(coreFields())
+	next := 0
 	set := func(name string, v value.Value) {
-		j, ok := schema.Lookup(name)
-		if !ok {
-			panic("discri: unknown column " + name)
+		for next < panels && schema.Field(next).Name != name {
+			next++
 		}
-		row[j] = v
+		if next == panels {
+			panic("discri: column " + name + " unknown or set out of schema order")
+		}
+		row[next] = v
+		next++
 	}
 	// maybeNA applies baseline missingness to a non-key cell.
 	maybeNA := func(v value.Value) value.Value {
@@ -251,6 +260,7 @@ func Generate(cfg Config) (*storage.Table, error) {
 			for j := range row {
 				row[j] = value.NA()
 			}
+			next = 0
 			visitDate := firstVisit.AddDate(v, rng.Intn(3), rng.Intn(20))
 			age := p.ageAtFirst + float64(v)
 			diagnosed := p.diabetic || (p.progressor && v+1 >= convertAt)
@@ -378,7 +388,7 @@ func Generate(cfg Config) (*storage.Table, error) {
 
 			// Exercise routine.
 			set("ExerciseFrequency", maybeNA(value.Str(p.exercise)))
-			minutes := map[string]float64{"none": 15, "occasional": 90, "regular": 210}[p.exercise]
+			minutes := exerciseMinutes[p.exercise]
 			set("ExerciseMinutesPerWeek", maybeNA(value.Float(round1(clamp(minutes+rng.NormFloat64()*30, 0, 600)))))
 			set("ExerciseType", maybeNA(value.Str(choice(rng, []string{"walking", "swimming", "gym", "none"},
 				[]float64{0.5, 0.15, 0.15, 0.2}))))
@@ -396,12 +406,12 @@ func Generate(cfg Config) (*storage.Table, error) {
 
 			// Laboratory panels: plausible assay values, mildly shifted for
 			// diabetics on the inflammatory panel.
-			for _, name := range PanelAttrs() {
+			for j := panels; j < len(row); j++ {
 				base := 50 + rng.NormFloat64()*15
-				if diagnosed && name[0] == 'I' { // Inflammatory*
+				if diagnosed && schema.Field(j).Name[0] == 'I' { // Inflammatory*
 					base += 8
 				}
-				set(name, maybeNA(value.Float(round1(clamp(base, 0, 150)))))
+				row[j] = maybeNA(value.Float(round1(clamp(base, 0, 150))))
 			}
 
 			if err := tbl.AppendRow(row); err != nil {
@@ -411,6 +421,9 @@ func Generate(cfg Config) (*storage.Table, error) {
 	}
 	return tbl, nil
 }
+
+// exerciseMinutes is the typical weekly exercise time per frequency.
+var exerciseMinutes = map[string]float64{"none": 15, "occasional": 90, "regular": 210}
 
 func yesNo(b bool) string {
 	if b {

@@ -159,15 +159,3 @@ func coreFields() []storage.Field {
 	}
 	return fields
 }
-
-// PanelAttrs returns the names of the padding panel columns (everything
-// beyond the named clinical attributes).
-func PanelAttrs() []string {
-	n := len(coreFields())
-	s := Schema()
-	out := make([]string, 0, TotalAttributes-n)
-	for i := n; i < s.Len(); i++ {
-		out = append(out, s.Field(i).Name)
-	}
-	return out
-}

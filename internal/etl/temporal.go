@@ -78,11 +78,15 @@ func assignTrend(t *storage.Table, patientCol, timeCol, measureCol, out string, 
 	if epsilonPerDay < 0 {
 		return fmt.Errorf("etl: trend: negative epsilon")
 	}
-	for _, c := range []string{patientCol, timeCol, measureCol} {
-		if _, ok := t.Schema().Lookup(c); !ok {
+	var cols [3]storage.Column
+	for k, c := range []string{patientCol, timeCol, measureCol} {
+		col, err := t.Column(c)
+		if err != nil {
 			return fmt.Errorf("etl: trend: unknown column %q", c)
 		}
+		cols[k] = col
 	}
+	pids, times, measures := cols[0], cols[1], cols[2]
 	type visit struct {
 		row int
 		at  time.Time
@@ -90,12 +94,12 @@ func assignTrend(t *storage.Table, patientCol, timeCol, measureCol, out string, 
 	}
 	byPatient := make(map[value.Value][]visit)
 	for i := 0; i < t.Len(); i++ {
-		pid := t.MustValue(i, patientCol)
-		at := t.MustValue(i, timeCol)
+		pid := pids.Value(i)
+		at := times.Value(i)
 		if pid.IsNA() || at.IsNA() || at.Kind() != value.TimeKind {
 			continue
 		}
-		byPatient[pid] = append(byPatient[pid], visit{row: i, at: at.Time(), v: t.MustValue(i, measureCol)})
+		byPatient[pid] = append(byPatient[pid], visit{row: i, at: at.Time(), v: measures.Value(i)})
 	}
 	labels := make([]value.Value, t.Len())
 	for i := range labels {

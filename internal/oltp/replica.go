@@ -88,7 +88,7 @@ func (s *Store) ApplyReplicated(txs []CommittedTx) error {
 	for i := range txs {
 		for j := range txs[i].Changes {
 			ch := &txs[i].Changes[j]
-			s.applyLocked(&writeOp{op: walOp(ch.Op), id: ch.ID, row: ch.Row})
+			s.applyLocked(&writeOp{op: walOp(ch.Op), id: ch.ID, row: cloneRow(ch.Row)})
 		}
 		s.commits++
 		commitOK.Inc()

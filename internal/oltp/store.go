@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -305,12 +306,18 @@ func (t *Tx) Insert(row Row) (RowID, error) {
 	if err := t.store.validateRow(row); err != nil {
 		return 0, err
 	}
+	return t.insertOwned(cloneRow(row)), nil
+}
+
+// insertOwned buffers a validated row the transaction may keep: the
+// caller hands it over and does not touch it again.
+func (t *Tx) insertOwned(row Row) RowID {
 	t.store.mu.Lock()
 	t.store.nextID++
 	id := t.store.nextID
 	t.store.mu.Unlock()
-	t.bufferWrite(&writeOp{op: opInsert, id: id, row: cloneRow(row)})
-	return id, nil
+	t.bufferWrite(&writeOp{op: opInsert, id: id, row: row})
+	return id
 }
 
 // Update buffers a full-row replacement of an existing row.
@@ -690,8 +697,9 @@ func (s *Store) rotateLocked() error {
 	return nil
 }
 
-// applyLocked applies one write to committed state and indexes. The caller
-// holds s.mu.
+// applyLocked applies one write to committed state and indexes, keeping
+// w.row as the committed row: the caller must own it and not touch it
+// again. Committed rows are never modified in place. The caller holds s.mu.
 func (s *Store) applyLocked(w *writeOp) {
 	if w.op == opMeta {
 		s.applyMetaLocked(metaPayload(w.row))
@@ -704,7 +712,7 @@ func (s *Store) applyLocked(w *writeOp) {
 		if existed {
 			ver = old.version + 1
 		}
-		s.rows[w.id] = versionedRow{row: cloneRow(w.row), version: ver}
+		s.rows[w.id] = versionedRow{row: w.row, version: ver}
 	case opDelete:
 		delete(s.rows, w.id)
 	}
@@ -727,34 +735,35 @@ func (s *Store) applyLocked(w *writeOp) {
 func (s *Store) Snapshot() (*storage.Table, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	_, rows := s.committedLocked()
+	return storage.FromRows(s.schema, rows)
+}
+
+// committedLocked returns the committed row ids in ascending order and
+// their rows, which are shared with the store and must not be modified.
+// The caller holds s.mu for reading.
+func (s *Store) committedLocked() ([]RowID, []Row) {
 	ids := make([]RowID, 0, len(s.rows))
 	for id := range s.rows {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	tbl, err := storage.NewTable(s.schema)
-	if err != nil {
-		return nil, err
+	slices.Sort(ids)
+	rows := make([]Row, len(ids))
+	for i, id := range ids {
+		rows[i] = s.rows[id].row
 	}
-	for _, id := range ids {
-		if err := tbl.AppendRow(s.rows[id].row); err != nil {
-			return nil, err
-		}
-	}
-	return tbl, nil
+	return ids, rows
 }
 
 // LoadTable bulk-inserts every row of a storage.Table in one transaction.
+// Each row is materialised once, and that copy becomes the committed row.
 func (s *Store) LoadTable(tbl *storage.Table) error {
 	if !tbl.Schema().Equal(s.schema) {
 		return fmt.Errorf("oltp: table schema does not match store schema")
 	}
 	tx := s.Begin()
 	for i := 0; i < tbl.Len(); i++ {
-		if _, err := tx.Insert(Row(tbl.Row(i))); err != nil {
-			tx.Rollback()
-			return err
-		}
+		tx.insertOwned(tbl.Row(i))
 	}
 	return tx.Commit()
 }

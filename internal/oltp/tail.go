@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"path/filepath"
-	"sort"
 
 	"github.com/ddgms/ddgms/internal/storage"
 )
@@ -353,7 +352,11 @@ func (s *Store) durableLSNLocked() WALCursor {
 type StoreSnapshot struct {
 	Table *storage.Table
 	IDs   []RowID // row id of each table row, ascending
-	LSN   WALCursor
+	// Rows holds the committed row behind each table row. The slices are
+	// the store's own: committed rows are never modified in place, so
+	// they may be kept, but must not be written.
+	Rows []Row
+	LSN  WALCursor
 	// Meta is the meta applier's state blob at snapshot time (nil when
 	// no applier is registered); replication bootstrap ships it so a
 	// resyncing follower's meta state is replaced with its rows.
@@ -371,23 +374,15 @@ type StoreSnapshot struct {
 func (s *Store) SnapshotWithLSN() (*StoreSnapshot, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	ids := make([]RowID, 0, len(s.rows))
-	for id := range s.rows {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	tbl, err := storage.NewTable(s.schema)
+	ids, rows := s.committedLocked()
+	tbl, err := storage.FromRows(s.schema, rows)
 	if err != nil {
 		return nil, err
-	}
-	for _, id := range ids {
-		if err := tbl.AppendRow(s.rows[id].row); err != nil {
-			return nil, err
-		}
 	}
 	snap := &StoreSnapshot{
 		Table:              tbl,
 		IDs:                ids,
+		Rows:               rows,
 		Commits:            s.commits,
 		LastCommitUnixNano: s.lastCommitNano,
 	}

@@ -34,7 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -230,17 +230,19 @@ func (m *Maintainer) resync() error {
 	if m.cfg.Log != nil {
 		m.cfg.Log.Printf("refresh: resync snapshot: %d rows at LSN %v", snap.Table.Len(), snap.LSN)
 	}
+	// The mirror keeps the snapshot's rows, which are the store's own
+	// committed rows and never modified in place.
 	byPatient := make(map[value.Value]map[oltp.RowID]oltp.Row)
 	patientOf := make(map[oltp.RowID]value.Value, len(snap.IDs))
+	patients := snap.Table.ColumnAt(m.patientIdx)
 	for i, id := range snap.IDs {
-		row := snap.Table.Row(i)
-		p := row[m.patientIdx]
+		p := patients.Value(i)
 		rows := byPatient[p]
 		if rows == nil {
 			rows = make(map[oltp.RowID]oltp.Row)
 			byPatient[p] = rows
 		}
-		rows[id] = row
+		rows[id] = snap.Rows[i]
 		patientOf[id] = p
 	}
 
@@ -279,9 +281,13 @@ func (m *Maintainer) rebuildLocked(src *storage.Table) error {
 		return err
 	}
 	engine := cube.NewEngine(schema)
+	patients, err := flat.Column(patientCol)
+	if err != nil {
+		return err
+	}
 	facts := make(map[value.Value][]int)
 	for j := 0; j < flat.Len(); j++ {
-		p := flat.MustValue(j, patientCol)
+		p := patients.Value(j)
 		facts[p] = append(facts[p], j)
 	}
 	m.flat, m.schema, m.engine, m.facts = flat, schema, engine, facts
@@ -311,17 +317,12 @@ func (m *Maintainer) mirrorTable(affected map[value.Value]struct{}) (*storage.Ta
 			}
 		}
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	tbl, err := storage.NewTable(m.store.Schema())
-	if err != nil {
-		return nil, err
+	slices.Sort(ids)
+	rows := make([]oltp.Row, len(ids))
+	for i, id := range ids {
+		rows[i] = m.byPatient[m.patientOf[id]][id]
 	}
-	for _, id := range ids {
-		if err := tbl.AppendRow(m.byPatient[m.patientOf[id]][id]); err != nil {
-			return nil, err
-		}
-	}
-	return tbl, nil
+	return storage.FromRows(m.store.Schema(), rows)
 }
 
 // Refresh consumes and applies one batch of committed transactions,
@@ -447,6 +448,10 @@ func (m *Maintainer) apply(txs []oltp.CommittedTx, next oltp.WALCursor) error {
 	if err != nil {
 		return err
 	}
+	patients, err := delta.Column(patientCol)
+	if err != nil {
+		return err
+	}
 
 	// 3. Swap the patients' facts under the write lock: tombstone old,
 	// append re-derived, fold the delta into the engine's caches.
@@ -457,7 +462,7 @@ func (m *Maintainer) apply(txs []oltp.CommittedTx, next oltp.WALCursor) error {
 	for p := range affected {
 		retired = append(retired, m.facts[p]...)
 	}
-	sort.Ints(retired)
+	slices.Sort(retired)
 	for _, i := range retired {
 		if err := fact.Retire(i); err != nil {
 			return err
@@ -473,7 +478,7 @@ func (m *Maintainer) apply(txs []oltp.CommittedTx, next oltp.WALCursor) error {
 		delete(m.facts, p)
 	}
 	for j := 0; j < delta.Len(); j++ {
-		p := delta.MustValue(j, patientCol)
+		p := patients.Value(j)
 		m.facts[p] = append(m.facts[p], oldLen+j)
 	}
 	if _, err := m.engine.ApplyDelta(cube.Delta{Retired: retired, Appended: delta.Len()}); err != nil {

@@ -535,7 +535,7 @@ func (p *Primary) snapshot(conn net.Conn, rec *followerRec, pin string) (oltp.WA
 			chunk.Changes = append(chunk.Changes, oltp.Change{
 				Op:  oltp.ChangeInsert,
 				ID:  snap.IDs[i],
-				Row: snap.Table.Row(i),
+				Row: snap.Rows[i],
 			})
 		}
 		payload, err := oltp.EncodeTxPayload(chunk)

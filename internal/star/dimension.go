@@ -13,7 +13,7 @@ package star
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"github.com/ddgms/ddgms/internal/storage"
 	"github.com/ddgms/ddgms/internal/value"
@@ -53,6 +53,7 @@ type Dimension struct {
 	hierarchies []Hierarchy
 	members     *storage.Table
 	lookup      map[string]Key
+	keyBuf      []byte // AddMember's scratch member key
 }
 
 // NewDimension creates an empty dimension with the given attributes.
@@ -111,32 +112,36 @@ func (d *Dimension) Hierarchy(name string) (Hierarchy, bool) {
 // Len reports the number of members.
 func (d *Dimension) Len() int { return d.members.Len() }
 
-// memberKey canonically encodes an attribute tuple.
-func memberKey(attrs []value.Value) string {
-	var sb strings.Builder
+// appendMemberKey appends the canonical encoding of an attribute tuple
+// to buf.
+func appendMemberKey(buf []byte, attrs []value.Value) []byte {
 	for _, v := range attrs {
-		fmt.Fprintf(&sb, "%d:%s\x00", v.Kind(), v.String())
+		buf = strconv.AppendUint(buf, uint64(v.Kind()), 10)
+		buf = append(buf, ':')
+		buf = append(buf, v.String()...)
+		buf = append(buf, 0)
 	}
-	return sb.String()
+	return buf
 }
 
 // AddMember interns an attribute tuple, returning the existing surrogate
 // key when an identical member already exists (the loader relies on this
-// dedup to keep dimensions compact).
+// dedup to keep dimensions compact). Like every mutation it must not run
+// concurrently with another call on the same dimension.
 func (d *Dimension) AddMember(attrs []value.Value) (Key, error) {
 	if len(attrs) != d.schema.Len() {
 		return NoKey, fmt.Errorf("star: dimension %q: member has %d attributes, schema has %d",
 			d.name, len(attrs), d.schema.Len())
 	}
-	mk := memberKey(attrs)
-	if k, ok := d.lookup[mk]; ok {
+	d.keyBuf = appendMemberKey(d.keyBuf[:0], attrs)
+	if k, ok := d.lookup[string(d.keyBuf)]; ok {
 		return k, nil
 	}
 	if err := d.members.AppendRow(attrs); err != nil {
 		return NoKey, fmt.Errorf("star: dimension %q: %w", d.name, err)
 	}
 	k := Key(d.members.Len() - 1)
-	d.lookup[mk] = k
+	d.lookup[string(d.keyBuf)] = k
 	return k, nil
 }
 

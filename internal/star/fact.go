@@ -77,16 +77,24 @@ func (f *FactTable) Append(keys map[string]Key, measures []value.Value) error {
 	if len(keys) != len(f.dimNames) {
 		return fmt.Errorf("star: fact has %d keys, table has %d dimensions", len(keys), len(f.dimNames))
 	}
-	for name := range keys {
-		if _, ok := f.dimIdx[name]; !ok {
+	tuple := make([]Key, len(f.dimNames))
+	for name, k := range keys {
+		i, ok := f.dimIdx[name]
+		if !ok {
 			return fmt.Errorf("star: fact references unknown dimension %q", name)
 		}
+		tuple[i] = k
 	}
+	return f.appendKeys(tuple, measures)
+}
+
+// appendKeys is Append with the keys in dimension declaration order.
+func (f *FactTable) appendKeys(keys []Key, measures []value.Value) error {
 	if err := f.measures.AppendRow(measures); err != nil {
 		return fmt.Errorf("star: fact measures: %w", err)
 	}
-	for name, i := range f.dimIdx {
-		f.keys[i] = append(f.keys[i], keys[name])
+	for i, k := range keys {
+		f.keys[i] = append(f.keys[i], k)
 	}
 	if f.dead != nil && f.n>>6 >= len(f.dead) {
 		f.dead = append(f.dead, 0)

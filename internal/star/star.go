@@ -128,30 +128,6 @@ func (b *Builder) Build(flat *storage.Table) (*Schema, error) {
 	if len(b.dims) == 0 {
 		return nil, fmt.Errorf("star: schema %q has no dimensions", b.name)
 	}
-	// Validate all source columns up front.
-	for _, d := range b.dims {
-		for i, c := range d.Columns {
-			j, ok := flat.Schema().Lookup(c)
-			if !ok {
-				return nil, fmt.Errorf("star: dimension %q: source column %q not in flat table", d.Name, c)
-			}
-			if got := flat.Schema().Field(j).Kind; got != d.Attrs[i].Kind {
-				return nil, fmt.Errorf("star: dimension %q attribute %q: source column %q has kind %v, want %v",
-					d.Name, d.Attrs[i].Name, c, got, d.Attrs[i].Kind)
-			}
-		}
-	}
-	for i, c := range b.srcCols {
-		j, ok := flat.Schema().Lookup(c)
-		if !ok {
-			return nil, fmt.Errorf("star: measure %q: source column %q not in flat table", b.measures[i].Name, c)
-		}
-		if got := flat.Schema().Field(j).Kind; got != b.measures[i].Kind {
-			return nil, fmt.Errorf("star: measure %q: source column %q has kind %v, want %v",
-				b.measures[i].Name, c, got, b.measures[i].Kind)
-		}
-	}
-
 	s := &Schema{Name: b.name, dims: make(map[string]*Dimension, len(b.dims))}
 	dimNames := make([]string, len(b.dims))
 	for i, spec := range b.dims {
@@ -170,39 +146,8 @@ func (b *Builder) Build(flat *storage.Table) (*Schema, error) {
 		return nil, err
 	}
 	s.fact = fact
-
-	attrBuf := make(map[string][]value.Value, len(b.dims))
-	for _, spec := range b.dims {
-		attrBuf[spec.Name] = make([]value.Value, len(spec.Columns))
-	}
-	measBuf := make([]value.Value, len(b.srcCols))
-	for i := 0; i < flat.Len(); i++ {
-		keys := make(map[string]Key, len(b.dims))
-		for _, spec := range b.dims {
-			buf := attrBuf[spec.Name]
-			allNA := true
-			for a, c := range spec.Columns {
-				buf[a] = flat.MustValue(i, c)
-				if !buf[a].IsNA() {
-					allNA = false
-				}
-			}
-			if allNA {
-				keys[spec.Name] = NoKey
-				continue
-			}
-			k, err := s.dims[spec.Name].AddMember(buf)
-			if err != nil {
-				return nil, fmt.Errorf("star: loading row %d: %w", i, err)
-			}
-			keys[spec.Name] = k
-		}
-		for m, c := range b.srcCols {
-			measBuf[m] = flat.MustValue(i, c)
-		}
-		if err := fact.Append(keys, measBuf); err != nil {
-			return nil, fmt.Errorf("star: loading row %d: %w", i, err)
-		}
+	if err := b.load(s, flat); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -217,77 +162,87 @@ func (b *Builder) Append(s *Schema, flat *storage.Table) error {
 	if b.err != nil {
 		return b.err
 	}
-	for _, d := range b.dims {
-		if _, ok := s.dims[d.Name]; !ok {
-			return fmt.Errorf("star: schema has no dimension %q to append into", d.Name)
-		}
-		for i, c := range d.Columns {
-			j, ok := flat.Schema().Lookup(c)
-			if !ok {
-				return fmt.Errorf("star: dimension %q: source column %q not in delta table", d.Name, c)
-			}
-			if got := flat.Schema().Field(j).Kind; got != d.Attrs[i].Kind {
-				return fmt.Errorf("star: dimension %q attribute %q: source column %q has kind %v, want %v",
-					d.Name, d.Attrs[i].Name, c, got, d.Attrs[i].Kind)
-			}
-		}
+	return b.load(s, flat)
+}
+
+// sourceColumn returns the flat table's column that feeds an attribute or
+// measure of the given kind.
+func sourceColumn(flat *storage.Table, col string, kind value.Kind) (storage.Column, error) {
+	j, ok := flat.Schema().Lookup(col)
+	if !ok {
+		return nil, fmt.Errorf("source column %q not in flat table", col)
 	}
-	for i, c := range b.srcCols {
-		j, ok := flat.Schema().Lookup(c)
+	if got := flat.Schema().Field(j).Kind; got != kind {
+		return nil, fmt.Errorf("source column %q has kind %v, want %v", col, got, kind)
+	}
+	return flat.ColumnAt(j), nil
+}
+
+// load appends every row of flat as one fact of s. It resolves and checks
+// the source columns once, then reads each cell by column position.
+func (b *Builder) load(s *Schema, flat *storage.Table) error {
+	type dimSource struct {
+		dim  *Dimension
+		slot int // position in the fact table's key tuple
+		cols []storage.Column
+		buf  []value.Value
+	}
+	dims := make([]dimSource, len(b.dims))
+	for i, spec := range b.dims {
+		d, ok := s.dims[spec.Name]
 		if !ok {
-			return fmt.Errorf("star: measure %q: source column %q not in delta table", b.measures[i].Name, c)
+			return fmt.Errorf("star: schema has no dimension %q to load into", spec.Name)
 		}
-		if got := flat.Schema().Field(j).Kind; got != b.measures[i].Kind {
-			return fmt.Errorf("star: measure %q: source column %q has kind %v, want %v",
-				b.measures[i].Name, c, got, b.measures[i].Kind)
+		ds := dimSource{dim: d, slot: s.fact.dimIdx[spec.Name],
+			cols: make([]storage.Column, len(spec.Columns)), buf: make([]value.Value, len(spec.Columns))}
+		for a, c := range spec.Columns {
+			col, err := sourceColumn(flat, c, spec.Attrs[a].Kind)
+			if err != nil {
+				return fmt.Errorf("star: dimension %q attribute %q: %w", spec.Name, spec.Attrs[a].Name, err)
+			}
+			ds.cols[a] = col
 		}
+		dims[i] = ds
+	}
+	meas := make([]storage.Column, len(b.srcCols))
+	for m, c := range b.srcCols {
+		col, err := sourceColumn(flat, c, b.measures[m].Kind)
+		if err != nil {
+			return fmt.Errorf("star: measure %q: %w", b.measures[m].Name, err)
+		}
+		meas[m] = col
 	}
 
-	extra := make([]string, 0) // fact dims not covered by the spec
-	spec := make(map[string]bool, len(b.dims))
-	for _, d := range b.dims {
-		spec[d.Name] = true
+	// Fact dimensions the spec does not cover keep NoKey.
+	keys := make([]Key, len(s.fact.dimNames))
+	for k := range keys {
+		keys[k] = NoKey
 	}
-	for _, name := range s.fact.dimNames {
-		if !spec[name] {
-			extra = append(extra, name)
-		}
-	}
-
-	attrBuf := make(map[string][]value.Value, len(b.dims))
-	for _, d := range b.dims {
-		attrBuf[d.Name] = make([]value.Value, len(d.Columns))
-	}
-	measBuf := make([]value.Value, len(b.srcCols))
+	measBuf := make([]value.Value, len(meas))
 	for i := 0; i < flat.Len(); i++ {
-		keys := make(map[string]Key, len(s.fact.dimNames))
-		for _, d := range b.dims {
-			buf := attrBuf[d.Name]
+		for _, ds := range dims {
 			allNA := true
-			for a, c := range d.Columns {
-				buf[a] = flat.MustValue(i, c)
-				if !buf[a].IsNA() {
+			for a, col := range ds.cols {
+				ds.buf[a] = col.Value(i)
+				if !ds.buf[a].IsNA() {
 					allNA = false
 				}
 			}
 			if allNA {
-				keys[d.Name] = NoKey
+				keys[ds.slot] = NoKey
 				continue
 			}
-			k, err := s.dims[d.Name].AddMember(buf)
+			k, err := ds.dim.AddMember(ds.buf)
 			if err != nil {
-				return fmt.Errorf("star: appending row %d: %w", i, err)
+				return fmt.Errorf("star: loading row %d: %w", i, err)
 			}
-			keys[d.Name] = k
+			keys[ds.slot] = k
 		}
-		for _, name := range extra {
-			keys[name] = NoKey
+		for m, col := range meas {
+			measBuf[m] = col.Value(i)
 		}
-		for m, c := range b.srcCols {
-			measBuf[m] = flat.MustValue(i, c)
-		}
-		if err := s.fact.Append(keys, measBuf); err != nil {
-			return fmt.Errorf("star: appending row %d: %w", i, err)
+		if err := s.fact.appendKeys(keys, measBuf); err != nil {
+			return fmt.Errorf("star: loading row %d: %w", i, err)
 		}
 	}
 	return nil

@@ -2,7 +2,10 @@ package storage
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/ddgms/ddgms/internal/exec"
 	"github.com/ddgms/ddgms/internal/value"
@@ -32,15 +35,22 @@ type Column interface {
 	// returned snapshot is immutable, so concurrent readers may hold it
 	// across later mutations.
 	Dict() *exec.CodedColumn
+
+	// clone returns an independent copy with no cached dictionary.
+	clone() Column
+	// grow makes room for n more rows without reallocating.
+	grow(n int)
 }
 
 // dictCache memoises a column's coded view. The mutex makes concurrent
 // Dict calls safe (two readers racing to build the cache), which the
-// parallel execution kernel relies on; mutation is already documented as
-// single-goroutine, so invalidate simply clears the pointer.
+// parallel execution kernel relies on. Mutation is documented as
+// single-goroutine and never overlaps a Dict call, so invalidate reads
+// the pointer without the mutex and, on the common path of a column
+// being loaded with nothing cached, takes no lock at all.
 type dictCache struct {
 	mu   sync.Mutex
-	dict *exec.CodedColumn
+	dict atomic.Pointer[exec.CodedColumn]
 }
 
 // dictHit / dictMiss are resolved once; each lookup pays one atomic.
@@ -49,21 +59,25 @@ var dictHit, dictMiss = exec.DictLookupCounters("storage")
 func (d *dictCache) get(build func() *exec.CodedColumn) *exec.CodedColumn {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.dict == nil {
+	dict := d.dict.Load()
+	if dict == nil {
 		dictMiss.Inc()
-		d.dict = build()
-		metricColumnBytes.Add(float64(4 * d.dict.Len()))
+		dict = build()
+		d.dict.Store(dict)
+		metricColumnBytes.Add(float64(4 * dict.Len()))
 	} else {
 		dictHit.Inc()
 	}
-	return d.dict
+	return dict
 }
 
 func (d *dictCache) invalidate() {
+	if d.dict.Load() == nil {
+		return
+	}
 	d.mu.Lock()
-	if d.dict != nil {
-		metricColumnBytes.Add(float64(-4 * d.dict.Len()))
-		d.dict = nil
+	if dict := d.dict.Swap(nil); dict != nil {
+		metricColumnBytes.Add(float64(-4 * dict.Len()))
 	}
 	d.mu.Unlock()
 }
@@ -97,6 +111,14 @@ func (b *nullBitmap) appendValid(valid bool) {
 	if valid {
 		b.words[i>>6] |= 1 << (uint(i) & 63)
 	}
+}
+
+func (b nullBitmap) clone() nullBitmap {
+	return nullBitmap{words: slices.Clone(b.words), n: b.n}
+}
+
+func (b *nullBitmap) grow(n int) {
+	b.words = slices.Grow(b.words, max(0, (b.n+n+63)/64-len(b.words)))
 }
 
 func (b *nullBitmap) valid(i int) bool {
@@ -150,6 +172,15 @@ func (c *intColumn) Append(v value.Value) error {
 	c.data = append(c.data, rawInt(v))
 	c.nulls.appendValid(true)
 	return nil
+}
+
+func (c *intColumn) grow(n int) {
+	c.data = slices.Grow(c.data, n)
+	c.nulls.grow(n)
+}
+
+func (c *intColumn) clone() Column {
+	return &intColumn{kind: c.kind, data: slices.Clone(c.data), nulls: c.nulls.clone()}
 }
 
 func (c *intColumn) Dict() *exec.CodedColumn {
@@ -217,6 +248,15 @@ func (c *floatColumn) Value(i int) value.Value {
 		return value.NA()
 	}
 	return value.Float(c.data[i])
+}
+
+func (c *floatColumn) grow(n int) {
+	c.data = slices.Grow(c.data, n)
+	c.nulls.grow(n)
+}
+
+func (c *floatColumn) clone() Column {
+	return &floatColumn{data: slices.Clone(c.data), nulls: c.nulls.clone()}
 }
 
 func (c *floatColumn) Dict() *exec.CodedColumn {
@@ -289,6 +329,20 @@ func (c *stringColumn) Value(i int) value.Value {
 		return value.NA()
 	}
 	return value.Str(c.dict[c.codes[i]])
+}
+
+func (c *stringColumn) grow(n int) {
+	c.codes = slices.Grow(c.codes, n)
+	c.nulls.grow(n)
+}
+
+func (c *stringColumn) clone() Column {
+	return &stringColumn{
+		codes: slices.Clone(c.codes),
+		dict:  slices.Clone(c.dict),
+		byStr: maps.Clone(c.byStr),
+		nulls: c.nulls.clone(),
+	}
 }
 
 func (c *stringColumn) code(s string) uint32 {

@@ -72,6 +72,42 @@ func (t *Table) AppendRow(row []value.Value) error {
 	return nil
 }
 
+// fromRowsBlock is how many rows FromRows copies column by column at a
+// time: few enough that the cache lines of the block's rows stay resident
+// while every column takes its cells from them.
+const fromRowsBlock = 16
+
+// FromRows builds a table over schema from row slices, filling it column
+// by column a block of rows at a time. Each row must have one value per
+// field, each NA or of the field's kind. The table keeps no reference to
+// the rows.
+func FromRows[R ~[]value.Value](schema *Schema, rows []R) (*Table, error) {
+	t, err := NewTable(schema)
+	if err != nil {
+		return nil, err
+	}
+	for i, row := range rows {
+		if len(row) != schema.Len() {
+			return nil, fmt.Errorf("storage: row %d has %d values, schema has %d fields", i, len(row), schema.Len())
+		}
+	}
+	for _, c := range t.cols {
+		c.grow(len(rows))
+	}
+	for lo := 0; lo < len(rows); lo += fromRowsBlock {
+		block := rows[lo:min(lo+fromRowsBlock, len(rows))]
+		for j, c := range t.cols {
+			for i, row := range block {
+				if err := c.Append(row[j]); err != nil {
+					return nil, fmt.Errorf("storage: row %d, field %q: %w", lo+i, schema.Field(j).Name, err)
+				}
+			}
+		}
+	}
+	t.n = len(rows)
+	return t, nil
+}
+
 // Row materialises row i into a fresh slice.
 func (t *Table) Row(i int) []value.Value {
 	row := make([]value.Value, len(t.cols))
@@ -157,13 +193,12 @@ func (t *Table) AddColumn(f Field, fn func(i int) value.Value) error {
 	return nil
 }
 
-// Clone returns a deep, independent copy of the table.
+// Clone returns a deep, independent copy of the table, made column by
+// column. The copy starts with no cached dictionaries.
 func (t *Table) Clone() *Table {
-	out := MustTable(t.schema)
-	for i := 0; i < t.n; i++ {
-		if err := out.AppendRow(t.Row(i)); err != nil {
-			panic(err)
-		}
+	out := &Table{schema: t.schema, cols: make([]Column, len(t.cols)), n: t.n}
+	for j, c := range t.cols {
+		out.cols[j] = c.clone()
 	}
 	return out
 }
