@@ -221,3 +221,66 @@ func TestSetupAllocBudget(t *testing.T) {
 		t.Errorf("set-up allocates %.0f allocs per attendance, budget %d", perRow, budget)
 	}
 }
+
+// TestRefreshBatchAllocBudget is the allocation gate on the follow-mode
+// refresh batch: at 900 patients, commit one attendance, run Refresh and
+// count heap allocations, the median over 60 batches. A batch that
+// rebuilt the ~280-field schema once per derived column and cloned all
+// 273 input columns measured 2,290; the compiled ETL plan measures
+// 1,308. The budget holds 1.5x that, so cloning the input again fails
+// it.
+func TestRefreshBatchAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are not stable under the race detector")
+	}
+	if testing.Short() {
+		t.Skip("set-up at 900 patients is expensive")
+	}
+	const batches = 60
+	raw, err := discri.Generate(discri.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Hold the last attendances back and stream them one per batch.
+	seed := raw.Len() - batches
+	p := core.New(core.Config{DataDir: t.TempDir()})
+	defer p.Close()
+	if err := p.OpenStore(raw.Schema()); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Store().LoadTable(raw.Filter(func(_ *storage.Table, i int) bool { return i < seed })); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.StartFollow(core.FollowConfig{
+		Pipeline: core.NewDiScRiPipeline(),
+		Builder:  core.NewDiScRiBuilder(),
+		Setup:    core.FinishDiScRiSetup,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	samples := make([]uint64, batches)
+	for k := range samples {
+		tx := p.Store().Begin()
+		if _, err := tx.Insert(raw.Row(seed + k)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n, err := p.Refresh()
+		runtime.ReadMemStats(&after)
+		if err != nil || n != 1 {
+			t.Fatalf("Refresh = %d, %v; want one transaction", n, err)
+		}
+		samples[k] = after.Mallocs - before.Mallocs
+	}
+	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	median := samples[batches/2]
+	t.Logf("one-attendance refresh batch at 900 patients: %d allocs (median of %d)", median, batches)
+	const budget = 1960
+	if median > budget {
+		t.Errorf("refresh batch allocates %d allocs, budget %d", median, budget)
+	}
+}

@@ -26,20 +26,52 @@ var unreachedAllowed = map[string]string{
 	"server.Server.Routes":        "exported so the router drift test can list every registered route",
 	"core.Platform.PatientRecord": "point lookup through the oltp hash index, kept for the refresh mirror's planned read-through",
 	"oltp.Tx.Delete":              "the transaction API's write verb set stays whole; replication and recovery tests delete rows",
+	"oltp.Tx.Update":              "the transaction API's write verb set stays whole; refresh, crash and replication tests update rows",
+
+	// Test-only methods that shared a name with a used one, found when
+	// methods came to be keyed by receiver type. The tests named stay
+	// their only callers until each is cut or given a caller.
+	"core.Platform.Promote":        "the failover and self-heal tests promote in process; the server and the elector call PromoteToPrimary",
+	"govern.Breaker.State":         "the breaker tests read the state machine's position; operators see the ddgms_govern_breaker_state gauge",
+	"govern.Budget.Used":           "the cancellation tests read the charged rows to show a scan stopped early",
+	"mining.DecisionTree.Describe": "the mining tests pin the fitted tree's text form; no command prints a tree",
+	"refresh.Maintainer.Engine":    "the refresh-equivalence tests query the maintained engine; core receives it through OnRebuild",
+	"repl.Follower.Cursor":         "the replication and election tests wait on the applied position; nodes report it through Status",
+	"repl.Primary.Epoch":           "the election tests check the led epoch; nodes report it through Status",
+	"star.Dimension.Hierarchy":     "the star tests look one hierarchy up by name; the cube and server walk Hierarchies",
+	"star.FactTable.Append":        "the star tests pin the map-keyed append's validation; the builder loads through appendKeys",
+	"star.FactTable.Key":           "the star tests read one fact's key; the cube reads whole key columns",
+	"storage.Table.Distinct":       "the storage tests pin distinct rows; DG-SQL and /flatquery group through the kernel",
+	"storage.Table.Where":          "the storage tests pin the equality filter; queries filter through Filter and the kernel",
+}
+
+// stdlibCalled are method names the standard library calls through its
+// own interfaces (fmt, errors, encoding/json, net/http, sort, io): such
+// a method is reached without any file naming it.
+var stdlibCalled = map[string]bool{
+	"String": true, "GoString": true, "Format": true, "Error": true, "Is": true, "As": true, "Unwrap": true,
+	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
+	"ServeHTTP": true, "Len": true, "Less": true, "Swap": true, "Read": true, "Write": true, "Close": true,
 }
 
 // goFile is one parsed non-test file of the tree.
 type goFile struct {
-	pkg  string // import path of the file's directory
-	file *ast.File
+	pkg     string            // import path of the file's directory
+	imports map[string]string // local name -> import path
+	file    *ast.File
 }
 
 // TestNoExportOnlyTestsReach fails when an exported top-level declaration
 // under internal/ is named by no non-test Go file of the tree (cmd/,
 // examples/ and benchmark/ included) other than at its declaration: a
 // capability that only its own tests reach. Delete it, or allow-list it
-// with a reason above. Methods match by name alone, so a test-only method
-// that shares its name with a used one goes unnoticed.
+// with a reason above.
+//
+// Methods are keyed by receiver type plus name. A selector x.M counts
+// for the type that x's declaration names, followed syntactically (see
+// typeIndex): a call through an interface counts for every type of the
+// tree whose methods cover the interface's, and a receiver whose type
+// the parser alone cannot follow counts for every method named M.
 func TestNoExportOnlyTestsReach(t *testing.T) {
 	var files []goFile
 	fset := token.NewFileSet()
@@ -65,20 +97,8 @@ func TestNoExportOnlyTestsReach(t *testing.T) {
 		if dir := filepath.ToSlash(filepath.Dir(path)); dir != "." {
 			pkg += "/" + dir
 		}
-		files = append(files, goFile{pkg: pkg, file: f})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Uses: package-level names keyed by import path + name, methods by
-	// name alone (a call through an interface names no type).
-	uses := map[string]bool{}
-	methodUses := map[string]bool{}
-	for _, gf := range files {
 		imports := map[string]string{}
-		for _, is := range gf.file.Imports {
+		for _, is := range f.Imports {
 			p, _ := strconv.Unquote(is.Path.Value)
 			local := p[strings.LastIndex(p, "/")+1:]
 			if is.Name != nil {
@@ -86,24 +106,36 @@ func TestNoExportOnlyTestsReach(t *testing.T) {
 			}
 			imports[local] = p
 		}
+		files = append(files, goFile{pkg: pkg, imports: imports, file: f})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Uses: package-level names keyed by import path + name, methods by
+	// import path + receiver type + name, or by name alone where the
+	// receiver's type cannot be followed.
+	ix := newTypeIndex(files)
+	uses := map[string]bool{}
+	for _, gf := range files {
 		decl := declIdents(gf.file)
 		ast.Inspect(gf.file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
-				methodUses[n.Sel.Name] = true
 				if x, ok := n.X.(*ast.Ident); ok {
-					if p, ok := imports[x.Name]; ok {
+					if p, ok := gf.imports[x.Name]; ok {
 						uses[p+"."+n.Sel.Name] = true
 					}
 				}
 			case *ast.Ident:
 				if !decl[n] {
 					uses[gf.pkg+"."+n.Name] = true
-					methodUses[n.Name] = true
 				}
 			}
 			return true
 		})
+		ix.markMethodUses(gf)
 	}
 
 	var unreached []string
@@ -114,7 +146,7 @@ func TestNoExportOnlyTestsReach(t *testing.T) {
 		}
 		short := strings.TrimPrefix(gf.pkg, modulePath+"/internal/")
 		_, pkgAllowed := unreachedAllowed[short]
-		for key, used := range exportedDecls(gf, uses, methodUses) {
+		for key, used := range exportedDecls(gf, uses, ix) {
 			key = short + "." + key
 			_, keyAllowed := unreachedAllowed[key]
 			switch {
@@ -190,7 +222,7 @@ func receiverType(e ast.Expr) *ast.Ident {
 
 // exportedDecls maps each exported top-level declaration of gf, keyed
 // "Name" or "Type.Method", to whether a non-test file names it.
-func exportedDecls(gf goFile, uses, methodUses map[string]bool) map[string]bool {
+func exportedDecls(gf goFile, uses map[string]bool, ix *typeIndex) map[string]bool {
 	out := map[string]bool{}
 	for _, d := range gf.file.Decls {
 		switch d := d.(type) {
@@ -203,7 +235,7 @@ func exportedDecls(gf goFile, uses, methodUses map[string]bool) map[string]bool 
 				continue
 			}
 			if recv := receiverType(d.Recv.List[0].Type); recv != nil && recv.IsExported() {
-				out[recv.Name+"."+d.Name.Name] = methodUses[d.Name.Name]
+				out[recv.Name+"."+d.Name.Name] = ix.methodUsed(gf.pkg+"."+recv.Name, d.Name.Name)
 			}
 		case *ast.GenDecl:
 			for _, s := range d.Specs {

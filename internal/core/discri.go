@@ -116,20 +116,13 @@ func NewDiScRiPipeline() *etl.Pipeline {
 	// Combined reflex status: absent if any of the four reflex tests is
 	// absent — the form the reflex × glucose finding uses.
 	p.Add(etl.Step{
-		Name: "derive[ReflexStatus]",
-		Apply: func(t *storage.Table) (*storage.Table, error) {
-			status := make([]value.Value, t.Len())
-			var cols []storage.Column
-			for _, name := range []string{"KneeReflexLeft", "KneeReflexRight", "AnkleReflexLeft", "AnkleReflexRight"} {
-				c, err := t.Column(name)
-				if err != nil {
-					return nil, err
-				}
-				cols = append(cols, c)
-			}
-			for i := 0; i < t.Len(); i++ {
+		Name:   "derive[ReflexStatus]",
+		Output: storage.Field{Name: "ReflexStatus", Kind: value.StringKind},
+		Inputs: []string{"KneeReflexLeft", "KneeReflexRight", "AnkleReflexLeft", "AnkleReflexRight"},
+		Derive: func(n int, in []storage.Column, status storage.Column) error {
+			for i := 0; i < n; i++ {
 				anyAbsent, anySeen := false, false
-				for _, c := range cols {
+				for _, c := range in {
 					v := c.Value(i)
 					if v.IsNA() {
 						continue
@@ -139,19 +132,18 @@ func NewDiScRiPipeline() *etl.Pipeline {
 						anyAbsent = true
 					}
 				}
+				s := value.NA()
 				switch {
-				case !anySeen:
-					status[i] = value.NA()
 				case anyAbsent:
-					status[i] = value.Str("absent")
-				default:
-					status[i] = value.Str("present")
+					s = value.Str("absent")
+				case anySeen:
+					s = value.Str("present")
+				}
+				if err := status.Append(s); err != nil {
+					return err
 				}
 			}
-			err := t.AddColumn(storage.Field{Name: "ReflexStatus", Kind: value.StringKind}, func(i int) value.Value {
-				return status[i]
-			})
-			return t, err
+			return nil
 		},
 	})
 	// Temporal abstraction: each visit's fasting-glucose trend since the

@@ -74,9 +74,6 @@ func (p *Platform) StartFollow(fcfg FollowConfig) error {
 	return nil
 }
 
-// Follower exposes the incremental maintainer (nil when not following).
-func (p *Platform) Follower() *refresh.Maintainer { return p.follower }
-
 // Refresh applies one pending CDC batch (0 when caught up). It is the
 // single-step form of RunFollow, for tests and simulations that
 // interleave commits and refreshes deterministically.

@@ -92,7 +92,7 @@ func (e *Engine) ApplyDelta(d Delta) (DeltaStats, error) {
 	}
 
 	for base, entries := range e.lattice {
-		kept := entries[:0]
+		kept := make([]*latticeEntry, 0, len(entries)) // never filtered in place: see latticeLookup
 		for _, entry := range entries {
 			if e.deltaEntryLocked(entry, d, oldN) {
 				kept = append(kept, entry)
@@ -305,7 +305,7 @@ func (e *Engine) InvalidateDimension(dim string) {
 // holds e.mu.
 func (e *Engine) dropLatticeEntriesLocked(pred func(*latticeEntry) bool) {
 	for base, entries := range e.lattice {
-		kept := entries[:0]
+		kept := make([]*latticeEntry, 0, len(entries)) // never filtered in place: see latticeLookup
 		for _, entry := range entries {
 			if !pred(entry) {
 				kept = append(kept, entry)

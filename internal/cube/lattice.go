@@ -149,8 +149,7 @@ func (e *Engine) latticeStore(q Query, groups []exec.Group) {
 	entries := e.lattice[base]
 	for i, ex := range entries {
 		if sameAttrs(ex.attrs, sorted) {
-			// latticeLookup iterates the slice it read after unlocking,
-			// so an entry is replaced in a copy, never in place.
+			// Replaced in a copy, never in place: see latticeLookup.
 			entries = slices.Clone(entries)
 			entries[i] = entry
 			e.lattice[base] = entries
@@ -163,6 +162,10 @@ func (e *Engine) latticeStore(q Query, groups []exec.Group) {
 // latticeLookup answers q from the cache if possible: an entry with the
 // exact attribute set is re-assembled directly; an entry whose attribute
 // set is a superset is rolled up. Only additive measures qualify.
+//
+// It iterates the entry slice it read under e.mu after unlocking, so
+// every writer of e.lattice replaces a slice in a copy (or appends past
+// the length a reader holds) and never rewrites it in place.
 func (e *Engine) latticeLookup(q Query) (*CellSet, bool) {
 	if !latticeable(q.Measure) {
 		return nil, false

@@ -5,13 +5,6 @@ import (
 	"github.com/ddgms/ddgms/internal/value"
 )
 
-// CleanReport summarises the effect of one cleaning step on a table.
-type CleanReport struct {
-	Column   string
-	Step     string
-	Affected int
-}
-
 // RangeRule declares the physiologically plausible range of a clinical
 // measure; values outside [Min, Max] are erroneous (e.g. a negative blood
 // pressure, an age of 400) and are replaced with NA so downstream steps
@@ -21,25 +14,26 @@ type RangeRule struct {
 	Min, Max float64
 }
 
-// ApplyRangeRule nulls out-of-range values in place and reports how many
-// cells it affected.
-func ApplyRangeRule(t *storage.Table, r RangeRule) (CleanReport, error) {
-	rep := CleanReport{Column: r.Column, Step: "range-rule"}
-	col, err := t.Column(r.Column)
-	if err != nil {
-		return rep, err
-	}
-	for i := 0; i < col.Len(); i++ {
-		f, ok := col.Value(i).AsFloat()
-		if !ok {
+// outOfRange reports whether row i of c holds a number outside the rule's
+// range.
+func (r RangeRule) outOfRange(c storage.Column, i int) bool {
+	f, ok := c.Value(i).AsFloat()
+	return ok && (f < r.Min || f > r.Max)
+}
+
+// nullOutOfRange nulls the cells of cols[j] outside the rule's range. A
+// column still shared with the input table t is copied before its first
+// write, so the input is never modified.
+func nullOutOfRange(cols []storage.Column, j int, r RangeRule, t *storage.Table) {
+	c := cols[j]
+	for i := 0; i < c.Len(); i++ {
+		if !r.outOfRange(c, i) {
 			continue
 		}
-		if f < r.Min || f > r.Max {
-			if err := t.Set(i, r.Column, value.NA()); err != nil {
-				return rep, err
-			}
-			rep.Affected++
+		if j < t.Schema().Len() && c == t.ColumnAt(j) {
+			c = c.Clone()
+			cols[j] = c
 		}
+		c.Set(i, value.NA()) // NA fits every kind
 	}
-	return rep, nil
 }

@@ -183,3 +183,74 @@ func TestPipelineCustomStep(t *testing.T) {
 		t.Errorf("rows = %d, want 5", out.Len())
 	}
 }
+
+// TestRunSharesOnlyUnwrittenColumns pins Run's aliasing rule: the input
+// is never modified, a range-ruled column is copied before its first
+// write, the columns no step writes are the input's own, and one input
+// schema compiles to one plan whose output schema every run shares.
+func TestRunSharesOnlyUnwrittenColumns(t *testing.T) {
+	in := visitsTable(t)
+	before := make([][]value.Value, in.Len())
+	for i := range before {
+		before[i] = in.Row(i)
+	}
+	// The FBG rule nulls row 5's 400; the PatientID rule nulls nothing.
+	var p Pipeline
+	p.AddRangeRule("FBG", 2, 30).
+		AddRangeRule("PatientID", 0, 10).
+		AddDiscretize("FBG", "FBGBand", MustManualScheme("FBG", []float64{6}, []string{"lo", "hi"})).
+		AddCardinality("PatientID", "VisitDate", "VisitNo")
+	out, err := p.Run(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range before {
+		for j, v := range row {
+			if got := in.ColumnAt(j).Value(i); !got.Equal(v) && !(got.IsNA() && v.IsNA()) {
+				t.Errorf("input row %d column %d = %v after Run, want %v", i, j, got, v)
+			}
+		}
+	}
+	if !out.MustValue(5, "FBG").IsNA() || !out.MustValue(5, "FBGBand").IsNA() {
+		t.Errorf("ruled row 5: FBG %v, band %v; want NA, NA", out.MustValue(5, "FBG"), out.MustValue(5, "FBGBand"))
+	}
+
+	col := func(tbl *storage.Table, name string) storage.Column {
+		c, err := tbl.Column(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	for _, name := range []string{"PatientID", "VisitDate"} {
+		if col(out, name) != col(in, name) {
+			t.Errorf("column %s, which no step writes, was copied", name)
+		}
+	}
+	if col(out, "FBG") == col(in, "FBG") {
+		t.Fatal("the range-ruled FBG column is shared with the input")
+	}
+	// The written column is the output's own: writing it leaves the input
+	// alone.
+	if err := out.Set(0, "FBG", value.Float(-1)); err != nil {
+		t.Fatal(err)
+	}
+	if got := in.MustValue(0, "FBG"); got.Float() != 5.2 {
+		t.Errorf("input FBG row 0 = %v after writing the output's, want 5.2", got)
+	}
+
+	// Tables of one schema share one plan, and so one output schema.
+	same := storage.MustTable(in.Schema())
+	for _, row := range before {
+		if err := same.AppendRow(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	again, err := p.Run(same)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Schema() != out.Schema() {
+		t.Error("a second table of the same schema was planned again")
+	}
+}

@@ -72,28 +72,41 @@ const (
 // first visit, or missing data either side).
 const TrendBaseline = "baseline"
 
-// assignTrend implements Pipeline.AddTrend: it adds the per-visit trend
-// label column in place.
-func assignTrend(t *storage.Table, patientCol, timeCol, measureCol, out string, epsilonPerDay float64) error {
-	if epsilonPerDay < 0 {
-		return fmt.Errorf("etl: trend: negative epsilon")
+// trendStep derives the per-visit trend label column of
+// Pipeline.AddTrend.
+func trendStep(patientCol, timeCol, measureCol, out string, epsilonPerDay float64) Step {
+	return Step{
+		Name:   fmt.Sprintf("trend[%s->%s]", measureCol, out),
+		Output: storage.Field{Name: out, Kind: value.StringKind},
+		Inputs: []string{patientCol, timeCol, measureCol},
+		Derive: func(n int, in []storage.Column, trend storage.Column) error {
+			if epsilonPerDay < 0 {
+				return fmt.Errorf("etl: trend: negative epsilon")
+			}
+			for _, l := range visitTrends(n, in[0], in[1], in[2], epsilonPerDay) {
+				v := value.NA()
+				if l != "" {
+					v = value.Str(l)
+				}
+				if err := trend.Append(v); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
 	}
-	var cols [3]storage.Column
-	for k, c := range []string{patientCol, timeCol, measureCol} {
-		col, err := t.Column(c)
-		if err != nil {
-			return fmt.Errorf("etl: trend: unknown column %q", c)
-		}
-		cols[k] = col
-	}
-	pids, times, measures := cols[0], cols[1], cols[2]
+}
+
+// visitTrends returns the trend label of each of n visits, "" where the
+// label is NA.
+func visitTrends(n int, pids, times, measures storage.Column, epsilonPerDay float64) []string {
 	type visit struct {
 		row int
 		at  time.Time
 		v   value.Value
 	}
 	byPatient := make(map[value.Value][]visit)
-	for i := 0; i < t.Len(); i++ {
+	for i := 0; i < n; i++ {
 		pid := pids.Value(i)
 		at := times.Value(i)
 		if pid.IsNA() || at.IsNA() || at.Kind() != value.TimeKind {
@@ -101,10 +114,7 @@ func assignTrend(t *storage.Table, patientCol, timeCol, measureCol, out string, 
 		}
 		byPatient[pid] = append(byPatient[pid], visit{row: i, at: at.Time(), v: measures.Value(i)})
 	}
-	labels := make([]value.Value, t.Len())
-	for i := range labels {
-		labels[i] = value.NA()
-	}
+	labels := make([]string, n)
 	for _, visits := range byPatient {
 		sort.SliceStable(visits, func(a, b int) bool { return visits[a].at.Before(visits[b].at) })
 		var prev *visit
@@ -112,11 +122,10 @@ func assignTrend(t *storage.Table, patientCol, timeCol, measureCol, out string, 
 			cur := &visits[k]
 			cf, curOK := cur.v.AsFloat()
 			if !curOK {
-				labels[cur.row] = value.NA()
 				continue
 			}
 			if prev == nil {
-				labels[cur.row] = value.Str(TrendBaseline)
+				labels[cur.row] = TrendBaseline
 				prev = cur
 				continue
 			}
@@ -133,11 +142,9 @@ func assignTrend(t *storage.Table, patientCol, timeCol, measureCol, out string, 
 			case slope < -epsilonPerDay:
 				state = TrendDecreasing
 			}
-			labels[cur.row] = value.Str(state)
+			labels[cur.row] = state
 			prev = cur
 		}
 	}
-	return t.AddColumn(storage.Field{Name: out, Kind: value.StringKind}, func(i int) value.Value {
-		return labels[i]
-	})
+	return labels
 }

@@ -399,6 +399,53 @@ func TestRefreshCompaction(t *testing.T) {
 	assertCaughtUpEquivalent(t, "after compaction", env.m, env.store)
 }
 
+// TestRefreshRangeRuleKeepsStoreRow commits an attendance whose FBG the
+// pipeline's range rule nulls inside a batch. The pipeline shares every
+// column it does not write with the batch's mirror rows and copies the
+// ruled column before nulling it, so the warehouse must see NA while the
+// store's committed row keeps the reading as committed.
+func TestRefreshRangeRuleKeepsStoreRow(t *testing.T) {
+	env := newInterleaveEnv(t, 13, 30, nil)
+	env.drain(t)
+	row := oltp.Row(env.raw.Row(env.next))
+	env.next++
+	row[env.fbgIdx] = value.Float(99) // outside the FBG rule's [2, 30]
+	var id oltp.RowID
+	env.commit(t, func(tx *oltp.Tx) error {
+		var err error
+		id, err = tx.Insert(row)
+		return err
+	})
+	env.drain(t)
+
+	// The new attendance has the highest row id, so the batch appended
+	// it last.
+	env.m.RLock()
+	fact := env.m.Schema().Fact()
+	fbg, err := fact.Measure("FBG")
+	if err != nil {
+		env.m.RUnlock()
+		t.Fatal(err)
+	}
+	last := fact.Len() - 1
+	alive, inWarehouse := fact.Alive(last), fbg.Value(last)
+	env.m.RUnlock()
+	if !alive || !inWarehouse.IsNA() {
+		t.Errorf("warehouse FBG of the new attendance = %v (alive %v), want NA", inWarehouse, alive)
+	}
+
+	tx := env.store.Begin()
+	stored, ok := tx.Get(id)
+	tx.Rollback()
+	if !ok {
+		t.Fatalf("row %d missing from the store", id)
+	}
+	if v := stored[env.fbgIdx]; v.IsNA() || v.Float() != 99 {
+		t.Errorf("store FBG after refresh = %v, want 99 as committed", v)
+	}
+	assertCaughtUpEquivalent(t, "after a range-ruled attendance", env.m, env.store)
+}
+
 // gapResync severs the maintainer's retention pin, pushes the rest of
 // the raw rows through a checkpoint so the unread tail is swept, and
 // refreshes across the gap: exactly one resync must heal it.

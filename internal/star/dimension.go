@@ -145,14 +145,6 @@ func (d *Dimension) AddMember(attrs []value.Value) (Key, error) {
 	return k, nil
 }
 
-// Member returns the attribute tuple for a key.
-func (d *Dimension) Member(k Key) ([]value.Value, error) {
-	if k < 0 || int(k) >= d.members.Len() {
-		return nil, fmt.Errorf("star: dimension %q: key %d out of range", d.name, k)
-	}
-	return d.members.Row(int(k)), nil
-}
-
 // Attr returns one attribute of the member identified by k.
 func (d *Dimension) Attr(k Key, attr string) (value.Value, error) {
 	if k < 0 || int(k) >= d.members.Len() {

@@ -60,11 +60,6 @@ func NewFactTable(dimNames []string, measureFields []storage.Field) (*FactTable,
 	}, nil
 }
 
-// Dimensions returns the dimension names in declaration order.
-func (f *FactTable) Dimensions() []string {
-	return append([]string(nil), f.dimNames...)
-}
-
 // Measures returns the measure schema.
 func (f *FactTable) Measures() *storage.Schema { return f.measures.Schema() }
 

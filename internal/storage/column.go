@@ -36,10 +36,10 @@ type Column interface {
 	// across later mutations.
 	Dict() *exec.CodedColumn
 
-	// clone returns an independent copy with no cached dictionary.
-	clone() Column
-	// grow makes room for n more rows without reallocating.
-	grow(n int)
+	// Clone returns an independent copy with no cached dictionary.
+	Clone() Column
+	// Grow makes room for n more rows without reallocating.
+	Grow(n int)
 }
 
 // dictCache memoises a column's coded view. The mutex makes concurrent
@@ -174,12 +174,12 @@ func (c *intColumn) Append(v value.Value) error {
 	return nil
 }
 
-func (c *intColumn) grow(n int) {
+func (c *intColumn) Grow(n int) {
 	c.data = slices.Grow(c.data, n)
 	c.nulls.grow(n)
 }
 
-func (c *intColumn) clone() Column {
+func (c *intColumn) Clone() Column {
 	return &intColumn{kind: c.kind, data: slices.Clone(c.data), nulls: c.nulls.clone()}
 }
 
@@ -250,12 +250,12 @@ func (c *floatColumn) Value(i int) value.Value {
 	return value.Float(c.data[i])
 }
 
-func (c *floatColumn) grow(n int) {
+func (c *floatColumn) Grow(n int) {
 	c.data = slices.Grow(c.data, n)
 	c.nulls.grow(n)
 }
 
-func (c *floatColumn) clone() Column {
+func (c *floatColumn) Clone() Column {
 	return &floatColumn{data: slices.Clone(c.data), nulls: c.nulls.clone()}
 }
 
@@ -331,12 +331,12 @@ func (c *stringColumn) Value(i int) value.Value {
 	return value.Str(c.dict[c.codes[i]])
 }
 
-func (c *stringColumn) grow(n int) {
+func (c *stringColumn) Grow(n int) {
 	c.codes = slices.Grow(c.codes, n)
 	c.nulls.grow(n)
 }
 
-func (c *stringColumn) clone() Column {
+func (c *stringColumn) Clone() Column {
 	return &stringColumn{
 		codes: slices.Clone(c.codes),
 		dict:  slices.Clone(c.dict),

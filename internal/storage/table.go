@@ -92,7 +92,7 @@ func FromRows[R ~[]value.Value](schema *Schema, rows []R) (*Table, error) {
 		}
 	}
 	for _, c := range t.cols {
-		c.grow(len(rows))
+		c.Grow(len(rows))
 	}
 	for lo := 0; lo < len(rows); lo += fromRowsBlock {
 		block := rows[lo:min(lo+fromRowsBlock, len(rows))]
@@ -106,6 +106,22 @@ func FromRows[R ~[]value.Value](schema *Schema, rows []R) (*Table, error) {
 	}
 	t.n = len(rows)
 	return t, nil
+}
+
+// FromColumns builds an n-row table over schema from existing columns,
+// one per field, each of the field's kind and holding n rows. The table
+// takes the columns as they are, without copying: a column passed here
+// is shared with every other table that holds it.
+func FromColumns(schema *Schema, n int, cols []Column) (*Table, error) {
+	if len(cols) != schema.Len() {
+		return nil, fmt.Errorf("storage: %d columns, schema has %d fields", len(cols), schema.Len())
+	}
+	for j, c := range cols {
+		if f := schema.Field(j); c.Kind() != f.Kind || c.Len() != n {
+			return nil, fmt.Errorf("storage: column %q: %d %v rows, want %d %v rows", f.Name, c.Len(), c.Kind(), n, f.Kind)
+		}
+	}
+	return &Table{schema: schema, cols: cols, n: n}, nil
 }
 
 // Row materialises row i into a fresh slice.
@@ -198,7 +214,7 @@ func (t *Table) AddColumn(f Field, fn func(i int) value.Value) error {
 func (t *Table) Clone() *Table {
 	out := &Table{schema: t.schema, cols: make([]Column, len(t.cols)), n: t.n}
 	for j, c := range t.cols {
-		out.cols[j] = c.clone()
+		out.cols[j] = c.Clone()
 	}
 	return out
 }

@@ -47,8 +47,8 @@ go test -race -count=2 ./internal/obs/
 stage "refresh-equivalence soak (randomized commit/refresh interleavings, retention pins, follow-loop backoff, -count=2)"
 go test -race -run 'TestRefresh' -count=2 ./internal/refresh/
 
-stage "allocation regression gate (arena kernel, O(delta) refresh, columnar set-up; no race detector)"
-go test -run 'TestGroupByCodedAllocBudget|TestApplyDeltaAllocScaling|TestSetupAllocBudget' .
+stage "allocation regression gate (arena kernel, O(delta) refresh, columnar set-up, refresh batch; no race detector)"
+go test -run 'TestGroupByCodedAllocBudget|TestApplyDeltaAllocScaling|TestSetupAllocBudget|TestRefreshBatchAllocBudget' .
 
 stage "replication partition soak (fault sweep, kill/restart, disk bound, snapshot bootstrap, -count=2)"
 go test -race -run 'TestFaultSweep|TestFollowerRestart|TestPrimaryDiskBounded|TestSnapshotBootstrap' -count=2 ./internal/repl/
