@@ -9,7 +9,9 @@ import (
 
 	"github.com/ddgms/ddgms/internal/core"
 	"github.com/ddgms/ddgms/internal/cube"
+	"github.com/ddgms/ddgms/internal/dgsql"
 	"github.com/ddgms/ddgms/internal/discri"
+	"github.com/ddgms/ddgms/internal/flatquery"
 	"github.com/ddgms/ddgms/internal/star"
 	"github.com/ddgms/ddgms/internal/storage"
 	"github.com/ddgms/ddgms/internal/value"
@@ -67,17 +69,89 @@ func TestGroupByCodedAllocBudget(t *testing.T) {
 	}
 	flat := platformFor(t, 900).Flat()
 	keys, aggs := kernelGroupBySpec()
-	if _, err := flat.GroupBy(keys, aggs); err != nil { // warm the dictionaries
+	ctx := context.Background()
+	if _, err := flat.GroupBy(ctx, keys, aggs, nil); err != nil { // warm the dictionaries
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(20, func() {
-		if _, err := flat.GroupBy(keys, aggs); err != nil {
+		if _, err := flat.GroupBy(ctx, keys, aggs, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	const budget = 150
 	if avg > budget {
 		t.Errorf("GroupByCoded allocates %.0f allocs/op, budget %d (legacy scalar baseline: 424)", avg, budget)
+	}
+}
+
+// filteredScanAllocs returns the allocs/op of run at 900 patients after
+// one warm-up call, which caches every dictionary the scan reads.
+func filteredScanAllocs(t *testing.T, run func(flat *storage.Table) error) float64 {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("alloc counts are not stable under the race detector")
+	}
+	if testing.Short() {
+		t.Skip("platform fixture is expensive")
+	}
+	flat := platformFor(t, 900).Flat()
+	if err := run(flat); err != nil {
+		t.Fatal(err)
+	}
+	return testing.AllocsPerRun(20, func() {
+		if err := run(flat); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestSQLFilteredAllocBudget is the allocation gate on a DG-SQL
+// aggregate with a one-value WHERE, the commonest kind of /sql body in
+// the flat_scan benchmark (252 of 336): a two-column avg group-by,
+// ordered. The WHERE compiles to a row selection once per dictionary
+// code and the scan allocates nothing per row; the whole statement
+// measures 172 allocs/op (parse excluded). The budget holds 1.5x that,
+// so any allocation per selected row fails it.
+func TestSQLFilteredAllocBudget(t *testing.T) {
+	st, err := dgsql.Parse("SELECT FBGBand, ExerciseFrequency, avg(FBG) AS v FROM visits WHERE Gender = 'M' GROUP BY FBGBand, ExerciseFrequency ORDER BY FBGBand, ExerciseFrequency")
+	if err != nil {
+		t.Fatal(err)
+	}
+	avg := filteredScanAllocs(t, func(flat *storage.Table) error {
+		db := dgsql.NewDB()
+		if err := db.Register("visits", flat); err != nil {
+			return err
+		}
+		_, err := db.ExecuteCtx(context.Background(), st)
+		return err
+	})
+	t.Logf("filtered DG-SQL aggregate at 900 patients: %.0f allocs/op", avg)
+	const budget = 260
+	if avg > budget {
+		t.Errorf("filtered DG-SQL aggregate allocates %.0f allocs/op, budget %d", avg, budget)
+	}
+}
+
+// TestFlatQueryFilteredAllocBudget is the same gate on /flatquery: the
+// same grouping, its filter and the rule that drops NA grouping codes
+// compiled into one row selection, measures 71 allocs/op. The budget
+// holds 1.5x that.
+func TestFlatQueryFilteredAllocBudget(t *testing.T) {
+	q := flatquery.Query{
+		Rows:    []string{"FBGBand"},
+		Cols:    []string{"ExerciseFrequency"},
+		Filters: []flatquery.Filter{{Column: "Gender", Values: []value.Value{value.Str("M")}}},
+		Agg:     storage.AvgAgg,
+		Measure: "FBG",
+	}
+	avg := filteredScanAllocs(t, func(flat *storage.Table) error {
+		_, err := flatquery.ExecuteCtx(context.Background(), flat, q)
+		return err
+	})
+	t.Logf("filtered /flatquery at 900 patients: %.0f allocs/op", avg)
+	const budget = 105
+	if avg > budget {
+		t.Errorf("filtered /flatquery allocates %.0f allocs/op, budget %d", avg, budget)
 	}
 }
 
@@ -248,7 +322,13 @@ func TestRefreshBatchAllocBudget(t *testing.T) {
 	if err := p.OpenStore(raw.Schema()); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Store().LoadTable(raw.Filter(func(_ *storage.Table, i int) bool { return i < seed })); err != nil {
+	seeded := storage.MustTable(raw.Schema())
+	for i := 0; i < seed; i++ {
+		if err := seeded.AppendRow(raw.Row(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Store().LoadTable(seeded); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.StartFollow(core.FollowConfig{

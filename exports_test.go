@@ -41,8 +41,6 @@ var unreachedAllowed = map[string]string{
 	"star.Dimension.Hierarchy":     "the star tests look one hierarchy up by name; the cube and server walk Hierarchies",
 	"star.FactTable.Append":        "the star tests pin the map-keyed append's validation; the builder loads through appendKeys",
 	"star.FactTable.Key":           "the star tests read one fact's key; the cube reads whole key columns",
-	"storage.Table.Distinct":       "the storage tests pin distinct rows; DG-SQL and /flatquery group through the kernel",
-	"storage.Table.Where":          "the storage tests pin the equality filter; queries filter through Filter and the kernel",
 }
 
 // stdlibCalled are method names the standard library calls through its

@@ -23,9 +23,6 @@ func (b *Bitmap) Len() int { return b.n }
 // Set marks row i.
 func (b *Bitmap) Set(i int) { b.words[i>>6] |= 1 << (uint(i) & 63) }
 
-// Get reports whether row i is marked.
-func (b *Bitmap) Get(i int) bool { return b.words[i>>6]&(1<<(uint(i)&63)) != 0 }
-
 // And intersects o into b in place.
 func (b *Bitmap) And(o *Bitmap) {
 	for i := range b.words {

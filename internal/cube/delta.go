@@ -176,17 +176,13 @@ func (e *Engine) deltaEntryLocked(entry *latticeEntry, d Delta, oldN int) bool {
 		}
 		axisCols[i] = cc
 	}
-	type sliceSet struct {
-		codes []uint32
-		want  []bool // by code
-	}
-	slicers := make([]sliceSet, len(entry.slicers))
+	slicers := make([]exec.CodeSet, len(entry.slicers))
 	for i, s := range entry.slicers {
 		cc, ok := coded(s.Ref)
 		if !ok {
 			return false
 		}
-		slicers[i] = sliceSet{codes: cc.Codes(), want: wantedCodes(cc.Values(), s.Values)}
+		slicers[i] = exec.InValues(cc, s.Values)
 	}
 	var measure exec.Measure
 	switch {
@@ -206,7 +202,7 @@ func (e *Engine) deltaEntryLocked(entry *latticeEntry, d Delta, oldN int) bool {
 
 	matches := func(i int) bool {
 		for _, s := range slicers {
-			if !s.want[s.codes[i]] {
+			if !s.Allowed[s.Codes[i]] {
 				return false
 			}
 		}

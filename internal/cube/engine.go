@@ -168,21 +168,6 @@ func (e *Engine) bitmapFor(ref AttrRef) ([]*Bitmap, *exec.CodedColumn, error) {
 	return perCode, cc, nil
 }
 
-// wantedCodes marks the dictionary codes whose value is one of vals: how
-// slicer values resolve to codes. A value the dictionary lacks marks
-// nothing.
-func wantedCodes(dict, vals []value.Value) []bool {
-	want := make(map[value.Value]struct{}, len(vals))
-	for _, v := range vals {
-		want[v] = struct{}{}
-	}
-	out := make([]bool, len(dict))
-	for code, v := range dict {
-		_, out[code] = want[v]
-	}
-	return out
-}
-
 // filterBitmap evaluates all slicers into one fact-row bitmap. Retired
 // (tombstoned) fact rows are masked out first, so every scan and
 // aggregate sees only live facts.
@@ -203,7 +188,7 @@ func (e *Engine) filterBitmap(slicers []Slicer) (*Bitmap, error) {
 			return nil, err
 		}
 		union := NewBitmap(n)
-		for code, ok := range wantedCodes(cc.Values(), s.Values) {
+		for code, ok := range exec.InValues(cc, s.Values).Allowed {
 			if ok && members[code] != nil {
 				union.Or(members[code])
 			}
@@ -242,8 +227,8 @@ func (e *Engine) measureInput(m MeasureRef) (exec.Measure, error) {
 // is consulted first, so a hit resolves no column at all. A miss runs the
 // grouping scan on the shared execution kernel (internal/exec): axis
 // columns are dictionary-encoded once and cached, groups are keyed on
-// packed integer codes, and the slicer bitmap feeds the kernel as its row
-// filter.
+// packed integer codes, and the slicer bitmap's words are the kernel's row
+// selection.
 //
 // The kernel scan checks ctx cooperatively and charges any govern.Budget
 // it carries, so a cancelled or over-budget query stops mid-scan with no
@@ -299,7 +284,7 @@ func (e *Engine) ExecuteCtx(ctx context.Context, q Query) (*CellSet, error) {
 		NumRows: e.schema.Fact().Len(),
 		Keys:    axisCoded,
 		Aggs:    []exec.AggInput{{Kind: q.Measure.Agg, Measure: measure}},
-		Filter:  filter.Get,
+		Rows:    filter.words,
 	}
 	gctx, groupSp := obs.StartSpan(ctx, "cube.group")
 	groups, err := exec.GroupBy(gctx, in)

@@ -179,9 +179,10 @@ func (e *Engine) latticeLookup(q Query) (*CellSet, bool) {
 
 	var src *latticeEntry
 	var pos []int
+	exact := false
 	for _, entry := range entries {
 		if sameAttrs(entry.attrs, want) {
-			src, pos = entry, identity(len(want))
+			src, pos, exact = entry, identity(len(want)), true
 			break
 		}
 	}
@@ -206,7 +207,7 @@ func (e *Engine) latticeLookup(q Query) (*CellSet, bool) {
 	}
 	rolled := make(map[string]*acc)
 	buf := make([]value.Value, len(want))
-	for _, g := range src.groups {
+	merge := func(g *latticeGroup) {
 		for i, p := range pos {
 			buf[i] = g.tuple[p]
 		}
@@ -220,6 +221,23 @@ func (e *Engine) latticeLookup(q Query) (*CellSet, bool) {
 			rolled[k] = a
 		}
 		a.state.Merge(g.state)
+	}
+	if exact {
+		// One state per rolled group: the order cannot change a sum.
+		for _, g := range src.groups {
+			merge(g)
+		}
+	} else {
+		// Float sums depend on the order they are added in, so a roll-up
+		// merges in key order: the same request gets the same bits.
+		keys := make([]string, 0, len(src.groups))
+		for k := range src.groups {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			merge(src.groups[k])
+		}
 	}
 
 	// perm maps sorted position -> original axis position; invert it to

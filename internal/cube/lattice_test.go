@@ -3,6 +3,7 @@ package cube
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -169,6 +170,61 @@ func TestLatticeAvgRollUp(t *testing.T) {
 		bf, bok := b.AsFloat()
 		if aok != bok || (aok && !approx(af, bf)) {
 			t.Errorf("row %s: rolled %v vs scanned %v", cs.RowLabel(i), a, b)
+		}
+	}
+}
+
+// TestLatticeRollUpDeterministic asks for the same avg roll-up 100 times.
+// Each answer merges 64 cached float states per cell, whose sum depends
+// on the order they are added in; every answer must carry the same bits.
+func TestLatticeRollUpDeterministic(t *testing.T) {
+	flat := storage.MustTable(storage.MustSchema(
+		storage.Field{Name: "A", Kind: value.StringKind},
+		storage.Field{Name: "B", Kind: value.StringKind},
+		storage.Field{Name: "M", Kind: value.FloatKind},
+	))
+	for i := 0; i < 1024; i++ {
+		m := (0.1 + float64(i)) / 3
+		if i%5 == 0 {
+			m *= 1e10
+		}
+		row := []value.Value{value.Str(fmt.Sprintf("a%02d", i%64)), value.Str(fmt.Sprintf("b%d", i/64%2)), value.Float(m)}
+		if err := flat.AppendRow(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := star.NewBuilder("F").
+		Dimension("DA", []storage.Field{{Name: "A", Kind: value.StringKind}}, []string{"A"}).
+		Dimension("DB", []storage.Field{{Name: "B", Kind: value.StringKind}}, []string{"B"}).
+		Measure(storage.Field{Name: "M", Kind: value.FloatKind}, "M").
+		Build(flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refA, refB := AttrRef{Dim: "DA", Attr: "A"}, AttrRef{Dim: "DB", Attr: "B"}
+	avg := MeasureRef{Agg: storage.AvgAgg, Column: "M"}
+	e := NewEngine(s)
+	if _, err := e.ExecuteCtx(context.Background(), Query{Rows: []AttrRef{refA}, Cols: []AttrRef{refB}, Measure: avg}); err != nil {
+		t.Fatal(err)
+	}
+	coarse := Query{Rows: []AttrRef{refB}, Measure: avg}
+	var first *CellSet
+	for run := 0; run < 100; run++ {
+		cs, err := e.ExecuteCtx(context.Background(), coarse)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.LatticeSize() != 1 {
+			t.Fatalf("the coarse query was not a roll-up: lattice size = %d", e.LatticeSize())
+		}
+		if first == nil {
+			first = cs
+			continue
+		}
+		for i := 0; i < cs.Rows(); i++ {
+			if got, want := cs.Cell(i, 0).Float(), first.Cell(i, 0).Float(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("run %d, row %s: %v, first run %v", run, cs.RowLabel(i), got, want)
+			}
 		}
 	}
 }
@@ -378,11 +434,12 @@ func TestQuickLatticeAgreesWithScan(t *testing.T) {
 }
 
 func TestBitmapPrimitives(t *testing.T) {
+	get := func(b *Bitmap, i int) bool { return b.words[i>>6]&(1<<(uint(i)&63)) != 0 }
 	b := NewBitmap(130)
 	b.Set(0)
 	b.Set(64)
 	b.Set(129)
-	if !b.Get(0) || !b.Get(64) || !b.Get(129) || b.Get(1) {
+	if !get(b, 0) || !get(b, 64) || !get(b, 129) || get(b, 1) {
 		t.Error("set/get broken")
 	}
 	if b.Count() != 3 {
@@ -392,7 +449,7 @@ func TestBitmapPrimitives(t *testing.T) {
 	o.Set(64)
 	c := b.Clone()
 	c.And(o)
-	if c.Count() != 1 || !c.Get(64) {
+	if c.Count() != 1 || !get(c, 64) {
 		t.Errorf("and: count=%d", c.Count())
 	}
 	c.Or(b)

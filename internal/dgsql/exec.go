@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/ddgms/ddgms/internal/exec"
 	"github.com/ddgms/ddgms/internal/obs"
 	"github.com/ddgms/ddgms/internal/storage"
 	"github.com/ddgms/ddgms/internal/value"
@@ -65,16 +66,9 @@ func (db *DB) ExecuteCtx(ctx context.Context, st *Stmt) (*storage.Table, error) 
 		}
 	}
 
-	var pred storage.RowPredicate
-	if len(st.Where) > 0 {
-		pred = func(tb *storage.Table, i int) bool {
-			for _, c := range st.Where {
-				if !evalCond(tb.MustValue(i, c.Column), c) {
-					return false
-				}
-			}
-			return true
-		}
+	rows, err := whereRows(t, st.Where)
+	if err != nil {
+		return nil, err
 	}
 
 	hasAgg := false
@@ -85,23 +79,18 @@ func (db *DB) ExecuteCtx(ctx context.Context, st *Stmt) (*storage.Table, error) 
 	}
 
 	var out *storage.Table
-	var err error
 	switch {
 	case hasAgg || len(st.GroupBy) > 0:
-		// The WHERE predicate is pushed into the group-by kernel scan, so
+		// The WHERE selection is read inside the group-by kernel scan, so
 		// the aggregate path never materialises a filtered copy of the
 		// table.
-		out, err = db.executeAggregate(ctx, st, t, pred)
+		out, err = db.executeAggregate(ctx, st, t, rows)
 	default:
-		filtered := t
-		if pred != nil {
-			filtered = t.Filter(pred)
-		}
 		cols := make([]string, len(st.Items))
 		for i, item := range st.Items {
 			cols[i] = item.Column
 		}
-		out, err = filtered.Project(cols...)
+		out, err = t.Project(rows, cols...)
 		if err != nil {
 			return nil, fmt.Errorf("dgsql: %w", err)
 		}
@@ -138,9 +127,32 @@ func (db *DB) ExecuteCtx(ctx context.Context, st *Stmt) (*storage.Table, error) 
 	return out, nil
 }
 
-// executeAggregate handles GROUP BY / aggregate projections. The WHERE
-// predicate (nil when absent) is evaluated inside the kernel scan.
-func (db *DB) executeAggregate(ctx context.Context, st *Stmt, t *storage.Table, pred storage.RowPredicate) (*storage.Table, error) {
+// whereRows compiles the WHERE conjunction to a row selection (nil when
+// there is none). Each condition is evaluated once per dictionary code of
+// its column, NA's code included, so a condition costs O(cardinality)
+// evaluations however many rows the table holds, and a row passes when
+// its code passes every condition. The first WHERE on a column builds
+// and caches that column's dictionary.
+func whereRows(t *storage.Table, where []Cond) ([]uint64, error) {
+	sets := make([]exec.CodeSet, len(where))
+	for k, c := range where {
+		dict, err := t.Dict(c.Column)
+		if err != nil {
+			return nil, fmt.Errorf("dgsql: %w", err)
+		}
+		allowed := make([]bool, dict.Card())
+		for code, v := range dict.Values() {
+			allowed[code] = evalCond(v, c)
+		}
+		sets[k] = exec.CodeSet{Codes: dict.Codes(), Allowed: allowed}
+	}
+	return exec.SelectRows(t.Len(), sets), nil
+}
+
+// executeAggregate handles GROUP BY / aggregate projections over the rows
+// the WHERE selection takes (nil: every row), which the kernel scan
+// reads.
+func (db *DB) executeAggregate(ctx context.Context, st *Stmt, t *storage.Table, rows []uint64) (*storage.Table, error) {
 	var aggs []storage.AggSpec
 	groupSet := make(map[string]bool, len(st.GroupBy))
 	for _, g := range st.GroupBy {
@@ -174,7 +186,7 @@ func (db *DB) executeAggregate(ctx context.Context, st *Stmt, t *storage.Table, 
 		outNames[i] = name
 	}
 	ctx, groupSp := obs.StartSpan(ctx, "dgsql.group")
-	grouped, err := t.GroupByFiltered(ctx, st.GroupBy, aggs, pred)
+	grouped, err := t.GroupBy(ctx, st.GroupBy, aggs, rows)
 	groupSp.End()
 	if err != nil {
 		return nil, fmt.Errorf("dgsql: %w", err)
@@ -199,7 +211,7 @@ func groupedProjection(grouped *storage.Table, st *Stmt, outNames []string) (*st
 			srcNames[i] = outNames[i] // agg column already carries the out name
 		}
 	}
-	proj, err := grouped.Project(srcNames...)
+	proj, err := grouped.Project(nil, srcNames...)
 	if err != nil {
 		return nil, fmt.Errorf("dgsql: %w", err)
 	}

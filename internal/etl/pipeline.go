@@ -35,22 +35,16 @@ type Pipeline struct {
 	plan  atomic.Pointer[plan]
 }
 
-// Step is one named transformation, of one of two forms.
-//
-// A column step adds one column: Output names the field, Inputs the
-// columns it reads (the input table's or an earlier step's), and Derive
-// appends one value per row, in row order, to out, an empty column of
-// Output.Kind. in holds the Inputs columns in order, each n rows long;
-// Derive must not modify them.
-//
-// A whole-table step sets Apply instead, which may modify the table it
-// is given in place and/or return a replacement.
+// Step is one named transformation that adds one column: Output names
+// the field, Inputs the columns it reads (the input table's or an earlier
+// step's), and Derive appends one value per row, in row order, to out, an
+// empty column of Output.Kind. in holds the Inputs columns in order, each
+// n rows long; Derive must not modify them.
 type Step struct {
 	Name   string
 	Output storage.Field
 	Inputs []string
 	Derive func(n int, in []storage.Column, out storage.Column) error
-	Apply  func(*storage.Table) (*storage.Table, error)
 
 	rule *RangeRule // set by AddRangeRule: null out-of-range cells of rule.Column
 }
@@ -118,36 +112,16 @@ func (p *Pipeline) AddCardinality(patientCol, timeCol, out string) *Pipeline {
 // column objects, so neither table may be modified while the other is
 // in use. A column step's output is a fresh column, and a range rule
 // copies its column on the first cell it nulls.
-//
-// A whole-table step ends the compiled part of the pipeline: it gets a
-// deep copy of the table so far, and the steps after it are planned
-// against the schema it returns, on every run.
 func (p *Pipeline) Run(t *storage.Table) (*storage.Table, error) {
 	pl := p.plan.Load()
 	if pl == nil || pl.in != t.Schema() {
 		var err error
-		if pl, err = compile(t.Schema(), p.steps, 0); err != nil {
+		if pl, err = compile(t.Schema(), p.steps); err != nil {
 			return nil, err
 		}
 		p.plan.Store(pl)
 	}
-	cur, err := pl.run(t)
-	for err == nil && pl.end < len(p.steps) {
-		s := p.steps[pl.end]
-		start := time.Now()
-		cur, err = s.Apply(cur.Clone())
-		metricStepSeconds.WithLabelValues(s.Name).ObserveSince(start)
-		if err != nil {
-			return nil, fmt.Errorf("etl: step %s: %w", s.Name, err)
-		}
-		if pl, err = compile(cur.Schema(), p.steps, pl.end+1); err == nil {
-			cur, err = pl.run(cur)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	return cur, nil
+	return pl.run(t)
 }
 
 // Steps returns the step names in execution order.
@@ -159,11 +133,10 @@ func (p *Pipeline) Steps() []string {
 	return out
 }
 
-// plan is a run of column steps compiled against one input schema.
+// plan is a pipeline's steps compiled against one input schema.
 type plan struct {
 	in, out *storage.Schema
 	ops     []op
-	end     int // index of the whole-table step that ends the plan, or len(steps)
 	maxIn   int // most inputs of any op
 }
 
@@ -175,10 +148,9 @@ type op struct {
 	col     int   // position of the derived column, or of the ruled one
 }
 
-// compile plans steps[from:] up to the first whole-table step against
-// the input schema in.
-func compile(in *storage.Schema, steps []Step, from int) (*plan, error) {
-	pl := &plan{in: in, end: len(steps)}
+// compile plans steps against the input schema in.
+func compile(in *storage.Schema, steps []Step) (*plan, error) {
+	pl := &plan{in: in}
 	fields := in.Fields()
 	index := make(map[string]int, len(fields))
 	for j, f := range fields {
@@ -191,7 +163,7 @@ func compile(in *storage.Schema, steps []Step, from int) (*plan, error) {
 		}
 		return j, nil
 	}
-	for k := from; k < len(steps) && pl.end == len(steps); k++ {
+	for k := range steps {
 		s := &steps[k]
 		o := op{step: s, seconds: metricStepSeconds.WithLabelValues(s.Name)}
 		var err error
@@ -210,11 +182,8 @@ func compile(in *storage.Schema, steps []Step, from int) (*plan, error) {
 			index[s.Output.Name] = o.col
 			fields = append(fields, s.Output)
 			pl.maxIn = max(pl.maxIn, len(o.in))
-		case s.Apply != nil:
-			pl.end = k
-			continue
 		default:
-			err = fmt.Errorf("etl: step %s has neither Derive nor Apply", s.Name)
+			err = fmt.Errorf("etl: step %s has no Derive", s.Name)
 		}
 		if err != nil {
 			return nil, err

@@ -152,10 +152,12 @@ func TestPipelinePermanentErrorNotRetried(t *testing.T) {
 	calls := 0
 	var p Pipeline
 	p.Add(Step{
-		Name: "bad-config",
-		Apply: func(t *storage.Table) (*storage.Table, error) {
+		Name:   "bad-config",
+		Output: storage.Field{Name: "Bad", Kind: value.StringKind},
+		Inputs: []string{"FBG"},
+		Derive: func(int, []storage.Column, storage.Column) error {
 			calls++
-			return nil, errors.New("no such column")
+			return errors.New("no such column")
 		},
 	})
 	if _, err := p.Run(tbl); err == nil {
@@ -163,24 +165,6 @@ func TestPipelinePermanentErrorNotRetried(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Errorf("calls = %d, want 1 (a failed step is not retried)", calls)
-	}
-}
-
-func TestPipelineCustomStep(t *testing.T) {
-	tbl := visitsTable(t)
-	var p Pipeline
-	p.Add(Step{
-		Name: "drop-missing",
-		Apply: func(t *storage.Table) (*storage.Table, error) {
-			return t.Filter(func(tb *storage.Table, i int) bool { return !tb.MustValue(i, "FBG").IsNA() }), nil
-		},
-	})
-	out, err := p.Run(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 5 {
-		t.Errorf("rows = %d, want 5", out.Len())
 	}
 }
 

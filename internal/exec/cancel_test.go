@@ -44,6 +44,17 @@ type constMeasure struct{ n int }
 
 func (constMeasure) Value(int) value.Value { return value.Float(1) }
 
+// slowMeasure yields value.Float(1), sleeping on the first row of every
+// cancelCheckRows batch.
+type slowMeasure struct{}
+
+func (slowMeasure) Value(i int) value.Value {
+	if i%cancelCheckRows == 0 {
+		time.Sleep(200 * time.Microsecond)
+	}
+	return value.Float(1)
+}
+
 func TestPreCancelledContextNeverScans(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -60,16 +71,9 @@ func TestPreCancelledContextNeverScans(t *testing.T) {
 
 func TestDeadlineCancelsMidScan(t *testing.T) {
 	in := buildInput(200000)
-	// A filter that sleeps makes each batch slow enough for the deadline
+	// A measure that sleeps makes each batch slow enough for the deadline
 	// to land inside the scan, not before or after it.
-	var rows sync.Map
-	in.Filter = func(i int) bool {
-		if i%cancelCheckRows == 0 {
-			time.Sleep(200 * time.Microsecond)
-		}
-		rows.Store(i, struct{}{})
-		return true
-	}
+	in.Aggs = append(in.Aggs, AggInput{Kind: SumAgg, Measure: slowMeasure{}})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
 	groups, err := groupBy(ctx, in, 4)

@@ -12,7 +12,7 @@ import (
 // GroupBy calls, each fanning out its own pool, under -race.
 func TestConcurrentGroupBy(t *testing.T) {
 	in := buildInput(20000)
-	in.Filter = func(i int) bool { return i%3 != 0 }
+	in.Rows = selectWhere(20000, func(i int) bool { return i%3 != 0 })
 	want, err := oracleGroupBy(in)
 	if err != nil {
 		t.Fatal(err)

@@ -38,7 +38,7 @@ func flatTable(t *testing.T) *storage.Table {
 }
 
 // groupInput lowers a group-by over named flat-table columns the way
-// storage.GroupByFiltered does: keys and distinct measures read the
+// storage.Table.GroupBy does: keys and distinct measures read the
 // cached dictionaries, other measures the column itself.
 func groupInput(t *testing.T, tbl *storage.Table, keys []string, aggs []storage.AggSpec) exec.GroupInput {
 	t.Helper()
@@ -124,7 +124,7 @@ func TestKernelMatchesOracleOnPaperFigures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			in.Filter = func(i int) bool { return col.Value(i).Equal(slicer.Values[0]) }
+			in.Rows = exec.SelectWhere(flat.Len(), func(i int) bool { return col.Value(i).Equal(slicer.Values[0]) })
 			kernelMatchesOracle(t, in, 1, 4)
 		})
 	}

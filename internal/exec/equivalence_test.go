@@ -11,13 +11,13 @@ import (
 )
 
 // groupSpec is one randomized group-by scenario: raw key/measure values
-// plus a filter, from which input builds the coded columns.
+// plus a row selection, from which input builds the coded columns.
 type groupSpec struct {
 	rows     int
 	keys     [][]value.Value
 	measure  []value.Value // float measure with NA holes, sometimes NaN
 	distinct []value.Value // low-cardinality distinct measure
-	filter   func(i int) bool
+	sel      []uint64      // nil selects every row
 }
 
 // randomSpec draws a scenario aimed at one of the kernel's key paths:
@@ -69,7 +69,7 @@ func randomSpec(rng *rand.Rand, path string, sorted bool) groupSpec {
 	}
 	if rng.Intn(2) == 0 {
 		mod := 2 + rng.Intn(5)
-		sp.filter = func(i int) bool { return i%mod != 0 }
+		sp.sel = selectWhere(rows, func(i int) bool { return i%mod != 0 })
 	}
 	return sp
 }
@@ -78,7 +78,7 @@ func randomSpec(rng *rand.Rand, path string, sorted bool) groupSpec {
 // CodedColumn so the dense path's bitset accumulation is
 // in play whenever the plan admits it.
 func (sp groupSpec) input() GroupInput {
-	in := GroupInput{NumRows: sp.rows, Filter: sp.filter}
+	in := GroupInput{NumRows: sp.rows, Rows: sp.sel}
 	for _, col := range sp.keys {
 		in.Keys = append(in.Keys, Encode(col))
 	}
@@ -144,5 +144,95 @@ func TestEncodingEquivalenceRandomSpecs(t *testing.T) {
 				sameGroupsNaN(t, got, legacy)
 			}
 		})
+	}
+}
+
+// TestRowSelectionsMatchOracle runs each kernel path under the edge
+// selections — none, all (bits past the input set too), a sparse one,
+// and one that keeps only the rows of a partial last word — and requires
+// the scalar reference's groups at 1 and 4 workers.
+func TestRowSelectionsMatchOracle(t *testing.T) {
+	for seed, path := range []string{"dense", "hashed", "wide"} {
+		sp := randomSpec(rand.New(rand.NewSource(int64(100+seed))), path, false)
+		sp.rows = sp.rows/64*64 - 27 // the last word covers 37 rows
+		for k := range sp.keys {
+			sp.keys[k] = sp.keys[k][:sp.rows]
+		}
+		sp.measure, sp.distinct = sp.measure[:sp.rows], sp.distinct[:sp.rows]
+		words := (sp.rows + 63) / 64
+		full := make([]uint64, words)
+		for w := range full {
+			full[w] = ^uint64(0)
+		}
+		selections := map[string][]uint64{
+			"empty":    make([]uint64, words),
+			"full":     full,
+			"sparse":   selectWhere(sp.rows, func(i int) bool { return i%61 == 3 }),
+			"lastword": selectWhere(sp.rows, func(i int) bool { return i >= (words-1)*64 }),
+		}
+		for name, sel := range selections {
+			t.Run(path+"_"+name, func(t *testing.T) {
+				sp.sel = sel
+				in := sp.input()
+				want, err := oracleGroupBy(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if name == "empty" && len(want) != 0 {
+					t.Fatalf("empty selection: oracle found %d groups", len(want))
+				}
+				for _, workers := range []int{1, 4} {
+					got, err := groupBy(context.Background(), in, workers)
+					if err != nil {
+						t.Fatalf("%d workers: %v", workers, err)
+					}
+					sameGroupsNaN(t, got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestSelectRowsMatchesPerRow compiles random conjunctions of code sets
+// and compares every bit, padding included, with the conjunction
+// evaluated row by row.
+func TestSelectRowsMatchesPerRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 40; trial++ {
+		n := rng.Intn(300)
+		sets := make([]CodeSet, rng.Intn(4))
+		for k := range sets {
+			vals := make([]value.Value, n)
+			for i := range vals {
+				if v := rng.Intn(6); v > 0 {
+					vals[i] = value.Int(int64(v))
+				}
+			}
+			cc := Encode(vals)
+			allowed := make([]bool, cc.Card())
+			for code := range allowed {
+				allowed[code] = rng.Intn(3) > 0
+			}
+			sets[k] = CodeSet{Codes: cc.Codes(), Allowed: allowed}
+		}
+		got := SelectRows(n, sets)
+		if len(sets) == 0 {
+			if got != nil {
+				t.Fatalf("trial %d: no conjuncts selected %v, want nil (every row)", trial, got)
+			}
+			continue
+		}
+		if len(got) != (n+63)/64 {
+			t.Fatalf("trial %d: %d words for %d rows", trial, len(got), n)
+		}
+		for i := 0; i < len(got)*64; i++ {
+			want := i < n
+			for _, s := range sets {
+				want = want && s.Allowed[s.Codes[i]]
+			}
+			if bit := got[i>>6]&(1<<(uint(i)&63)) != 0; bit != want {
+				t.Fatalf("trial %d row %d: selected %v, want %v", trial, i, bit, want)
+			}
+		}
 	}
 }

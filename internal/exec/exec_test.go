@@ -14,6 +14,18 @@ func Encode(vals []value.Value) *CodedColumn {
 	return EncodeFunc(len(vals), func(i int) value.Value { return vals[i] })
 }
 
+// selectWhere is the row selection of the rows [0, n) for which keep
+// is true, built bit by bit.
+func selectWhere(n int, keep func(i int) bool) []uint64 {
+	rows := make([]uint64, (n+63)/64)
+	for i := 0; i < n; i++ {
+		if keep(i) {
+			rows[i>>6] |= 1 << (uint(i) & 63)
+		}
+	}
+	return rows
+}
+
 // ValueSlice adapts a materialised value slice to the Measure accessor.
 type ValueSlice []value.Value
 
@@ -140,7 +152,7 @@ func TestVectorizedMatchesScalar(t *testing.T) {
 
 func TestFilterRestrictsRows(t *testing.T) {
 	in := buildInput(1000)
-	in.Filter = func(i int) bool { return i%2 == 0 }
+	in.Rows = selectWhere(1000, func(i int) bool { return i%2 == 0 })
 	legacy, err := oracleGroupBy(in)
 	if err != nil {
 		t.Fatal(err)
@@ -205,6 +217,11 @@ func TestShortKeyColumnRejected(t *testing.T) {
 	_, err := GroupBy(context.Background(), GroupInput{NumRows: 10, Keys: []*CodedColumn{Encode(make([]value.Value, 5))}})
 	if err == nil {
 		t.Fatal("expected error for short key column")
+	}
+	in := buildInput(200)
+	in.Rows = make([]uint64, 3) // 192 rows
+	if _, err := GroupBy(context.Background(), in); err == nil {
+		t.Fatal("expected error for a row selection shorter than the input")
 	}
 }
 

@@ -6,4 +6,5 @@ var (
 	OracleGroupBy  = oracleGroupBy
 	GroupByWorkers = groupBy
 	SameGroups     = sameGroups
+	SelectWhere    = selectWhere
 )

@@ -30,10 +30,10 @@ type GroupInput struct {
 	Keys []*CodedColumn
 	// Aggs are the aggregates computed per group.
 	Aggs []AggInput
-	// Filter, when non-nil, restricts the rows that participate. It must
-	// be safe for concurrent calls (the parallel kernel evaluates it from
-	// several workers).
-	Filter func(i int) bool
+	// Rows, when non-nil, is the row selection (see SelectRows): bit
+	// i&63 of Rows[i>>6] is set when row i takes part. It must cover
+	// NumRows rows; nil takes every row.
+	Rows []uint64
 }
 
 // Group is one output group: its key tuple (decoded, in key order) and
@@ -178,6 +178,9 @@ func groupBy(ctx context.Context, in GroupInput, parallelism int) ([]Group, erro
 		if key.Len() < in.NumRows {
 			return nil, fmt.Errorf("exec: key column %d has %d rows, input has %d", k, key.Len(), in.NumRows)
 		}
+	}
+	if in.Rows != nil && len(in.Rows)<<6 < in.NumRows {
+		return nil, fmt.Errorf("exec: row selection covers %d rows, input has %d", len(in.Rows)<<6, in.NumRows)
 	}
 	c := newScanCtl(ctx)
 	if !c.next(0) { // already-cancelled contexts never start scanning
@@ -453,7 +456,7 @@ func scanDense(in GroupInput, kcodes [][]uint32, layout keyLayout, a *denseArena
 			return
 		}
 		for i := lo; i < end; i++ {
-			if in.Filter != nil && !in.Filter(i) {
+			if !Selected(in.Rows, i) {
 				continue
 			}
 			var slot uint64
@@ -487,7 +490,7 @@ func groupHashed(in GroupInput, layout keyLayout, workers int, c *scanCtl, sp *o
 				return
 			}
 			for i := lo; i < end; i++ {
-				if in.Filter != nil && !in.Filter(i) {
+				if !Selected(in.Rows, i) {
 					continue
 				}
 				var packed uint64
@@ -569,7 +572,7 @@ func groupWide(in GroupInput, workers int, c *scanCtl, sp *obs.Span) ([]Group, e
 				return
 			}
 			for i := lo; i < end; i++ {
-				if in.Filter != nil && !in.Filter(i) {
+				if !Selected(in.Rows, i) {
 					continue
 				}
 				for k := range kcodes {

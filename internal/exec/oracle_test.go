@@ -45,7 +45,7 @@ func groupScalar(in GroupInput, c *scanCtl) ([]Group, error) {
 			return nil, abortErr(c)
 		}
 		for i := lo; i < hi; i++ {
-			if in.Filter != nil && !in.Filter(i) {
+			if !Selected(in.Rows, i) {
 				continue
 			}
 			for k, key := range in.Keys {

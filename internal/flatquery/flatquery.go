@@ -41,25 +41,23 @@ type Result struct {
 
 // ExecuteCtx answers the query with a single filtered scan on the shared
 // execution kernel: no warehouse, no bitmap indexes, no aggregate caching.
-// Filters are evaluated as allowed-code sets over each column's cached
-// dictionary (one set lookup per row instead of per-row value equality),
-// and no intermediate filtered table is materialised. Rows with NA in any
-// grouping column are dropped, matching the cube engine's default.
+// Each filter becomes an allowed-code set over its column's cached
+// dictionary, and so does the rule that drops rows with NA in any
+// grouping column (matching the cube engine's default); the sets compile
+// to one row selection (exec.SelectRows) that the kernel scan reads, and
+// no intermediate filtered table is materialised.
 //
 // The kernel scan checks ctx cooperatively and charges any govern.Budget
 // it carries, so a cancelled or over-budget baseline scan stops
-// mid-flight. When ctx carries a trace span, flatquery.compile (filter
-// compilation) and flatquery.group (the kernel's phases beneath it) are
+// mid-flight. When ctx carries a trace span, flatquery.compile (the
+// selection) and flatquery.group (the kernel's phases beneath it) are
 // recorded under it.
 func ExecuteCtx(ctx context.Context, t *storage.Table, q Query) (*Result, error) {
-	type codeFilter struct {
-		codes   []uint32
-		allowed []bool // indexed by dictionary code
-	}
 	compile := obs.SpanFromContext(ctx).Start("flatquery.compile")
 	defer compile.End() // no-op after the explicit End below; closes the span on error returns
-	filters := make([]codeFilter, len(q.Filters))
-	for k, f := range q.Filters {
+	groupCols := append(append([]string{}, q.Rows...), q.Cols...)
+	sets := make([]exec.CodeSet, 0, len(q.Filters)+len(groupCols))
+	for _, f := range q.Filters {
 		if len(f.Values) == 0 {
 			return nil, fmt.Errorf("flatquery: filter on %q has no values", f.Column)
 		}
@@ -67,48 +65,24 @@ func ExecuteCtx(ctx context.Context, t *storage.Table, q Query) (*Result, error)
 		if err != nil {
 			return nil, fmt.Errorf("flatquery: unknown filter column %q", f.Column)
 		}
-		allowed := make([]bool, dict.Card())
-		for code, v := range dict.Values() {
-			for _, want := range f.Values {
-				if v.Equal(want) {
-					allowed[code] = true
-					break
-				}
-			}
-		}
-		filters[k] = codeFilter{codes: dict.Codes(), allowed: allowed}
+		sets = append(sets, exec.InValues(dict, f.Values))
 	}
-	groupCols := append(append([]string{}, q.Rows...), q.Cols...)
-	groupCodes := make([][]uint32, len(groupCols))
-	for k, c := range groupCols {
+	for _, c := range groupCols {
 		dict, err := t.Dict(c)
 		if err != nil {
 			return nil, fmt.Errorf("flatquery: unknown group column %q", c)
 		}
-		groupCodes[k] = dict.Codes()
+		sets = append(sets, exec.NotNA(dict))
 	}
-	compile.Annotate("filters", len(filters))
+	rows := exec.SelectRows(t.Len(), sets)
+	compile.Annotate("filters", len(q.Filters))
 	compile.End()
-
-	pred := func(_ *storage.Table, i int) bool {
-		for _, f := range filters {
-			if !f.allowed[f.codes[i]] {
-				return false
-			}
-		}
-		for _, codes := range groupCodes {
-			if codes[i] == exec.NACode {
-				return false
-			}
-		}
-		return true
-	}
 
 	aggName := "agg"
 	gctx, groupSp := obs.StartSpan(ctx, "flatquery.group")
-	grouped, err := t.GroupByFiltered(gctx, groupCols, []storage.AggSpec{
+	grouped, err := t.GroupBy(gctx, groupCols, []storage.AggSpec{
 		{Kind: q.Agg, Column: q.Measure, As: aggName},
-	}, pred)
+	}, rows)
 	groupSp.End()
 	if err != nil {
 		return nil, fmt.Errorf("flatquery: %w", err)

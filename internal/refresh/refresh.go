@@ -199,9 +199,6 @@ func (m *Maintainer) Unlock() { m.mu.Unlock() }
 // and using it.
 func (m *Maintainer) Engine() *cube.Engine { return m.engine }
 
-// Schema returns the current star schema. Hold RLock across use.
-func (m *Maintainer) Schema() *star.Schema { return m.schema }
-
 // Close releases the maintainer's WAL retention pin, so a stopped
 // follower holds no segments against checkpoints.
 func (m *Maintainer) Close() { m.store.RetainWALFrom(0) }

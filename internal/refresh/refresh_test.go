@@ -421,7 +421,7 @@ func TestRefreshRangeRuleKeepsStoreRow(t *testing.T) {
 	// The new attendance has the highest row id, so the batch appended
 	// it last.
 	env.m.RLock()
-	fact := env.m.Schema().Fact()
+	fact := env.m.Engine().Schema().Fact()
 	fbg, err := fact.Measure("FBG")
 	if err != nil {
 		env.m.RUnlock()

@@ -9,38 +9,10 @@ import (
 	"github.com/ddgms/ddgms/internal/value"
 )
 
-// RowPredicate decides whether row i of a table participates in an
-// operation.
-type RowPredicate func(t *Table, i int) bool
-
-// Filter returns a new table containing the rows for which pred is true,
-// in the original order.
-func (t *Table) Filter(pred RowPredicate) *Table {
-	out := MustTable(t.schema)
-	for i := 0; i < t.n; i++ {
-		if pred(t, i) {
-			if err := out.AppendRow(t.Row(i)); err != nil {
-				panic(err)
-			}
-		}
-	}
-	return out
-}
-
-// Where is a convenience filter keeping rows whose named column equals v.
-func (t *Table) Where(name string, v value.Value) (*Table, error) {
-	j, ok := t.schema.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("storage: unknown column %q", name)
-	}
-	return t.Filter(func(tb *Table, i int) bool {
-		return tb.cols[j].Value(i).Equal(v)
-	}), nil
-}
-
 // Project returns a new table containing only the named columns, in the
-// given order.
-func (t *Table) Project(names ...string) (*Table, error) {
+// given order, over the rows the selection takes (see exec.SelectRows;
+// nil takes every row), in their original order.
+func (t *Table) Project(rows []uint64, names ...string) (*Table, error) {
 	schema, err := t.schema.Select(names...)
 	if err != nil {
 		return nil, err
@@ -52,6 +24,9 @@ func (t *Table) Project(names ...string) (*Table, error) {
 	out := MustTable(schema)
 	row := make([]value.Value, len(names))
 	for i := 0; i < t.n; i++ {
+		if !exec.Selected(rows, i) {
+			continue
+		}
 		for k, j := range idx {
 			row[k] = t.cols[j].Value(i)
 		}
@@ -140,24 +115,18 @@ type AggSpec struct {
 	As     string
 }
 
-// GroupBy groups rows by the named key columns and computes the requested
+// GroupBy groups the rows the selection takes (see exec.SelectRows; nil
+// takes every row) by the named key columns and computes the requested
 // aggregates per group. The result has the key columns followed by one
 // column per AggSpec, with groups ordered by key values ascending.
 //
 // Grouping runs on the shared execution kernel: key columns are
 // dictionary-encoded (cached on the column), groups are keyed on packed
-// integer codes and aggregated in parallel.
-func (t *Table) GroupBy(keys []string, aggs []AggSpec) (*Table, error) {
-	return t.GroupByFiltered(context.TODO(), keys, aggs, nil)
-}
-
-// GroupByFiltered is GroupBy restricted to the rows for which pred is
-// true (nil keeps every row), under a caller context: the kernel scan
-// checks ctx cooperatively, charges any govern.Budget it carries and
-// records its phases under any span it carries. Filtering happens
-// inside the kernel scan, so no intermediate filtered table is
-// materialised (the DG-SQL aggregate path relies on this).
-func (t *Table) GroupByFiltered(ctx context.Context, keys []string, aggs []AggSpec, pred RowPredicate) (*Table, error) {
+// integer codes and aggregated in parallel, and the selection is read
+// inside the scan, so no filtered table is materialised. The scan checks
+// ctx cooperatively, charges any govern.Budget it carries and records its
+// phases under any span it carries.
+func (t *Table) GroupBy(ctx context.Context, keys []string, aggs []AggSpec, rows []uint64) (*Table, error) {
 	keyIdx := make([]int, len(keys))
 	for k, name := range keys {
 		j, ok := t.schema.Lookup(name)
@@ -170,6 +139,7 @@ func (t *Table) GroupByFiltered(ctx context.Context, keys []string, aggs []AggSp
 		NumRows: t.n,
 		Keys:    make([]*exec.CodedColumn, len(keys)),
 		Aggs:    make([]exec.AggInput, len(aggs)),
+		Rows:    rows,
 	}
 	for k, j := range keyIdx {
 		in.Keys[k] = t.cols[j].Dict()
@@ -195,10 +165,6 @@ func (t *Table) GroupByFiltered(ctx context.Context, keys []string, aggs []AggSp
 		}
 		in.Aggs[k].Measure = t.cols[j]
 	}
-	if pred != nil {
-		in.Filter = func(i int) bool { return pred(t, i) }
-	}
-
 	groups, err := exec.GroupBy(ctx, in)
 	if err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
@@ -234,15 +200,4 @@ func (t *Table) GroupByFiltered(ctx context.Context, keys []string, aggs []AggSp
 		}
 	}
 	return out, nil
-}
-
-// Distinct returns the distinct rows of the named columns, sorted
-// ascending. It is a zero-aggregate group-by on the shared kernel.
-func (t *Table) Distinct(names ...string) (*Table, error) {
-	for _, n := range names {
-		if _, ok := t.schema.Lookup(n); !ok {
-			return nil, fmt.Errorf("storage: unknown field %q", n)
-		}
-	}
-	return t.GroupBy(names, nil)
 }

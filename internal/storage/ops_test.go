@@ -1,9 +1,11 @@
 package storage
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
+	"github.com/ddgms/ddgms/internal/exec"
 	"github.com/ddgms/ddgms/internal/value"
 )
 
@@ -26,36 +28,42 @@ func visitsTable(t *testing.T) *Table {
 	return tbl
 }
 
-func TestFilterAndWhere(t *testing.T) {
+func TestProjectSelectedRows(t *testing.T) {
 	tbl := visitsTable(t)
-	males, err := tbl.Where("Gender", value.Str("M"))
+	gender, err := tbl.Dict("Gender")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if males.Len() != 3 {
-		t.Errorf("males = %d rows, want 3", males.Len())
+	males := exec.SelectRows(tbl.Len(), []exec.CodeSet{exec.InValues(gender, []value.Value{value.Str("M")})})
+	p, err := tbl.Project(males, "PatientID", "Gender")
+	if err != nil {
+		t.Fatal(err)
 	}
-	old := tbl.Filter(func(tb *Table, i int) bool {
-		return tb.MustValue(i, "Age").Float() > 70
-	})
-	if old.Len() != 4 {
-		t.Errorf("old = %d rows, want 4", old.Len())
+	if p.Len() != 3 {
+		t.Fatalf("males = %d rows, want 3", p.Len())
 	}
-	if _, err := tbl.Where("Nope", value.NA()); err == nil {
-		t.Error("Where unknown column must fail")
+	// Selected rows keep their order: patients 1, 1, 4.
+	for i, want := range []int64{1, 1, 4} {
+		if got := p.MustValue(i, "PatientID").Int(); got != want || p.MustValue(i, "Gender").Str() != "M" {
+			t.Errorf("row %d = patient %d %v, want patient %d M", i, got, p.MustValue(i, "Gender"), want)
+		}
+	}
+	none, err := tbl.Project(make([]uint64, 1), "Gender")
+	if err != nil || none.Len() != 0 {
+		t.Errorf("empty selection: %d rows, %v", none.Len(), err)
 	}
 }
 
 func TestProject(t *testing.T) {
 	tbl := visitsTable(t)
-	p, err := tbl.Project("Gender", "Diabetes")
+	p, err := tbl.Project(nil, "Gender", "Diabetes")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Schema().Len() != 2 || p.Len() != tbl.Len() {
 		t.Errorf("projection shape %dx%d", p.Len(), p.Schema().Len())
 	}
-	if _, err := tbl.Project("Nope"); err == nil {
+	if _, err := tbl.Project(nil, "Nope"); err == nil {
 		t.Error("Project unknown column must fail")
 	}
 }
@@ -86,7 +94,7 @@ func TestSort(t *testing.T) {
 
 func TestGroupByCount(t *testing.T) {
 	tbl := visitsTable(t)
-	g, err := tbl.GroupBy([]string{"Gender"}, []AggSpec{{Kind: CountAgg, As: "N"}})
+	g, err := tbl.GroupBy(context.Background(), []string{"Gender"}, []AggSpec{{Kind: CountAgg, As: "N"}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,13 +112,13 @@ func TestGroupByCount(t *testing.T) {
 
 func TestGroupByAggregates(t *testing.T) {
 	tbl := visitsTable(t)
-	g, err := tbl.GroupBy([]string{"Diabetes"}, []AggSpec{
+	g, err := tbl.GroupBy(context.Background(), []string{"Diabetes"}, []AggSpec{
 		{Kind: AvgAgg, Column: "Age", As: "AvgAge"},
 		{Kind: MinAgg, Column: "Age", As: "MinAge"},
 		{Kind: MaxAgg, Column: "Age", As: "MaxAge"},
 		{Kind: SumAgg, Column: "Age", As: "SumAge"},
 		{Kind: DistinctAgg, Column: "PatientID", As: "Patients"},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,10 +147,10 @@ func TestGroupByAggregates(t *testing.T) {
 func TestGroupByIgnoresNAMeasures(t *testing.T) {
 	tbl := visitsTable(t)
 	tbl.Set(0, "Age", value.NA())
-	g, err := tbl.GroupBy([]string{"Gender"}, []AggSpec{
+	g, err := tbl.GroupBy(context.Background(), []string{"Gender"}, []AggSpec{
 		{Kind: CountAgg, Column: "Age", As: "AgeN"},
 		{Kind: CountAgg, As: "RowN"},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,13 +162,13 @@ func TestGroupByIgnoresNAMeasures(t *testing.T) {
 
 func TestGroupByErrors(t *testing.T) {
 	tbl := visitsTable(t)
-	if _, err := tbl.GroupBy([]string{"Nope"}, nil); err == nil {
+	if _, err := tbl.GroupBy(context.Background(), []string{"Nope"}, nil, nil); err == nil {
 		t.Error("unknown key column must fail")
 	}
-	if _, err := tbl.GroupBy([]string{"Gender"}, []AggSpec{{Kind: SumAgg}}); err == nil {
+	if _, err := tbl.GroupBy(context.Background(), []string{"Gender"}, []AggSpec{{Kind: SumAgg}}, nil); err == nil {
 		t.Error("sum without column must fail")
 	}
-	if _, err := tbl.GroupBy([]string{"Gender"}, []AggSpec{{Kind: SumAgg, Column: "Nope"}}); err == nil {
+	if _, err := tbl.GroupBy(context.Background(), []string{"Gender"}, []AggSpec{{Kind: SumAgg, Column: "Nope"}}, nil); err == nil {
 		t.Error("unknown measure column must fail")
 	}
 }
@@ -170,12 +178,12 @@ func TestEmptyGroupAggregatesAreNA(t *testing.T) {
 	schema := MustSchema(Field{"K", value.StringKind}, Field{"V", value.FloatKind})
 	tbl := MustTable(schema)
 	tbl.AppendRow([]value.Value{value.Str("a"), value.NA()})
-	g, err := tbl.GroupBy([]string{"K"}, []AggSpec{
+	g, err := tbl.GroupBy(context.Background(), []string{"K"}, []AggSpec{
 		{Kind: SumAgg, Column: "V", As: "S"},
 		{Kind: AvgAgg, Column: "V", As: "A"},
 		{Kind: MinAgg, Column: "V", As: "Mn"},
 		{Kind: MaxAgg, Column: "V", As: "Mx"},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +196,8 @@ func TestEmptyGroupAggregatesAreNA(t *testing.T) {
 
 func TestDistinct(t *testing.T) {
 	tbl := visitsTable(t)
-	d, err := tbl.Distinct("Gender", "Diabetes")
+	// A group-by with no aggregates gives the distinct key rows.
+	d, err := tbl.GroupBy(context.Background(), []string{"Gender", "Diabetes"}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +241,7 @@ func TestQuickGroupCountsSumToLen(t *testing.T) {
 				return false
 			}
 		}
-		out, err := tbl.GroupBy([]string{"G"}, []AggSpec{{Kind: CountAgg, As: "N"}})
+		out, err := tbl.GroupBy(context.Background(), []string{"G"}, []AggSpec{{Kind: CountAgg, As: "N"}}, nil)
 		if err != nil {
 			return false
 		}
@@ -247,17 +256,25 @@ func TestQuickGroupCountsSumToLen(t *testing.T) {
 	}
 }
 
-// Property: Filter(p) ∪ Filter(!p) has the same number of rows as the table.
+// Property: a selection and its complement partition the table's rows.
 func TestQuickFilterPartition(t *testing.T) {
 	f := func(ages []uint8) bool {
 		tbl := MustTable(MustSchema(Field{"A", value.IntKind}))
 		for _, a := range ages {
 			tbl.AppendRow([]value.Value{value.Int(int64(a))})
 		}
-		p := func(tb *Table, i int) bool { return tb.MustValue(i, "A").Int() >= 60 }
-		yes := tbl.Filter(p)
-		no := tbl.Filter(func(tb *Table, i int) bool { return !p(tb, i) })
-		return yes.Len()+no.Len() == tbl.Len()
+		yes := make([]uint64, (tbl.Len()+63)/64)
+		no := make([]uint64, len(yes))
+		for i := 0; i < tbl.Len(); i++ {
+			if tbl.MustValue(i, "A").Int() >= 60 {
+				yes[i>>6] |= 1 << (uint(i) & 63)
+			} else {
+				no[i>>6] |= 1 << (uint(i) & 63)
+			}
+		}
+		py, err1 := tbl.Project(yes, "A")
+		pn, err2 := tbl.Project(no, "A")
+		return err1 == nil && err2 == nil && py.Len()+pn.Len() == tbl.Len()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
