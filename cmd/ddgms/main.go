@@ -148,15 +148,11 @@ func platformFromFlat(path string) (*core.Platform, error) {
 		return nil, err
 	}
 	// The table is already transformed; run an empty pipeline.
-	if err := p.Transform(core.NewPassthroughPipeline()); err != nil {
-		p.Close()
-		return nil, err
-	}
-	if err := p.BuildWarehouse(core.NewDiScRiBuilder()); err != nil {
-		p.Close()
-		return nil, err
-	}
-	if err := core.FinishDiScRiSetup(p); err != nil {
+	if err := p.StartFollow(core.FollowConfig{
+		Pipeline: core.NewPassthroughPipeline(),
+		Builder:  core.NewDiScRiBuilder(),
+		Setup:    core.FinishDiScRiSetup,
+	}); err != nil {
 		p.Close()
 		return nil, err
 	}
@@ -609,6 +605,12 @@ func followPlatform(dataDir string, patients int) (*core.Platform, *govern.Break
 	} else {
 		fmt.Printf("reopened store with %d attendances\n", p.Store().Len())
 	}
+	return startFollow(p)
+}
+
+// startFollow stands the warehouse up over p's durable store. The
+// returned breaker watches the store's health and gates refresh batches.
+func startFollow(p *core.Platform) (*core.Platform, *govern.Breaker, error) {
 	breaker := govern.NewBreaker(govern.BreakerConfig{
 		Name:   "oltp",
 		Health: p.Store().Healthy,
@@ -668,21 +670,7 @@ func replicaPlatform(dataDir, primaryAddr, replicaID string) (*core.Platform, *g
 		<-p.ReplicaReady()
 	}
 	fmt.Printf("replica %q of %s: %d attendances\n", replicaID, primaryAddr, p.Store().Len())
-	breaker := govern.NewBreaker(govern.BreakerConfig{
-		Name:   "oltp",
-		Health: p.Store().Healthy,
-	})
-	if err := p.StartFollow(core.FollowConfig{
-		Pipeline: core.NewDiScRiPipeline(),
-		Builder:  core.NewDiScRiBuilder(),
-		Setup:    core.FinishDiScRiSetup,
-		Breaker:  breaker,
-		Log:      log.Default(),
-	}); err != nil {
-		p.Close()
-		return nil, nil, err
-	}
-	return p, breaker, nil
+	return startFollow(p)
 }
 
 // simulateVisits commits one synthetic follow-up attendance per tick: a

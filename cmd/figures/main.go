@@ -7,8 +7,8 @@
 //
 // With -source cdc the warehouse is populated through the change-data-
 // capture path (seed half the cohort, stream the rest through
-// incremental refresh) instead of one batch ETL run; the figures must
-// come out identical either way.
+// incremental refresh) instead of bootstrapping from an in-memory store
+// at once; the figures read from the cube must come out identical.
 package main
 
 import (
@@ -25,7 +25,7 @@ func main() {
 	exp := flag.String("exp", "all", "experiment to run: all, table1, fig1, fig2, fig3, fig4, fig5, fig6")
 	patients := flag.Int("patients", 900, "synthetic cohort size")
 	seed := flag.Int64("seed", 0, "generator seed (0 = paper default)")
-	source := flag.String("source", "batch", "warehouse population path: batch (one-shot ETL) or cdc (stream through incremental refresh)")
+	source := flag.String("source", "batch", "warehouse population path: batch (bootstrap from an in-memory store) or cdc (stream through incremental refresh)")
 	flag.Parse()
 
 	if err := run(*exp, *patients, *seed, *source); err != nil {

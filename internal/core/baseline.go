@@ -1,15 +1,14 @@
 // The platform's non-MDX query surfaces: DG-SQL and the flat-scan
 // baseline, both answered from the flat analysis table. They back the
-// server's /sql and /flatquery endpoints and obey the same follow-mode
-// discipline as MDX queries: the maintainer's read lock keeps them out
-// of half-applied refresh batches, and the caller context reaches the
-// execution kernel so cancellation and budgets work end to end.
+// server's /sql and /flatquery endpoints and obey the same discipline as
+// MDX queries: the maintainer's read lock keeps them out of half-applied
+// refresh batches, and the caller context reaches the execution kernel
+// so cancellation and budgets work end to end.
 
 package core
 
 import (
 	"context"
-	"fmt"
 
 	"github.com/ddgms/ddgms/internal/dgsql"
 	"github.com/ddgms/ddgms/internal/flatquery"
@@ -22,17 +21,15 @@ const FlatTableName = "visits"
 
 // QuerySQLCtx answers a DG-SQL query over the flat analysis table
 // (registered as FlatTableName). The DB handle is rebuilt per call —
-// registration is a map insert, and in follow mode the flat table is
-// swapped by refresh batches, so caching a handle would serve stale
-// rows.
+// registration is a map insert, and rebuilds swap the flat table, so
+// caching a handle would serve stale rows.
 func (p *Platform) QuerySQLCtx(ctx context.Context, src string) (*storage.Table, error) {
-	if p.follower != nil {
-		p.follower.RLock()
-		defer p.follower.RUnlock()
+	m, err := p.built()
+	if err != nil {
+		return nil, err
 	}
-	if p.flat == nil {
-		return nil, fmt.Errorf("core: no transformed data; run Transform first")
-	}
+	m.RLock()
+	defer m.RUnlock()
 	db := dgsql.NewDB()
 	if err := db.Register(FlatTableName, p.flat); err != nil {
 		return nil, err
@@ -43,12 +40,11 @@ func (p *Platform) QuerySQLCtx(ctx context.Context, src string) (*storage.Table,
 // QueryFlatCtx answers a flat-scan baseline query — the paper's
 // no-warehouse comparator — over the flat analysis table.
 func (p *Platform) QueryFlatCtx(ctx context.Context, q flatquery.Query) (*flatquery.Result, error) {
-	if p.follower != nil {
-		p.follower.RLock()
-		defer p.follower.RUnlock()
+	m, err := p.built()
+	if err != nil {
+		return nil, err
 	}
-	if p.flat == nil {
-		return nil, fmt.Errorf("core: no transformed data; run Transform first")
-	}
+	m.RLock()
+	defer m.RUnlock()
 	return flatquery.ExecuteCtx(ctx, p.flat, q)
 }

@@ -2,15 +2,18 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/ddgms/ddgms/internal/cube"
 	"github.com/ddgms/ddgms/internal/discri"
 	"github.com/ddgms/ddgms/internal/etl"
 	"github.com/ddgms/ddgms/internal/mining"
+	"github.com/ddgms/ddgms/internal/oltp"
 	"github.com/ddgms/ddgms/internal/star"
 	"github.com/ddgms/ddgms/internal/storage"
 	"github.com/ddgms/ddgms/internal/value"
@@ -30,31 +33,103 @@ func smallPlatform(t *testing.T) *Platform {
 	return p
 }
 
+func discriFollow() FollowConfig {
+	return FollowConfig{Pipeline: NewDiScRiPipeline(), Builder: NewDiScRiBuilder(), Setup: FinishDiScRiSetup}
+}
+
+// TestPhaseOrderEnforced checks that nothing reads or grafts onto the
+// warehouse before StartFollow has built it, with or without data in
+// the store, and that a platform builds its warehouse only once.
 func TestPhaseOrderEnforced(t *testing.T) {
 	p := New(Config{})
-	if err := p.Transform(NewDiScRiPipeline()); err == nil {
-		t.Error("Transform before Acquire must fail")
+	if err := p.StartFollow(discriFollow()); err == nil {
+		t.Error("StartFollow before Acquire must fail")
 	}
-	if err := p.BuildWarehouse(NewDiScRiBuilder()); err == nil {
-		t.Error("BuildWarehouse before Transform must fail")
+	dcfg := discri.DefaultConfig()
+	dcfg.Patients = 10
+	raw, err := discri.Generate(dcfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := p.QueryCtx(context.Background(), cube.Query{}); err == nil {
-		t.Error("Query before warehouse must fail")
+	ctx := context.Background()
+	for _, stage := range []string{"empty", "acquired"} {
+		if stage == "acquired" {
+			if err := p.Acquire(raw); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := p.QueryCtx(ctx, cube.Query{}); err == nil {
+			t.Errorf("%s: Query before StartFollow must fail", stage)
+		}
+		if _, err := p.QueryMDXCtx(ctx, "SELECT {[X].[Y].MEMBERS} ON COLUMNS FROM [MedicalMeasures]"); err == nil {
+			t.Errorf("%s: MDX before StartFollow must fail", stage)
+		}
+		if _, err := p.QuerySQLCtx(ctx, "SELECT count(*) FROM visits"); err == nil {
+			t.Errorf("%s: DG-SQL before StartFollow must fail", stage)
+		}
+		if _, err := p.Mine(nil, "X"); err == nil {
+			t.Errorf("%s: Mine before StartFollow must fail", stage)
+		}
+		if err := p.RegisterMeasure("X", cube.MeasureRef{}); err == nil {
+			t.Errorf("%s: RegisterMeasure before StartFollow must fail", stage)
+		}
+		if err := p.AddFeedbackDimension("X", nil, nil); err == nil {
+			t.Errorf("%s: feedback before StartFollow must fail", stage)
+		}
+		if _, err := p.Refresh(); err == nil {
+			t.Errorf("%s: Refresh before StartFollow must fail", stage)
+		}
+		if p.Warehouse() != nil {
+			t.Errorf("%s: Warehouse before StartFollow must be nil", stage)
+		}
+		if _, ok := p.Freshness(); ok {
+			t.Errorf("%s: Freshness before StartFollow must report not ok", stage)
+		}
 	}
-	if _, err := p.QueryMDXCtx(context.Background(), "SELECT {[X].[Y].MEMBERS} ON COLUMNS FROM [MedicalMeasures]"); err == nil {
-		t.Error("MDX before warehouse must fail")
+	if err := p.StartFollow(discriFollow()); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := p.Mine(nil, "X"); err == nil {
-		t.Error("Mine before transform must fail")
-	}
-	if err := p.RegisterMeasure("X", cube.MeasureRef{}); err == nil {
-		t.Error("RegisterMeasure before warehouse must fail")
-	}
-	if err := p.AddFeedbackDimension("X", nil, nil); err == nil {
-		t.Error("feedback before warehouse must fail")
+	if err := p.StartFollow(discriFollow()); err == nil {
+		t.Error("a second StartFollow must fail")
 	}
 	if err := p.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+	if err := New(Config{}).Close(); err != nil {
 		t.Errorf("Close on empty platform: %v", err)
+	}
+}
+
+// TestInMemoryPlatformHasNoFeed checks the bootstrap-only maintainer an
+// in-memory store gets: the warehouse answers queries, but Refresh and
+// RunFollow report that there is no WAL to tail (RunFollow at once, not
+// after backing off forever) and Freshness has no lag to report.
+func TestInMemoryPlatformHasNoFeed(t *testing.T) {
+	dcfg := discri.DefaultConfig()
+	dcfg.Patients = 20
+	p, err := NewDiScRiPlatform(Config{}, dcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if _, err := p.QueryCtx(context.Background(), cube.Query{Measure: PatientCountMeasure()}); err != nil {
+		t.Fatalf("query on an in-memory platform: %v", err)
+	}
+	if _, err := p.Refresh(); !errors.Is(err, oltp.ErrNoWAL) {
+		t.Errorf("Refresh = %v, want oltp.ErrNoWAL", err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- p.RunFollow(context.Background()) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, oltp.ErrNoWAL) {
+			t.Errorf("RunFollow = %v, want oltp.ErrNoWAL", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("RunFollow on an in-memory store did not return")
+	}
+	if _, ok := p.Freshness(); ok {
+		t.Error("Freshness on an in-memory store must report not ok")
 	}
 }
 
@@ -288,11 +363,10 @@ func TestDiScRiStability(t *testing.T) {
 	}
 }
 
-func TestFeedbackLoop(t *testing.T) {
-	p := smallPlatform(t)
-	// Clinician flags high-FBG attendances for review; the flag becomes a
-	// dimension and is immediately queryable.
-	err := p.AddFeedbackDimension("ClinicianReview",
+// addClinicianReview grafts the clinician-review feedback dimension:
+// attendances with FBG >= 7 are flagged for review.
+func addClinicianReview(p *Platform) error {
+	return p.AddFeedbackDimension("ClinicianReview",
 		[]storage.Field{{Name: "Flag", Kind: value.StringKind}},
 		func(s *star.Schema, i int) ([]value.Value, error) {
 			fbg, err := s.Fact().Measure("FBG")
@@ -304,7 +378,13 @@ func TestFeedbackLoop(t *testing.T) {
 			}
 			return []value.Value{value.Str("routine")}, nil
 		})
-	if err != nil {
+}
+
+func TestFeedbackLoop(t *testing.T) {
+	p := smallPlatform(t)
+	// Clinician flags high-FBG attendances for review; the flag becomes a
+	// dimension and is immediately queryable.
+	if err := addClinicianReview(p); err != nil {
 		t.Fatal(err)
 	}
 	cs, err := p.QueryCtx(context.Background(), cube.Query{
@@ -350,17 +430,13 @@ func TestDurablePlatformRecovers(t *testing.T) {
 	// regenerating.
 	p2 := New(Config{DataDir: dir})
 	defer p2.Close()
-	empty := storage.MustTable(discri.Schema())
-	if err := p2.Acquire(empty); err != nil {
+	if err := p2.OpenStore(discri.Schema()); err != nil {
 		t.Fatal(err)
 	}
 	if p2.Store().Len() != rows {
 		t.Errorf("recovered %d rows, want %d", p2.Store().Len(), rows)
 	}
-	if err := p2.Transform(NewDiScRiPipeline()); err != nil {
-		t.Fatal(err)
-	}
-	if err := p2.BuildWarehouse(NewDiScRiBuilder()); err != nil {
+	if err := p2.StartFollow(discriFollow()); err != nil {
 		t.Fatal(err)
 	}
 	if p2.Warehouse().Fact().Len() != rows {

@@ -194,10 +194,10 @@ func NewDiScRiBuilder() *star.Builder {
 		Measure(storage.Field{Name: "RRVariability", Kind: value.FloatKind}, "RRVariability")
 }
 
-// NewDiScRiPlatform generates the synthetic DiScRi cohort and advances a
-// platform through all phases, registering the trial's measures and
-// member display orders. This is the entry point the paper's experiments
-// run on.
+// NewDiScRiPlatform generates the synthetic DiScRi cohort, acquires it
+// and stands the warehouse up with the trial's pipeline, builder and
+// Setup (FinishDiScRiSetup). This is the entry point the paper's
+// experiments run on.
 func NewDiScRiPlatform(cfg Config, dcfg discri.Config) (*Platform, error) {
 	raw, err := discri.Generate(dcfg)
 	if err != nil {
@@ -208,15 +208,11 @@ func NewDiScRiPlatform(cfg Config, dcfg discri.Config) (*Platform, error) {
 		p.Close()
 		return nil, err
 	}
-	if err := p.Transform(NewDiScRiPipeline()); err != nil {
-		p.Close()
-		return nil, err
-	}
-	if err := p.BuildWarehouse(NewDiScRiBuilder()); err != nil {
-		p.Close()
-		return nil, err
-	}
-	if err := FinishDiScRiSetup(p); err != nil {
+	if err := p.StartFollow(FollowConfig{
+		Pipeline: NewDiScRiPipeline(),
+		Builder:  NewDiScRiBuilder(),
+		Setup:    FinishDiScRiSetup,
+	}); err != nil {
 		p.Close()
 		return nil, err
 	}
@@ -225,8 +221,8 @@ func NewDiScRiPlatform(cfg Config, dcfg discri.Config) (*Platform, error) {
 
 // FinishDiScRiSetup registers the trial's MDX measures and member display
 // orders on a platform whose warehouse was built with NewDiScRiBuilder.
-// NewDiScRiPlatform calls it automatically; callers that rebuild the
-// warehouse from a persisted flat table must call it themselves.
+// It is the FollowConfig.Setup of every DiScRi platform, run after each
+// (re)build.
 func FinishDiScRiSetup(p *Platform) error {
 	for name, m := range map[string]cube.MeasureRef{
 		"PatientCount": PatientCountMeasure(),

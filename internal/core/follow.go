@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 
@@ -14,17 +15,16 @@ import (
 	"github.com/ddgms/ddgms/internal/storage"
 )
 
-// Follow mode: instead of the batch Transform -> BuildWarehouse phases,
-// the platform stands its warehouse up from a store snapshot and then
-// keeps it fresh by tailing the store's WAL through an incremental
-// maintainer (internal/refresh). Queries keep working throughout; they
-// take the maintainer's read lock so they never observe a half-applied
-// batch.
+// StartFollow stands the warehouse up from a store snapshot through an
+// incremental maintainer (internal/refresh), which over a durable store
+// keeps it fresh by tailing the WAL; an in-memory store gets a
+// bootstrap-only maintainer. Queries take the maintainer's read lock so
+// they never observe a half-applied batch.
 
 // FollowConfig parameterises StartFollow.
 type FollowConfig struct {
-	// Pipeline and Builder play the same roles as in Transform and
-	// BuildWarehouse; the pipeline must be patient-local (see refresh).
+	// Pipeline transforms store rows into the flat table Builder loads;
+	// the pipeline must be patient-local (see refresh).
 	Pipeline *etl.Pipeline
 	Builder  *star.Builder
 	// CursorDir is ignored: the tail position lives in memory and every
@@ -42,14 +42,24 @@ type FollowConfig struct {
 	Log *log.Logger
 }
 
+// built returns the maintainer that owns the warehouse: the platform's
+// one "warehouse not built" check.
+func (p *Platform) built() (*refresh.Maintainer, error) {
+	if p.follower == nil {
+		return nil, errors.New("core: warehouse not built; run StartFollow first")
+	}
+	return p.follower, nil
+}
+
 // StartFollow bootstraps the warehouse from a store snapshot and readies
-// the incremental maintainer. The store must be durable (DataDir set).
-// Call RunFollow (or Refresh in a loop) to actually consume changes.
+// the maintainer. Over a durable store (DataDir set), RunFollow (or
+// Refresh in a loop) consumes changes; over an in-memory store both
+// return oltp.ErrNoWAL.
 func (p *Platform) StartFollow(fcfg FollowConfig) error {
 	if p.store == nil {
 		return fmt.Errorf("core: no data acquired")
 	}
-	if p.follower != nil {
+	if _, err := p.built(); err == nil {
 		return fmt.Errorf("core: already following")
 	}
 	m, err := refresh.New(p.store, refresh.Config{
@@ -58,7 +68,12 @@ func (p *Platform) StartFollow(fcfg FollowConfig) error {
 		Breaker:  fcfg.Breaker,
 		Log:      fcfg.Log,
 		OnRebuild: func(e *cube.Engine, s *star.Schema, flat *storage.Table) error {
-			p.schema, p.engine, p.flat = s, e, flat
+			for _, graft := range p.grafts {
+				if err := graft(s); err != nil {
+					return err
+				}
+			}
+			p.engine, p.flat = e, flat
 			p.eval = mdx.NewEvaluator(e, p.cfg.CubeName)
 			p.eval.RegisterMeasure("Attendances", cube.MeasureRef{Agg: storage.CountAgg})
 			if fcfg.Setup != nil {
@@ -78,34 +93,28 @@ func (p *Platform) StartFollow(fcfg FollowConfig) error {
 // single-step form of RunFollow, for tests and simulations that
 // interleave commits and refreshes deterministically.
 func (p *Platform) Refresh() (int, error) {
-	if p.follower == nil {
-		return 0, fmt.Errorf("core: not following")
+	m, err := p.built()
+	if err != nil {
+		return 0, err
 	}
-	return p.follower.Refresh()
+	return m.Refresh()
 }
 
-// RunFollow consumes the change feed until ctx is done.
+// RunFollow consumes the change feed until ctx is done (see StartFollow).
 func (p *Platform) RunFollow(ctx context.Context) error {
-	if p.follower == nil {
-		return fmt.Errorf("core: not following")
+	m, err := p.built()
+	if err != nil {
+		return err
 	}
-	return p.follower.Run(ctx)
+	return m.Run(ctx)
 }
 
-// Freshness reports warehouse staleness; ok is false when the platform
-// is not in follow mode.
+// Freshness reports warehouse staleness; ok is false when there is no
+// change feed to trail: no warehouse yet, or an in-memory store.
 func (p *Platform) Freshness() (refresh.Freshness, bool) {
-	if p.follower == nil {
+	m, err := p.built()
+	if err != nil || p.cfg.DataDir == "" {
 		return refresh.Freshness{}, false
 	}
-	return p.follower.Freshness(), true
-}
-
-// StopFollow detaches the maintainer (the warehouse stays queryable at
-// its last applied state).
-func (p *Platform) StopFollow() {
-	if p.follower != nil {
-		p.follower.Close()
-		p.follower = nil
-	}
+	return m.Freshness(), true
 }

@@ -46,22 +46,22 @@ type Config struct {
 	Log *log.Logger
 }
 
-// Platform is one DD-DGMS instance. Build one with New, then advance it
-// through the phases: Acquire -> Transform -> BuildWarehouse, after which
-// the decision-support features are available.
+// Platform is one DD-DGMS instance. Build one with New, Acquire the raw
+// records (or OpenStore a durable store), then StartFollow to transform
+// and load the warehouse; the decision-support features follow.
 type Platform struct {
 	cfg Config
 
-	store  *oltp.Store
-	flat   *storage.Table
-	schema *star.Schema
-	engine *cube.Engine
-	eval   *mdx.Evaluator
-	kbase  *kb.Base
+	store *oltp.Store
+	kbase *kb.Base
 
-	// follower is non-nil in follow mode (see follow.go); it owns the
-	// lock that keeps queries out of half-applied refresh batches.
+	// follower owns the warehouse (nil until StartFollow, see follow.go):
+	// its rebuild hook sets the fields below, guarded by its lock.
 	follower *refresh.Maintainer
+	flat     *storage.Table
+	engine   *cube.Engine
+	eval     *mdx.Evaluator
+	grafts   []func(*star.Schema) error // feedback dimensions, re-grafted on every rebuild
 
 	// replMu guards the replication role fields and self-heal state:
 	// automatic demotion after fencing swaps the role from a background
@@ -99,11 +99,13 @@ func New(cfg Config) *Platform {
 	return &Platform{cfg: cfg, kbase: kb.New(cfg.PromotionThreshold)}
 }
 
-// Close releases the OLTP store, if one was opened, and detaches any
-// follower and replication role.
+// Close releases the OLTP store, if one was opened, the maintainer's WAL
+// retention pin and any replication role.
 func (p *Platform) Close() error {
 	p.StopSelfHeal()
-	p.StopFollow()
+	if m, err := p.built(); err == nil {
+		m.Close()
+	}
 	p.StopReplication()
 	if p.store == nil {
 		return nil
@@ -120,12 +122,8 @@ func NewPassthroughPipeline() *etl.Pipeline { return &etl.Pipeline{} }
 // Acquire is phase one: raw clinical records enter the transactional
 // store (creating it on first call). Repeated calls append.
 func (p *Platform) Acquire(raw *storage.Table) error {
-	if p.store == nil {
-		s, err := oltp.OpenWith(p.cfg.DataDir, raw.Schema(), oltp.Options{Log: p.cfg.Log, Meta: p.kbase})
-		if err != nil {
-			return fmt.Errorf("core: opening store: %w", err)
-		}
-		p.store = s
+	if err := p.OpenStore(raw.Schema()); err != nil {
+		return err
 	}
 	if err := p.store.LoadTable(raw); err != nil {
 		return fmt.Errorf("core: acquiring: %w", err)
@@ -134,8 +132,8 @@ func (p *Platform) Acquire(raw *storage.Table) error {
 }
 
 // OpenStore opens (or creates) the transactional store without loading
-// any rows — the reopen path for follow mode, where the data already
-// lives in the WAL.
+// any rows — the reopen path for a durable store, where the data already
+// lives in the WAL. A store already open stays as it is.
 func (p *Platform) OpenStore(schema *storage.Schema) error {
 	if p.store != nil {
 		return nil
@@ -151,53 +149,20 @@ func (p *Platform) OpenStore(schema *storage.Schema) error {
 // Store exposes the transactional store for OLTP reporting.
 func (p *Platform) Store() *oltp.Store { return p.store }
 
-// Transform is phase two: snapshot the store and run the ETL pipeline,
-// producing the flat analysis table.
-func (p *Platform) Transform(pipeline *etl.Pipeline) error {
-	if p.store == nil {
-		return fmt.Errorf("core: no data acquired")
-	}
-	snap, err := p.store.Snapshot()
-	if err != nil {
-		return fmt.Errorf("core: snapshotting: %w", err)
-	}
-	flat, err := pipeline.Run(snap)
-	if err != nil {
-		return fmt.Errorf("core: transforming: %w", err)
-	}
-	p.flat = flat
-	return nil
-}
-
 // Flat returns the transformed analysis table.
 func (p *Platform) Flat() *storage.Table { return p.flat }
 
-// BuildWarehouse is phase three: load the dimensional warehouse from the
-// transformed table and stand up the OLAP engine and MDX evaluator.
-func (p *Platform) BuildWarehouse(b *star.Builder) error {
-	if p.flat == nil {
-		return fmt.Errorf("core: no transformed data; run Transform first")
-	}
-	schema, err := b.Build(p.flat)
-	if err != nil {
-		return fmt.Errorf("core: building warehouse: %w", err)
-	}
-	p.schema = schema
-	p.engine = cube.NewEngine(schema)
-	p.eval = mdx.NewEvaluator(p.engine, p.cfg.CubeName)
-	p.eval.RegisterMeasure("Attendances", cube.MeasureRef{Agg: storage.CountAgg})
-	return nil
-}
-
-// Warehouse returns the star schema. In follow mode it reads under the
-// maintainer's read lock, which a rebuild holds while it swaps the
-// schema.
+// Warehouse returns the star schema, nil before StartFollow. It reads
+// under the maintainer's read lock, which a rebuild holds while it swaps
+// the schema.
 func (p *Platform) Warehouse() *star.Schema {
-	if p.follower != nil {
-		p.follower.RLock()
-		defer p.follower.RUnlock()
+	m, err := p.built()
+	if err != nil {
+		return nil
 	}
-	return p.schema
+	m.RLock()
+	defer m.RUnlock()
+	return p.engine.Schema()
 }
 
 // Engine returns the OLAP engine.
@@ -215,33 +180,31 @@ func (p *Platform) RegisterMeasure(name string, m cube.MeasureRef) error {
 	return nil
 }
 
-// QueryCtx executes a cube query (the OLAP reporting feature). In follow
-// mode it holds the maintainer's read lock so refresh batches cannot
-// swap the warehouse mid-query. The kernel scan checks ctx cooperatively
-// and charges any govern.Budget it carries, so cancelled or over-budget
-// queries stop mid-scan and release the follower lock; a trace span
-// carried by ctx (obs.ContextWithSpan) collects the stage spans.
+// QueryCtx executes a cube query (the OLAP reporting feature). It holds
+// the maintainer's read lock so refresh batches cannot swap the
+// warehouse mid-query. The kernel scan checks ctx cooperatively and
+// charges any govern.Budget it carries, so cancelled or over-budget
+// queries stop mid-scan and release the lock; a trace span carried by
+// ctx (obs.ContextWithSpan) collects the stage spans.
 func (p *Platform) QueryCtx(ctx context.Context, q cube.Query) (*cube.CellSet, error) {
-	if p.follower != nil {
-		p.follower.RLock()
-		defer p.follower.RUnlock()
+	m, err := p.built()
+	if err != nil {
+		return nil, err
 	}
-	if p.engine == nil {
-		return nil, fmt.Errorf("core: warehouse not built")
-	}
+	m.RLock()
+	defer m.RUnlock()
 	return p.engine.ExecuteCtx(ctx, q)
 }
 
 // QueryMDXCtx executes an MDX query string under a caller context (see
 // QueryCtx).
 func (p *Platform) QueryMDXCtx(ctx context.Context, src string) (*cube.CellSet, error) {
-	if p.follower != nil {
-		p.follower.RLock()
-		defer p.follower.RUnlock()
+	m, err := p.built()
+	if err != nil {
+		return nil, err
 	}
-	if p.eval == nil {
-		return nil, fmt.Errorf("core: warehouse not built")
-	}
+	m.RLock()
+	defer m.RUnlock()
 	return p.eval.QueryCtx(ctx, src)
 }
 
@@ -280,9 +243,12 @@ func (p *Platform) PatientRecord(patientCol string, pid value.Value) ([]oltp.Row
 // Mine isolates a dataset from the flat table (in the architecture, a
 // cube subset) for the data-analytics feature.
 func (p *Platform) Mine(features []string, label string) (*mining.Dataset, error) {
-	if p.flat == nil {
-		return nil, fmt.Errorf("core: no transformed data")
+	m, err := p.built()
+	if err != nil {
+		return nil, err
 	}
+	m.RLock()
+	defer m.RUnlock()
 	return mining.FromTable(p.flat, features, label)
 }
 
@@ -291,9 +257,12 @@ func (p *Platform) Mine(features []string, label string) (*mining.Dataset, error
 // measure column is state-abstracted with the discretizer, and the
 // resulting per-patient state sequences train the chain.
 func (p *Platform) TrajectoryModel(patientCol, timeCol, measureCol string, d etl.Discretizer) (*predict.Markov, error) {
-	if p.flat == nil {
-		return nil, fmt.Errorf("core: no transformed data")
+	mt, err := p.built()
+	if err != nil {
+		return nil, err
 	}
+	mt.RLock()
+	defer mt.RUnlock()
 	for _, c := range []string{patientCol, timeCol, measureCol} {
 		if _, ok := p.flat.Schema().Lookup(c); !ok {
 			return nil, fmt.Errorf("core: unknown column %q", c)
@@ -342,9 +311,12 @@ func (p *Platform) TrajectoryModel(patientCol, timeCol, measureCol string, d etl
 // ValidateStability runs the decision-optimisation dimension-ablation
 // check against the warehouse.
 func (p *Platform) ValidateStability(base cube.Query, candidates []cube.AttrRef, tolerance float64) (*optimize.StabilityReport, error) {
-	if p.engine == nil {
-		return nil, fmt.Errorf("core: warehouse not built")
+	m, err := p.built()
+	if err != nil {
+		return nil, err
 	}
+	m.RLock()
+	defer m.RUnlock()
 	return optimize.ValidateStability(p.engine, base, candidates, tolerance)
 }
 
@@ -407,20 +379,21 @@ func (p *Platform) commitKBEvent(ev kb.Event) error {
 // new dimension — the closed-loop step that distinguishes DD-DGMS from a
 // one-way warehouse. Invalidation is targeted: only caches touching the
 // (re)added dimension are dropped, so every other dimension's bitmaps,
-// coded columns and lattice entries survive the graft. In follow mode
-// the maintainer's write lock excludes concurrent refresh batches; note
-// a feedback dimension does not survive a resync or compaction rebuild.
+// coded columns and lattice entries survive the graft. The maintainer's
+// write lock excludes refresh batches, which classify the facts they
+// append; every rebuild (resync, compaction) grafts the dimension again.
 func (p *Platform) AddFeedbackDimension(name string, attrs []storage.Field, classify star.FactClassifier) error {
-	if p.follower != nil {
-		p.follower.Lock()
-		defer p.follower.Unlock()
+	m, err := p.built()
+	if err != nil {
+		return err
 	}
-	if p.schema == nil {
-		return fmt.Errorf("core: warehouse not built")
-	}
-	if err := p.schema.AddFeedbackDimension(name, attrs, classify); err != nil {
+	m.Lock()
+	defer m.Unlock()
+	graft := func(s *star.Schema) error { return s.AddFeedbackDimension(name, attrs, classify) }
+	if err := graft(p.engine.Schema()); err != nil {
 		return err
 	}
 	p.engine.InvalidateDimension(name)
+	p.grafts = append(p.grafts, graft)
 	return nil
 }

@@ -83,9 +83,9 @@ func (OS) ReadDir(dir string) ([]string, error) {
 	return names, nil
 }
 
-func (OS) Remove(path string) error                { return os.Remove(path) }
-func (OS) Rename(oldpath, newpath string) error    { return os.Rename(oldpath, newpath) }
-func (OS) Truncate(path string, size int64) error  { return os.Truncate(path, size) }
+func (OS) Remove(path string) error               { return os.Remove(path) }
+func (OS) Rename(oldpath, newpath string) error   { return os.Rename(oldpath, newpath) }
+func (OS) Truncate(path string, size int64) error { return os.Truncate(path, size) }
 
 func (OS) SyncDir(dir string) error {
 	d, err := os.Open(dir)

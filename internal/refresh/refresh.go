@@ -110,7 +110,6 @@ type Maintainer struct {
 	mu        sync.RWMutex
 	engine    *cube.Engine
 	schema    *star.Schema
-	flat      *storage.Table
 	byPatient map[value.Value]map[oltp.RowID]oltp.Row
 	patientOf map[oltp.RowID]value.Value
 	facts     map[value.Value][]int // live fact ordinals per patient
@@ -149,9 +148,9 @@ type Freshness struct {
 	CheckpointBytes int64 `json:"checkpoint_bytes"`
 }
 
-// New builds a Maintainer over a durable store and bootstraps the
-// warehouse from a snapshot. The store must have a WAL (follow mode is
-// meaningless without one).
+// New builds a Maintainer over a store and bootstraps the warehouse from
+// a snapshot. Over a store without a WAL the Maintainer is bootstrap-only:
+// Refresh and Run return oltp.ErrNoWAL.
 func New(store *oltp.Store, cfg Config) (*Maintainer, error) {
 	if cfg.Pipeline == nil || cfg.Builder == nil {
 		return nil, errors.New("refresh: Pipeline and Builder are required")
@@ -188,16 +187,12 @@ func (m *Maintainer) RLock() { m.mu.RLock() }
 func (m *Maintainer) RUnlock() { m.mu.RUnlock() }
 
 // Lock takes the write lock for out-of-band warehouse mutations made
-// outside the refresh loop (grafting a feedback dimension). Note such
-// mutations do not survive a resync or compaction rebuild.
+// outside the refresh loop (grafting a feedback dimension). Such a
+// mutation survives rebuilds only if OnRebuild repeats it.
 func (m *Maintainer) Lock() { m.mu.Lock() }
 
 // Unlock releases Lock.
 func (m *Maintainer) Unlock() { m.mu.Unlock() }
-
-// Engine returns the current cube engine. Hold RLock across obtaining
-// and using it.
-func (m *Maintainer) Engine() *cube.Engine { return m.engine }
 
 // Close releases the maintainer's WAL retention pin, so a stopped
 // follower holds no segments against checkpoints.
@@ -212,17 +207,15 @@ func (m *Maintainer) resync() error {
 	// which a checkpoint sweeps the snapshot's position, sending the
 	// resync meant to heal a gap straight into the next one. The
 	// snapshot's LSN is at or above the pin, so the pin only moves up
-	// afterwards. Stores without a WAL fail the snapshot-LSN check right
-	// after, so ErrNoWAL is not an error here.
+	// afterwards. A store without a WAL snapshots at the zero LSN; that
+	// happens at bootstrap only, as its Refresh fails reading the tail
+	// before it could resync.
 	if _, err := m.store.PinWALAtDurable(oltp.TailerPin); err != nil && !errors.Is(err, oltp.ErrNoWAL) {
 		return err
 	}
 	snap, err := m.store.SnapshotWithLSN()
 	if err != nil {
 		return err
-	}
-	if snap.LSN.IsZero() {
-		return oltp.ErrNoWAL
 	}
 	if m.cfg.Log != nil {
 		m.cfg.Log.Printf("refresh: resync snapshot: %d rows at LSN %v", snap.Table.Len(), snap.LSN)
@@ -287,7 +280,7 @@ func (m *Maintainer) rebuildLocked(src *storage.Table) error {
 		p := patients.Value(j)
 		facts[p] = append(facts[p], j)
 	}
-	m.flat, m.schema, m.engine, m.facts = flat, schema, engine, facts
+	m.schema, m.engine, m.facts = schema, engine, facts
 	if m.cfg.OnRebuild != nil {
 		if err := m.cfg.OnRebuild(engine, schema, flat); err != nil {
 			return err
@@ -505,7 +498,8 @@ func (m *Maintainer) apply(txs []oltp.CommittedTx, next oltp.WALCursor) error {
 // then wait for a commit signal or the poll interval. A failed refresh
 // backs off (minBackoff doubling to maxBackoff, reset by a success) and
 // the loop keeps going — a follower should survive transient filesystem
-// trouble without burning a CPU while the breaker fast-fails.
+// trouble without burning a CPU while the breaker fast-fails. A store
+// without a WAL has nothing to follow: Run returns oltp.ErrNoWAL at once.
 func (m *Maintainer) Run(ctx context.Context) error {
 	commits := m.store.SubscribeCommits()
 	defer m.store.UnsubscribeCommits(commits)
@@ -515,6 +509,9 @@ func (m *Maintainer) Run(ctx context.Context) error {
 			return err
 		}
 		n, err := m.Refresh()
+		if errors.Is(err, oltp.ErrNoWAL) {
+			return err // nothing to follow
+		}
 		wake, wait := commits, pollInterval
 		if err != nil {
 			// Back off on the timer alone: commits arriving while the

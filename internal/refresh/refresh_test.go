@@ -62,9 +62,34 @@ func cellMap(cs *cube.CellSet) map[[2]string]value.Value {
 	return out
 }
 
+// maintained is a Maintainer plus the engine it last installed, which
+// it hands over through OnRebuild as it does to the serving layer. Read
+// engine under RLock.
+type maintained struct {
+	*refresh.Maintainer
+	engine *cube.Engine
+}
+
+// newMaintained bootstraps a Maintainer, chaining cfg.OnRebuild after
+// the engine capture.
+func newMaintained(store *oltp.Store, cfg refresh.Config) (*maintained, error) {
+	mt := &maintained{}
+	next := cfg.OnRebuild
+	cfg.OnRebuild = func(e *cube.Engine, s *star.Schema, flat *storage.Table) error {
+		mt.engine = e
+		if next != nil {
+			return next(e, s, flat)
+		}
+		return nil
+	}
+	m, err := refresh.New(store, cfg)
+	mt.Maintainer = m
+	return mt, err
+}
+
 // assertCaughtUpEquivalent rebuilds a reference warehouse from scratch
 // off the store's current snapshot and compares every battery query.
-func assertCaughtUpEquivalent(t *testing.T, label string, m *refresh.Maintainer, store *oltp.Store) {
+func assertCaughtUpEquivalent(t *testing.T, label string, m *maintained, store *oltp.Store) {
 	t.Helper()
 	snap, err := store.Snapshot()
 	if err != nil {
@@ -83,7 +108,7 @@ func assertCaughtUpEquivalent(t *testing.T, label string, m *refresh.Maintainer,
 	m.RLock()
 	defer m.RUnlock()
 	for qi, q := range queryBattery() {
-		got, err := m.Engine().ExecuteCtx(context.Background(), q)
+		got, err := m.engine.ExecuteCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: maintained query %d: %v", label, qi, err)
 		}
@@ -124,7 +149,7 @@ func assertCaughtUpEquivalent(t *testing.T, label string, m *refresh.Maintainer,
 // interleaveEnv is one randomized-run fixture.
 type interleaveEnv struct {
 	store    *oltp.Store
-	m        *refresh.Maintainer
+	m        *maintained
 	raw      *storage.Table
 	next     int // next unstreamed cohort row
 	live     []oltp.RowID
@@ -178,7 +203,7 @@ func newInterleaveEnv(t *testing.T, seed int64, patients int, cfgTweak func(*ref
 	if cfgTweak != nil {
 		cfgTweak(&cfg)
 	}
-	m, err := refresh.New(store, cfg)
+	m, err := newMaintained(store, cfg)
 	if err != nil {
 		t.Fatalf("refresh.New: %v", err)
 	}
@@ -274,7 +299,7 @@ func (env *interleaveEnv) step(t *testing.T) {
 		env.refreshN++
 	default:
 		env.m.RLock()
-		_, err := env.m.Engine().ExecuteCtx(context.Background(), cube.Query{
+		_, err := env.m.engine.ExecuteCtx(context.Background(), cube.Query{
 			Rows: []cube.AttrRef{core.RefGender}, Measure: cube.MeasureRef{Agg: storage.CountAgg}})
 		env.m.RUnlock()
 		if err != nil {
@@ -341,7 +366,7 @@ func TestRefreshRestartRebootstrap(t *testing.T) {
 		env.insertNext(t)
 	}
 
-	m2, err := refresh.New(env.store, refresh.Config{
+	m2, err := newMaintained(env.store, refresh.Config{
 		Pipeline: core.NewDiScRiPipeline(),
 		Builder:  core.NewDiScRiBuilder(),
 	})
@@ -421,7 +446,7 @@ func TestRefreshRangeRuleKeepsStoreRow(t *testing.T) {
 	// The new attendance has the highest row id, so the batch appended
 	// it last.
 	env.m.RLock()
-	fact := env.m.Engine().Schema().Fact()
+	fact := env.m.engine.Schema().Fact()
 	fbg, err := fact.Measure("FBG")
 	if err != nil {
 		env.m.RUnlock()

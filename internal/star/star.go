@@ -11,9 +11,10 @@ import (
 // Schema is a complete star schema: named dimensions around one fact
 // table.
 type Schema struct {
-	Name string
-	dims map[string]*Dimension
-	fact *FactTable
+	Name     string
+	dims     map[string]*Dimension
+	fact     *FactTable
+	feedback []feedbackDim // grafted dimensions, in graft order
 }
 
 // Dimension returns the named dimension.
@@ -155,14 +156,23 @@ func (b *Builder) Build(flat *storage.Table) (*Schema, error) {
 // Append loads every row of a delta flat table as additional facts into a
 // schema previously produced by Build from the same spec. New dimension
 // members are interned on the fly (AddMember deduplicates, so existing
-// members keep their keys); fact-table dimensions outside the builder
-// spec — feedback dimensions attached after the initial build — get NoKey
-// for appended rows, matching AddFeedbackDimension's default.
+// members keep their keys); feedback dimensions attached after the
+// initial build classify the appended facts with their own classifiers,
+// so an appended fact is tagged as a rebuild would tag it.
 func (b *Builder) Append(s *Schema, flat *storage.Table) error {
 	if b.err != nil {
 		return b.err
 	}
-	return b.load(s, flat)
+	from := s.fact.Len()
+	if err := b.load(s, flat); err != nil {
+		return err
+	}
+	for _, fd := range s.feedback {
+		if err := fd.tag(s, s.fact.keys[s.fact.dimIdx[fd.dim.Name()]], from); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // sourceColumn returns the flat table's column that feeds an attribute or
@@ -213,7 +223,8 @@ func (b *Builder) load(s *Schema, flat *storage.Table) error {
 		meas[m] = col
 	}
 
-	// Fact dimensions the spec does not cover keep NoKey.
+	// Fact dimensions the spec does not cover keep NoKey (Append then
+	// classifies the feedback ones).
 	keys := make([]Key, len(s.fact.dimNames))
 	for k := range keys {
 		keys[k] = NoKey

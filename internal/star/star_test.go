@@ -36,9 +36,8 @@ func flatVisits(t *testing.T) *storage.Table {
 	return tbl
 }
 
-func buildStar(t *testing.T) *Schema {
-	t.Helper()
-	s, err := NewBuilder("MedicalMeasures").
+func visitsBuilder() *Builder {
+	return NewBuilder("MedicalMeasures").
 		Dimension("PersonalInformation",
 			[]storage.Field{{Name: "Gender", Kind: value.StringKind},
 				{Name: "AgeBand10", Kind: value.StringKind},
@@ -51,8 +50,12 @@ func buildStar(t *testing.T) *Schema {
 		Dimension("Cardinality",
 			[]storage.Field{{Name: "VisitNo", Kind: value.IntKind}},
 			[]string{"VisitNo"}).
-		Measure(storage.Field{Name: "FBG", Kind: value.FloatKind}, "FBG").
-		Build(flatVisits(t))
+		Measure(storage.Field{Name: "FBG", Kind: value.FloatKind}, "FBG")
+}
+
+func buildStar(t *testing.T) *Schema {
+	t.Helper()
+	s, err := visitsBuilder().Build(flatVisits(t))
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
@@ -211,6 +214,19 @@ func TestAddFeedbackDimension(t *testing.T) {
 	v, _ := fd.Attr(k, "Flag")
 	if v.Str() != "review" {
 		t.Errorf("fact 0 flag = %v", v)
+	}
+	// Appended facts are classified as the graft classified the first
+	// load: the second copy of the visits repeats the first's flags.
+	if err := visitsBuilder().Append(s, flatVisits(t)); err != nil {
+		t.Fatal(err)
+	}
+	n := flatVisits(t).Len()
+	for i := 0; i < n; i++ {
+		first, _ := s.Fact().Key(i, "ClinicianFlag")
+		again, _ := s.Fact().Key(n+i, "ClinicianFlag")
+		if again != first {
+			t.Errorf("appended fact %d key = %d, first load's = %d", n+i, again, first)
+		}
 	}
 	// Duplicate name rejected.
 	if err := s.AddFeedbackDimension("ClinicianFlag", nil, nil); err == nil {

@@ -16,6 +16,14 @@ cd "$(dirname "$0")/.."
 start=$(date +%s) last=
 stage() { now=$(date +%s); [ -z "$last" ] || echo "   ($((now - last))s)"; last=$now; [ $# -eq 0 ] || echo "== $*"; }
 
+stage "gofmt -l (no unformatted Go file)"
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "$unformatted" >&2
+	echo "check: the files above are not gofmt-formatted; run gofmt -w on them" >&2
+	exit 1
+fi
+
 stage "go vet ./..."
 go vet ./...
 
@@ -28,7 +36,7 @@ go test -race ./...
 stage "frozen benchmark harness builds and smokes against the internal API"
 (cd benchmark && go vet ./... && go test -short ./...)
 
-stage "one entry point per query layer (no new *Traced twin, no kernel-path option, one row selection)"
+stage "one entry point per query layer (no new *Traced twin, no kernel-path option, one row selection, one warehouse set-up)"
 if grep -rnE '^func .*Traced\(' --include='*.go' internal cmd examples | grep -v '_test\.go:'; then
 	echo "check: a *Traced twin is back; carry the span in the context (obs.StartSpan)" >&2
 	exit 1
@@ -43,6 +51,15 @@ if grep -rnE 'RowPredicate|GroupByFiltered' --include='*.go' . | grep -v '_test\
 fi
 if find internal/exec -name '*.go' ! -name '*_test.go' -exec awk '/^type GroupInput struct/,/^}/' {} + | grep 'func('; then
 	echo "check: GroupInput has a func field again; the kernel reads one row selection, GroupInput.Rows" >&2
+	exit 1
+fi
+if grep -rnE '^func \([a-z]+ \*Platform\) (Transform|BuildWarehouse)\(' --include='*.go' internal/core | grep -v '_test\.go:'; then
+	echo "check: a batch set-up phase is back; the warehouse is stood up by StartFollow only" >&2
+	exit 1
+fi
+if [ "$(grep -rnE 'p\.follower [!=]= nil' --include='*.go' internal/core | grep -vc '_test\.go:')" -gt 1 ]; then
+	grep -rnE 'p\.follower [!=]= nil' --include='*.go' internal/core | grep -v '_test\.go:'
+	echo "check: a second p.follower nil check; go through the one not-built check, Platform.built" >&2
 	exit 1
 fi
 
