@@ -155,6 +155,43 @@ func TestFlatQueryFilteredAllocBudget(t *testing.T) {
 	}
 }
 
+// TestCubeSlicedMissAllocBudget is the allocation gate on a /query cold
+// miss: a one-slicer distinct-patient crosstab (Fig 4's diabetic
+// patients by age band and gender) at 900 patients. The lattice never
+// caches a distinct count, so every run scans; the slicer compiles to a
+// row selection over the cached coded columns and the scan allocates
+// nothing per row. It measures 112 allocs/op; the budget holds 1.5x
+// that, so an allocation per selected row or per fact fails it.
+func TestCubeSlicedMissAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are not stable under the race detector")
+	}
+	if testing.Short() {
+		t.Skip("platform fixture is expensive")
+	}
+	p := platformFor(t, 900)
+	q := cube.Query{
+		Rows:    []cube.AttrRef{core.RefAgeBand10},
+		Cols:    []cube.AttrRef{core.RefGender},
+		Slicers: []cube.Slicer{{Ref: core.RefDiabetes, Values: []value.Value{value.Str("Yes")}}},
+		Measure: core.PatientCountMeasure(),
+	}
+	ctx := context.Background()
+	if _, err := p.QueryCtx(ctx, q); err != nil { // warm the coded columns
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(20, func() {
+		if _, err := p.QueryCtx(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("one-slicer PatientCount crosstab at 900 patients: %.0f allocs/op", avg)
+	const budget = 168
+	if avg > budget {
+		t.Errorf("one-slicer PatientCount crosstab allocates %.0f allocs/op, budget %d", avg, budget)
+	}
+}
+
 // TestApplyDeltaAllocScaling is the O(delta) gate on warehouse refresh:
 // folding a one-attendance batch into an engine with PatientID and two
 // sliced attributes cached must allocate no more bytes at 8x the fact

@@ -30,7 +30,7 @@ func main() {
 	defer p.Close()
 
 	fmt.Printf("warehouse: %d attendances, %d dimensions\n\n",
-		p.Warehouse().Fact().Len(), len(p.Warehouse().Dimensions()))
+		p.Warehouse().Fact().LiveLen(), len(p.Warehouse().Dimensions()))
 
 	// 3. Ask a multivariate question in MDX: how many distinct patients
 	//    are diabetic, by age band and gender?

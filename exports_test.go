@@ -37,9 +37,7 @@ var unreachedAllowed = map[string]string{
 	"mining.DecisionTree.Describe": "the mining tests pin the fitted tree's text form; no command prints a tree",
 	"repl.Follower.Cursor":         "the replication and election tests wait on the applied position; nodes report it through Status",
 	"repl.Primary.Epoch":           "the election tests check the led epoch; nodes report it through Status",
-	"star.Dimension.Hierarchy":     "the star tests look one hierarchy up by name; the cube and server walk Hierarchies",
 	"star.FactTable.Append":        "the star tests pin the map-keyed append's validation; the builder loads through appendKeys",
-	"star.FactTable.Key":           "the star tests read one fact's key; the cube reads whole key columns",
 }
 
 // stdlibCalled are method names the standard library calls through its

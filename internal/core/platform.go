@@ -378,8 +378,8 @@ func (p *Platform) commitKBEvent(ev kb.Event) error {
 // AddFeedbackDimension grafts clinician feedback onto the warehouse as a
 // new dimension — the closed-loop step that distinguishes DD-DGMS from a
 // one-way warehouse. Invalidation is targeted: only caches touching the
-// (re)added dimension are dropped, so every other dimension's bitmaps,
-// coded columns and lattice entries survive the graft. The maintainer's
+// (re)added dimension are dropped, so every other dimension's coded
+// columns and lattice entries survive the graft. The maintainer's
 // write lock excludes refresh batches, which classify the facts they
 // append; every rebuild (resync, compaction) grafts the dimension again.
 func (p *Platform) AddFeedbackDimension(name string, attrs []storage.Field, classify star.FactClassifier) error {

@@ -10,7 +10,7 @@ import (
 )
 
 // The engine documents itself as safe for concurrent query execution;
-// exercise cold caches (attribute columns, bitmaps, lattice) from many
+// exercise cold caches (attribute columns, lattice) from many
 // goroutines under the race detector.
 func TestConcurrentExecute(t *testing.T) {
 	e := NewEngine(testStar(t))

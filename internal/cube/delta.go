@@ -13,14 +13,12 @@ import (
 // and then calls ApplyDelta, which folds the change into every memoised
 // structure instead of discarding it:
 //
-//   - coded columns and code-indexed member bitmaps are extended with the
-//     appended rows (retired rows stay physically present and are masked
-//     by filterBitmap, so those caches need no change for retirement).
-//     Both extend in place in O(appended rows): exec.ExtendCoded writes
-//     only the new codes and dictionary entries and leaves every older
-//     column header reading as it did; existing codes never change, so
-//     the bitmaps indexed by them stay valid, and only the bitmaps of
-//     members the batch adds rows to grow;
+//   - coded columns are extended with the appended rows (retired rows
+//     stay physically present and are dropped from every row selection
+//     by filterRows, so the columns need no change for retirement). They
+//     extend in place in O(appended rows): exec.ExtendCoded writes only
+//     the new codes and dictionary entries and leaves every older column
+//     header reading as it did;
 //   - lattice entries have the per-row partial aggregates of retired
 //     rows retracted (exec.AggState.Unmerge) and of appended rows merged
 //     (exec.AggState.Merge). Only additive measures live in the lattice,
@@ -75,19 +73,15 @@ func (e *Engine) ApplyDelta(d Delta) (DeltaStats, error) {
 			if cc.Len() != oldN {
 				// Cache inconsistent with the delta (should not happen);
 				// drop rather than corrupt.
-				e.dropAttrLocked(ref)
+				delete(e.codedCols, ref)
 				continue
 			}
 			vals, err := e.appendedValues(ref, oldN)
 			if err != nil {
 				return stats, err
 			}
-			grown := exec.ExtendCoded(cc, vals)
-			e.codedCols[ref] = grown
+			e.codedCols[ref] = exec.ExtendCoded(cc, vals)
 			stats.ColumnsGrown++
-			if members, ok := e.bitmaps[ref]; ok {
-				e.bitmaps[ref] = growBitmaps(members, grown, oldN)
-			}
 		}
 	}
 
@@ -131,25 +125,6 @@ func (e *Engine) appendedValues(ref AttrRef, oldN int) ([]value.Value, error) {
 		vals = append(vals, v)
 	}
 	return vals, nil
-}
-
-// growBitmaps extends the code-indexed member bitmaps of the grown
-// column cc in place: each row appended from oldN on sets its bit in its
-// code's bitmap, which grows to reach it, and a code the append added to
-// the dictionary gets a new bitmap. Bitmaps of members no appended row
-// carries are left short of the fact table, which Or reads as unset.
-func growBitmaps(members []*Bitmap, cc *exec.CodedColumn, oldN int) []*Bitmap {
-	for len(members) < cc.Card() {
-		members = append(members, nil)
-	}
-	for j, code := range cc.Codes()[oldN:] {
-		if members[code] == nil {
-			members[code] = &Bitmap{}
-		}
-		members[code].grow(oldN + j + 1)
-		members[code].Set(oldN + j)
-	}
-	return members
 }
 
 // deltaEntryLocked maintains one lattice entry in place, reporting false
@@ -258,13 +233,6 @@ func (e *Engine) deltaEntryLocked(entry *latticeEntry, d Delta, oldN int) bool {
 	return true
 }
 
-// dropAttrLocked removes every per-attribute cache of ref. Caller holds
-// e.mu.
-func (e *Engine) dropAttrLocked(ref AttrRef) {
-	delete(e.codedCols, ref)
-	delete(e.bitmaps, ref)
-}
-
 // InvalidateDimension drops every cache touching any attribute of the
 // named dimension — the right scope when a dimension is added, removed
 // or re-keyed (feedback dimensions). Caches over other dimensions and
@@ -275,11 +243,6 @@ func (e *Engine) InvalidateDimension(dim string) {
 	for ref := range e.codedCols {
 		if ref.Dim == dim {
 			delete(e.codedCols, ref)
-		}
-	}
-	for ref := range e.bitmaps {
-		if ref.Dim == dim {
-			delete(e.bitmaps, ref)
 		}
 	}
 	e.dropLatticeEntriesLocked(func(entry *latticeEntry) bool {

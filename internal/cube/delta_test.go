@@ -54,9 +54,9 @@ var deltaQueries = []Query{
 	{Rows: []AttrRef{refDia}, Measure: MeasureRef{Agg: storage.MaxAgg, Column: "FBG"}},
 	{Rows: []AttrRef{refGender}, Slicers: []Slicer{{Ref: refDia, Values: []value.Value{value.Str("Yes")}}},
 		Measure: MeasureRef{Agg: storage.CountAgg}},
-	// "X" first appears in an appended row: the Gender bitmaps must grow a
-	// bitmap under the dictionary code the append adds. Max is never
-	// latticed, so the maintained engine answers it through those bitmaps.
+	// "X" first appears in an appended row: the Gender coded column must
+	// grow a dictionary code for it. Max is never latticed, so the
+	// maintained engine answers it by selecting rows on that code.
 	{Rows: []AttrRef{refDia}, Slicers: []Slicer{{Ref: refGender, Values: []value.Value{value.Str("X")}}},
 		Measure: MeasureRef{Agg: storage.MaxAgg, Column: "FBG"}},
 }
@@ -208,8 +208,8 @@ func TestInvalidateDimensionTargeted(t *testing.T) {
 	if size := e.LatticeSize(); size != 4 {
 		t.Fatalf("lattice holds %d entries after warming, want 4", size)
 	}
-	if _, ok := e.bitmaps[refGender]; !ok {
-		t.Fatal("no bitmaps for Gender after slicing")
+	if _, ok := e.codedCols[refGender]; !ok {
+		t.Fatal("no coded column for Gender after warming")
 	}
 
 	e.InvalidateDimension("Personal")
@@ -218,9 +218,6 @@ func TestInvalidateDimensionTargeted(t *testing.T) {
 	// Gender go; the unsliced Condition entry survives.
 	if size := e.LatticeSize(); size != 1 {
 		t.Fatalf("lattice holds %d entries after InvalidateDimension(Personal), want 1", size)
-	}
-	if _, ok := e.bitmaps[refGender]; ok {
-		t.Fatal("Gender bitmaps survived InvalidateDimension")
 	}
 	for ref := range e.codedCols {
 		if ref.Dim == "Personal" {

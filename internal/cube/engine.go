@@ -1,3 +1,9 @@
+// Package cube implements the OLAP engine of the DD-DGMS architecture:
+// multidimensional aggregation queries over a star schema, producing cell
+// sets that can be sliced, diced, drilled down, rolled up and pivoted —
+// the operations behind the paper's Figs 4–6. Cached coded columns and a
+// partial aggregate lattice accelerate repeated exploration, which is the
+// workload of an interactive clinical scientist.
 package cube
 
 import (
@@ -13,21 +19,17 @@ import (
 )
 
 // Engine executes OLAP queries against a star schema. It memoises
-// dictionary-coded attribute columns, code-indexed bitmap member indexes
-// and (optionally) a partial aggregate lattice, so repeated interactive
-// exploration of the same warehouse is fast. Engine is safe for concurrent
-// query execution.
+// dictionary-coded attribute columns, which axes group on and slicers
+// select rows from, and (optionally) a partial aggregate lattice, so
+// repeated interactive exploration of the same warehouse is fast. Engine
+// is safe for concurrent query execution.
 type Engine struct {
 	schema *star.Schema
 
 	useLattice bool
 
-	mu        sync.Mutex
-	codedCols map[AttrRef]*exec.CodedColumn
-	// bitmaps holds member bitmaps indexed by dictionary code. ApplyDelta
-	// grows only those of members a batch adds rows to, so a bitmap may
-	// be shorter than the fact table; rows past its end are unset.
-	bitmaps     map[AttrRef][]*Bitmap
+	mu          sync.Mutex
+	codedCols   map[AttrRef]*exec.CodedColumn
 	lattice     map[string][]*latticeEntry
 	memberOrder map[AttrRef]map[value.Value]int
 }
@@ -46,7 +48,6 @@ func NewEngine(schema *star.Schema, opts ...Option) *Engine {
 		schema:      schema,
 		useLattice:  true,
 		codedCols:   make(map[AttrRef]*exec.CodedColumn),
-		bitmaps:     make(map[AttrRef][]*Bitmap),
 		lattice:     make(map[string][]*latticeEntry),
 		memberOrder: make(map[AttrRef]map[value.Value]int),
 	}
@@ -79,7 +80,6 @@ func (e *Engine) InvalidateCaches() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.codedCols = make(map[AttrRef]*exec.CodedColumn)
-	e.bitmaps = make(map[AttrRef][]*Bitmap)
 	e.lattice = make(map[string][]*latticeEntry)
 }
 
@@ -137,65 +137,26 @@ func (e *Engine) attrCoded(ref AttrRef) (*exec.CodedColumn, error) {
 	return cc, nil
 }
 
-// bitmapFor returns (building if needed) the member bitmaps of ref,
-// indexed by dictionary code, together with the coded column whose
-// dictionary resolves values to those codes. A code no fact row carries
-// has a nil bitmap.
-func (e *Engine) bitmapFor(ref AttrRef) ([]*Bitmap, *exec.CodedColumn, error) {
-	e.mu.Lock()
-	perCode, cc := e.bitmaps[ref], e.codedCols[ref]
-	e.mu.Unlock()
-	if perCode != nil && cc != nil {
-		return perCode, cc, nil
-	}
-
-	cc, err := e.attrCoded(ref)
-	if err != nil {
-		return nil, nil, err
-	}
-	perCode = make([]*Bitmap, cc.Card())
-	for i, code := range cc.Codes() {
-		b := perCode[code]
-		if b == nil {
-			b = NewBitmap(cc.Len())
-			perCode[code] = b
-		}
-		b.Set(i)
-	}
-	e.mu.Lock()
-	e.bitmaps[ref] = perCode
-	e.mu.Unlock()
-	return perCode, cc, nil
-}
-
-// filterBitmap evaluates all slicers into one fact-row bitmap. Retired
-// (tombstoned) fact rows are masked out first, so every scan and
-// aggregate sees only live facts.
-func (e *Engine) filterBitmap(slicers []Slicer) (*Bitmap, error) {
-	fact := e.schema.Fact()
-	n := fact.Len()
-	out := NewBitmap(n)
-	out.Fill()
-	if fact.RetiredCount() > 0 {
-		out.AndNotWords(fact.DeadWords())
-	}
-	for _, s := range slicers {
+// filterRows compiles the slicers to the kernel's row selection, the
+// same one DG-SQL and /flatquery build: one exec.InValues conjunct per
+// slicer over its cached coded column, ANDed by exec.SelectRows, with
+// retired (tombstoned) facts dropped word by word, so every scan and
+// aggregate sees only live facts. No slicers and no tombstones select
+// every row (nil).
+func (e *Engine) filterRows(slicers []Slicer) ([]uint64, error) {
+	sets := make([]exec.CodeSet, len(slicers))
+	for i, s := range slicers {
 		if len(s.Values) == 0 {
 			return nil, fmt.Errorf("cube: slicer on %s has no values", s.Ref)
 		}
-		members, cc, err := e.bitmapFor(s.Ref)
+		cc, err := e.attrCoded(s.Ref)
 		if err != nil {
 			return nil, err
 		}
-		union := NewBitmap(n)
-		for code, ok := range exec.InValues(cc, s.Values).Allowed {
-			if ok && members[code] != nil {
-				union.Or(members[code])
-			}
-		}
-		out.And(union)
+		sets[i] = exec.InValues(cc, s.Values)
 	}
-	return out, nil
+	fact := e.schema.Fact()
+	return exec.DropRows(exec.SelectRows(fact.Len(), sets), fact.Len(), fact.DeadWords()), nil
 }
 
 // measureInput resolves what the kernel aggregates: the fact measure
@@ -227,8 +188,8 @@ func (e *Engine) measureInput(m MeasureRef) (exec.Measure, error) {
 // is consulted first, so a hit resolves no column at all. A miss runs the
 // grouping scan on the shared execution kernel (internal/exec): axis
 // columns are dictionary-encoded once and cached, groups are keyed on
-// packed integer codes, and the slicer bitmap's words are the kernel's row
-// selection.
+// packed integer codes, and the slicers compile to the kernel's row
+// selection (filterRows).
 //
 // The kernel scan checks ctx cooperatively and charges any govern.Budget
 // it carries, so a cancelled or over-budget query stops mid-scan with no
@@ -269,7 +230,7 @@ func (e *Engine) ExecuteCtx(ctx context.Context, q Query) (*CellSet, error) {
 	}
 
 	filterSp := sp.Start("cube.filter")
-	filter, err := e.filterBitmap(q.Slicers)
+	rows, err := e.filterRows(q.Slicers)
 	filterSp.Annotate("slicers", len(q.Slicers))
 	filterSp.End()
 	if err != nil {
@@ -284,7 +245,7 @@ func (e *Engine) ExecuteCtx(ctx context.Context, q Query) (*CellSet, error) {
 		NumRows: e.schema.Fact().Len(),
 		Keys:    axisCoded,
 		Aggs:    []exec.AggInput{{Kind: q.Measure.Agg, Measure: measure}},
-		Rows:    filter.words,
+		Rows:    rows,
 	}
 	gctx, groupSp := obs.StartSpan(ctx, "cube.group")
 	groups, err := exec.GroupBy(gctx, in)

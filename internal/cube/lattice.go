@@ -52,7 +52,7 @@ func latticeable(m MeasureRef) bool {
 // cached entry exactly: slicers (order-insensitive) and measure. Slicer
 // values are kind-tagged and NUL-separated by exec.EncodeTuple, so
 // {"a", "b"} and {"a|b"}, or Int(1) and Str("1"), key different entries
-// just as the bitmap filter treats them as different members.
+// just as the slicer row selection treats them as different members.
 func latticeBase(q Query) string {
 	slicers := make([]string, len(q.Slicers))
 	for i, s := range q.Slicers {

@@ -432,40 +432,3 @@ func TestQuickLatticeAgreesWithScan(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestBitmapPrimitives(t *testing.T) {
-	get := func(b *Bitmap, i int) bool { return b.words[i>>6]&(1<<(uint(i)&63)) != 0 }
-	b := NewBitmap(130)
-	b.Set(0)
-	b.Set(64)
-	b.Set(129)
-	if !get(b, 0) || !get(b, 64) || !get(b, 129) || get(b, 1) {
-		t.Error("set/get broken")
-	}
-	if b.Count() != 3 {
-		t.Errorf("count = %d", b.Count())
-	}
-	o := NewBitmap(130)
-	o.Set(64)
-	c := b.Clone()
-	c.And(o)
-	if c.Count() != 1 || !get(c, 64) {
-		t.Errorf("and: count=%d", c.Count())
-	}
-	c.Or(b)
-	if c.Count() != 3 {
-		t.Errorf("or: count=%d", c.Count())
-	}
-	full := NewBitmap(130)
-	full.Fill()
-	if full.Count() != 130 {
-		t.Errorf("fill count = %d", full.Count())
-	}
-	// And with a shorter bitmap zeroes the overhang.
-	short := NewBitmap(10)
-	short.Fill()
-	full.And(short)
-	if full.Count() != 10 {
-		t.Errorf("and-short count = %d", full.Count())
-	}
-}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/ddgms/ddgms/internal/value"
@@ -232,6 +233,43 @@ func TestSelectRowsMatchesPerRow(t *testing.T) {
 			}
 			if bit := got[i>>6]&(1<<(uint(i)&63)) != 0; bit != want {
 				t.Fatalf("trial %d row %d: selected %v, want %v", trial, i, bit, want)
+			}
+		}
+	}
+}
+
+// TestDropRowsMatchesPerRow drops random tombstone sets from random
+// selections, nil ones included, and compares every bit, padding
+// included, with the selection evaluated row by row.
+func TestDropRowsMatchesPerRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for trial := 0; trial < 40; trial++ {
+		n := rng.Intn(300)
+		words := (n + 63) / 64
+		var rows, drop []uint64
+		if rng.Intn(3) > 0 {
+			rows = selectWhere(n, func(int) bool { return rng.Intn(2) == 0 })
+		}
+		if rng.Intn(4) > 0 {
+			drop = selectWhere(n, func(int) bool { return rng.Intn(4) == 0 })
+		}
+		want := make([]bool, words*64)
+		for i := 0; i < n; i++ {
+			want[i] = Selected(rows, i) && (drop == nil || !Selected(drop, i))
+		}
+		got := DropRows(slices.Clone(rows), n, drop)
+		if rows == nil && drop == nil {
+			if got != nil {
+				t.Fatalf("trial %d: nil selection with nothing to drop became %v", trial, got)
+			}
+			continue
+		}
+		if len(got) != words {
+			t.Fatalf("trial %d: %d words for %d rows", trial, len(got), n)
+		}
+		for i, w := range want {
+			if bit := got[i>>6]&(1<<(uint(i)&63)) != 0; bit != w {
+				t.Fatalf("trial %d row %d: selected %v, want %v", trial, i, bit, w)
 			}
 		}
 	}

@@ -4,9 +4,9 @@ import "github.com/ddgms/ddgms/internal/value"
 
 // A row selection is a bitmap over rows [0, n): bit i&63 of word i>>6 is
 // set when row i takes part. A nil selection takes every row. Every query
-// front-end lowers its filter to one — the cube its slicer bitmap,
-// /flatquery and DG-SQL a conjunction of code sets through SelectRows —
-// and GroupInput.Rows hands it to the kernel.
+// front-end lowers its filter to one conjunction of code sets through
+// SelectRows — the cube its slicers, /flatquery its filters, DG-SQL its
+// WHERE — and GroupInput.Rows hands it to the kernel.
 
 // CodeSet is one conjunct of a row selection: row i passes when
 // Allowed[Codes[i]] is true. Codes is a coded column's code vector and
@@ -84,4 +84,27 @@ func SelectRows(n int, sets []CodeSet) []uint64 {
 		}
 	})
 	return words
+}
+
+// DropRows clears from the selection rows over [0, n) every row whose bit
+// is set in drop — a fact table's tombstones, say — 64 rows per word, in
+// place; a nil rows is first widened to every row. A nil drop returns
+// rows as it is, and rows past the end of drop stay as they are.
+func DropRows(rows []uint64, n int, drop []uint64) []uint64 {
+	if drop == nil {
+		return rows
+	}
+	if rows == nil {
+		rows = make([]uint64, (n+63)/64)
+		for w := range rows {
+			rows[w] = ^uint64(0)
+		}
+		if rem := uint(n) & 63; rem != 0 {
+			rows[len(rows)-1] = 1<<rem - 1
+		}
+	}
+	for w := range min(len(rows), len(drop)) {
+		rows[w] &^= drop[w]
+	}
+	return rows
 }

@@ -6,12 +6,15 @@ package experiments
 // warehouse, and must still pass the figure shape assertions.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"github.com/ddgms/ddgms/internal/core"
 	"github.com/ddgms/ddgms/internal/cube"
 	"github.com/ddgms/ddgms/internal/discri"
+	"github.com/ddgms/ddgms/internal/oltp"
+	"github.com/ddgms/ddgms/internal/value"
 )
 
 func cdcTestPlatform(t *testing.T) *core.Platform {
@@ -118,5 +121,78 @@ func sameCellSet(t *testing.T, name string, got, want *cube.CellSet) {
 				t.Fatalf("%s: cell (%d,%d) = %v, want %v", name, i, j, g, w)
 			}
 		}
+	}
+}
+
+// TestFactCountsAreLive commits a follow-up attendance of an existing
+// patient to a follow-mode platform and waits until the refresh makes it
+// visible. The patient-scoped refresh retires the patient's earlier facts
+// and appends them re-derived, so the fact table now holds tombstones:
+// Fig 3's schema description and Fig 2 must print the live fact count,
+// not the physical one.
+func TestFactCountsAreLive(t *testing.T) {
+	dcfg := discri.DefaultConfig()
+	dcfg.Patients = 60
+	raw, err := discri.Generate(dcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := core.New(core.Config{DataDir: t.TempDir()})
+	t.Cleanup(func() { p.Close() })
+	if err := p.OpenStore(raw.Schema()); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Store().LoadTable(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.StartFollow(core.FollowConfig{
+		Pipeline: core.NewDiScRiPipeline(),
+		Builder:  core.NewDiScRiBuilder(),
+		Setup:    core.FinishDiScRiSetup,
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	row := raw.Row(0)
+	dateIdx, _ := raw.Schema().Lookup("VisitDate")
+	row[dateIdx] = value.Time(row[dateIdx].Time().AddDate(1, 0, 0))
+	tx := p.Store().Begin()
+	if _, err := tx.Insert(oltp.Row(row)); err != nil {
+		tx.Rollback()
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		n, err := p.Refresh()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			break
+		}
+	}
+	if f, ok := p.Freshness(); !ok || f.LagTx != 0 {
+		t.Fatalf("follow-up attendance not visible: %+v", f)
+	}
+
+	fact := p.Warehouse().Fact()
+	if fact.RetiredCount() == 0 {
+		t.Fatal("the follow-up attendance retired no facts")
+	}
+	live := raw.Len() + 1
+	if fact.LiveLen() != live {
+		t.Fatalf("warehouse holds %d live facts, want %d attendances", fact.LiveLen(), live)
+	}
+	if want := fmt.Sprintf("(%d rows)", live); !strings.Contains(p.Warehouse().Describe(), want) {
+		t.Errorf("Describe does not print the live count %s:\n%s", want, p.Warehouse().Describe())
+	}
+	var fig2 strings.Builder
+	if err := Fig2(&fig2, p); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("%d facts,", live); !strings.Contains(fig2.String(), want) {
+		t.Errorf("Fig 2 does not print the live count %q:\n%s", want, fig2.String())
 	}
 }

@@ -148,7 +148,7 @@ func Fig2(w io.Writer, p *core.Platform) error {
 	fmt.Fprintf(w, "  DB (OLTP store):        %d raw attendance records\n", p.Store().Len())
 	fmt.Fprintf(w, "  Transformation:         %d columns after discretisation/cardinality\n", p.Flat().Schema().Len())
 	fmt.Fprintf(w, "  Data warehouse:         %d facts, %d dimensions\n",
-		p.Warehouse().Fact().Len(), len(p.Warehouse().Dimensions()))
+		p.Warehouse().Fact().LiveLen(), len(p.Warehouse().Dimensions()))
 	cs, err := p.QueryCtx(context.TODO(), cube.Query{
 		Rows:    []cube.AttrRef{core.RefDiabetes},
 		Measure: core.PatientCountMeasure(),

@@ -32,7 +32,7 @@ type Options struct {
 func Write(w io.Writer, p *core.Platform, opts Options) error {
 	fmt.Fprintln(w, "=== DD-DGMS screening programme report ===")
 	fmt.Fprintf(w, "attendances: %d, dimensions: %d\n",
-		p.Warehouse().Fact().Len(), len(p.Warehouse().Dimensions()))
+		p.Warehouse().Fact().LiveLen(), len(p.Warehouse().Dimensions()))
 
 	if !opts.SkipDemographics {
 		if err := demographics(w, p); err != nil {

@@ -441,7 +441,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // schemaDoc is the JSON form of the star schema.
 type schemaDoc struct {
 	Fact       string         `json:"fact"`
-	Facts      int            `json:"fact_rows"`
+	Facts      int            `json:"fact_rows"` // live facts: retired ones are not counted
 	Measures   []string       `json:"measures"`
 	Dimensions []dimensionDoc `json:"dimensions"`
 }
@@ -464,7 +464,7 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusServiceUnavailable, "warehouse not built")
 		return
 	}
-	doc := schemaDoc{Fact: ws.Name, Facts: ws.Fact().Len()}
+	doc := schemaDoc{Fact: ws.Name, Facts: ws.Fact().LiveLen()}
 	for _, f := range ws.Fact().Measures().Fields() {
 		doc.Measures = append(doc.Measures, f.Name)
 	}

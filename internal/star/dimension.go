@@ -99,16 +99,6 @@ func (d *Dimension) Hierarchies() []Hierarchy {
 	return append([]Hierarchy(nil), d.hierarchies...)
 }
 
-// Hierarchy returns the named hierarchy.
-func (d *Dimension) Hierarchy(name string) (Hierarchy, bool) {
-	for _, h := range d.hierarchies {
-		if h.Name == name {
-			return h, true
-		}
-	}
-	return Hierarchy{}, false
-}
-
 // Len reports the number of members.
 func (d *Dimension) Len() int { return d.members.Len() }
 

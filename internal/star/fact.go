@@ -134,18 +134,6 @@ func (f *FactTable) LiveLen() int { return f.n - f.deadN }
 // masking is needed anywhere.
 func (f *FactTable) RetiredCount() int { return f.deadN }
 
-// Key returns the surrogate key of fact row i in the named dimension.
-func (f *FactTable) Key(i int, dim string) (Key, error) {
-	j, ok := f.dimIdx[dim]
-	if !ok {
-		return NoKey, fmt.Errorf("star: unknown dimension %q", dim)
-	}
-	if i < 0 || i >= f.n {
-		return NoKey, fmt.Errorf("star: fact row %d out of range", i)
-	}
-	return f.keys[j][i], nil
-}
-
 // KeyColumn returns the whole key column for a dimension; cube
 // construction scans these directly.
 func (f *FactTable) KeyColumn(dim string) ([]Key, error) {

@@ -40,11 +40,12 @@ func (s *Schema) Dimensions() []*Dimension {
 // Fact returns the fact table.
 func (s *Schema) Fact() *FactTable { return s.fact }
 
-// Describe renders the star schema as text: the fact table with its
-// measures, surrounded by each dimension and its attributes — the textual
-// equivalent of the paper's Fig 1 / Fig 3 diagrams.
+// Describe renders the star schema as text: the fact table with its live
+// (unretired) fact count and its measures, surrounded by each dimension
+// and its attributes — the textual equivalent of the paper's Fig 1 / Fig 3
+// diagrams.
 func (s *Schema) Describe() string {
-	out := fmt.Sprintf("Fact: %s (%d rows)\n", s.Name, s.fact.Len())
+	out := fmt.Sprintf("Fact: %s (%d rows)\n", s.Name, s.fact.LiveLen())
 	out += "  measures:"
 	for _, f := range s.fact.Measures().Fields() {
 		out += " " + f.Name

@@ -77,8 +77,11 @@ func TestBuildInternsDimensionMembers(t *testing.T) {
 		t.Errorf("facts = %d, want 5", s.Fact().Len())
 	}
 	// Facts 0 and 1 share the same surrogate key.
-	k0, _ := s.Fact().Key(0, "PersonalInformation")
-	k1, _ := s.Fact().Key(1, "PersonalInformation")
+	keys, err := s.Fact().KeyColumn("PersonalInformation")
+	if err != nil {
+		t.Fatal(err)
+	}
+	k0, k1 := keys[0], keys[1]
 	if k0 != k1 {
 		t.Errorf("shared member not deduped: %d vs %d", k0, k1)
 	}
@@ -92,7 +95,15 @@ func TestBuildInternsDimensionMembers(t *testing.T) {
 func TestHierarchyNavigation(t *testing.T) {
 	s := buildStar(t)
 	pi, _ := s.Dimension("PersonalInformation")
-	h, ok := pi.Hierarchy("Age")
+	hierarchy := func(name string) (Hierarchy, bool) {
+		for _, h := range pi.Hierarchies() {
+			if h.Name == name {
+				return h, true
+			}
+		}
+		return Hierarchy{}, false
+	}
+	h, ok := hierarchy("Age")
 	if !ok {
 		t.Fatal("missing hierarchy")
 	}
@@ -102,7 +113,7 @@ func TestHierarchyNavigation(t *testing.T) {
 	if got := h.Finer("AgeBand5"); got != "" {
 		t.Errorf("Finer at finest = %q", got)
 	}
-	if _, ok := pi.Hierarchy("Nope"); ok {
+	if _, ok := hierarchy("Nope"); ok {
 		t.Error("unknown hierarchy must report !ok")
 	}
 }
@@ -171,8 +182,8 @@ func TestAllNADimensionGetsNoKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, _ := s.Fact().Key(0, "D")
-	if k != NoKey {
+	keys, _ := s.Fact().KeyColumn("D")
+	if k := keys[0]; k != NoKey {
 		t.Errorf("all-NA fact key = %d, want NoKey", k)
 	}
 	d, _ := s.Dimension("D")
@@ -207,11 +218,11 @@ func TestAddFeedbackDimension(t *testing.T) {
 		t.Errorf("feedback members = %d, want 2", fd.Len())
 	}
 	// Fact 0 (FBG 7.2) must be flagged review.
-	k, err := s.Fact().Key(0, "ClinicianFlag")
+	flags, err := s.Fact().KeyColumn("ClinicianFlag")
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _ := fd.Attr(k, "Flag")
+	v, _ := fd.Attr(flags[0], "Flag")
 	if v.Str() != "review" {
 		t.Errorf("fact 0 flag = %v", v)
 	}
@@ -221,10 +232,9 @@ func TestAddFeedbackDimension(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := flatVisits(t).Len()
+	flags, _ = s.Fact().KeyColumn("ClinicianFlag")
 	for i := 0; i < n; i++ {
-		first, _ := s.Fact().Key(i, "ClinicianFlag")
-		again, _ := s.Fact().Key(n+i, "ClinicianFlag")
-		if again != first {
+		if first, again := flags[i], flags[n+i]; again != first {
 			t.Errorf("appended fact %d key = %d, first load's = %d", n+i, again, first)
 		}
 	}
@@ -258,8 +268,11 @@ func TestFactTableErrors(t *testing.T) {
 	if err := ft.Append(map[string]Key{"D": 0}, []value.Value{value.Str("x")}); err == nil {
 		t.Error("bad measure kind must fail")
 	}
-	if _, err := ft.Key(0, "D"); err == nil {
-		t.Error("out-of-range fact row must fail")
+	if keys, err := ft.KeyColumn("D"); err != nil || len(keys) != 0 {
+		t.Errorf("KeyColumn of an empty fact table = %v, %v; want no rows", keys, err)
+	}
+	if _, err := ft.KeyColumn("X"); err == nil {
+		t.Error("unknown dimension must fail")
 	}
 	if _, err := NewFactTable(nil, nil); err == nil {
 		t.Error("no dimensions must fail")

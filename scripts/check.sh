@@ -36,7 +36,7 @@ go test -race ./...
 stage "frozen benchmark harness builds and smokes against the internal API"
 (cd benchmark && go vet ./... && go test -short ./...)
 
-stage "one entry point per query layer (no new *Traced twin, no kernel-path option, one row selection, one warehouse set-up)"
+stage "one entry point per query layer (no new *Traced twin, no kernel-path option, one row selection, no cube member index, one warehouse set-up)"
 if grep -rnE '^func .*Traced\(' --include='*.go' internal cmd examples | grep -v '_test\.go:'; then
 	echo "check: a *Traced twin is back; carry the span in the context (obs.StartSpan)" >&2
 	exit 1
@@ -47,6 +47,10 @@ if grep -rn 'WithVectorized' --include='*.go' . | grep -v '_test\.go:'; then
 fi
 if grep -rnE 'RowPredicate|GroupByFiltered' --include='*.go' . | grep -v '_test\.go:'; then
 	echo "check: a per-row filter is back; front-ends compile their filters to a row selection (exec.SelectRows)" >&2
+	exit 1
+fi
+if grep -rnE 'bitmapFor|growBitmaps|type Bitmap struct' --include='*.go' internal/cube | grep -v '_test\.go:'; then
+	echo "check: the cube's member-bitmap index is back; slicers compile to a row selection (exec.SelectRows)" >&2
 	exit 1
 fi
 if find internal/exec -name '*.go' ! -name '*_test.go' -exec awk '/^type GroupInput struct/,/^}/' {} + | grep 'func('; then
@@ -72,8 +76,8 @@ go test -race -count=2 ./internal/obs/
 stage "refresh-equivalence soak (randomized commit/refresh interleavings, retention pins, follow-loop backoff, -count=2)"
 go test -race -run 'TestRefresh' -count=2 ./internal/refresh/
 
-stage "allocation regression gate (arena kernel, O(delta) refresh, columnar set-up, refresh batch, filtered scans; no race detector)"
-go test -run 'TestGroupByCodedAllocBudget|TestApplyDeltaAllocScaling|TestSetupAllocBudget|TestRefreshBatchAllocBudget|TestSQLFilteredAllocBudget|TestFlatQueryFilteredAllocBudget' .
+stage "allocation regression gate (arena kernel, O(delta) refresh, columnar set-up, refresh batch, filtered scans, sliced cube miss; no race detector)"
+go test -run 'TestGroupByCodedAllocBudget|TestApplyDeltaAllocScaling|TestSetupAllocBudget|TestRefreshBatchAllocBudget|TestSQLFilteredAllocBudget|TestFlatQueryFilteredAllocBudget|TestCubeSlicedMissAllocBudget' .
 
 stage "replication partition soak (fault sweep, kill/restart, disk bound, snapshot bootstrap, -count=2)"
 go test -race -run 'TestFaultSweep|TestFollowerRestart|TestPrimaryDiskBounded|TestSnapshotBootstrap' -count=2 ./internal/repl/
