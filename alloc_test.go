@@ -11,7 +11,10 @@ import (
 	"github.com/ddgms/ddgms/internal/cube"
 	"github.com/ddgms/ddgms/internal/dgsql"
 	"github.com/ddgms/ddgms/internal/discri"
+	"github.com/ddgms/ddgms/internal/faultfs"
 	"github.com/ddgms/ddgms/internal/flatquery"
+	"github.com/ddgms/ddgms/internal/obs"
+	"github.com/ddgms/ddgms/internal/oltp"
 	"github.com/ddgms/ddgms/internal/star"
 	"github.com/ddgms/ddgms/internal/storage"
 	"github.com/ddgms/ddgms/internal/value"
@@ -399,5 +402,126 @@ func TestRefreshBatchAllocBudget(t *testing.T) {
 	const budget = 1960
 	if median > budget {
 		t.Errorf("refresh batch allocates %d allocs, budget %d", median, budget)
+	}
+}
+
+// walCountingFS is the real filesystem with a count of the fsyncs and
+// bytes that reach WAL and checkpoint files.
+type walCountingFS struct {
+	faultfs.OS
+	syncs, bytes int
+}
+
+func (c *walCountingFS) Create(path string) (faultfs.File, error) {
+	f, err := c.OS.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return &walCountingFile{File: f, fs: c}, nil
+}
+
+func (c *walCountingFS) OpenAppend(path string) (faultfs.File, error) {
+	f, err := c.OS.OpenAppend(path)
+	if err != nil {
+		return nil, err
+	}
+	return &walCountingFile{File: f, fs: c}, nil
+}
+
+type walCountingFile struct {
+	faultfs.File
+	fs *walCountingFS
+}
+
+func (f *walCountingFile) Write(p []byte) (int, error) {
+	n, err := f.File.Write(p)
+	f.fs.bytes += n
+	return n, err
+}
+
+func (f *walCountingFile) Sync() error {
+	f.fs.syncs++
+	return f.File.Sync()
+}
+
+// TestWALWorkBudget is the gate on the durable commit path and the
+// change feed that reads it back. One single-row commit of a DiScRi
+// attendance (273 fields) to a durable store costs exactly one fsync,
+// two WAL appends (the insert and the commit marker) and a fixed number
+// of WAL bytes (2,334); a second fsync, an extra record or a change in
+// the record encoding fails it. It also bounds heap allocations per
+// commit and per one-transaction TailWAL poll (the directory listing and
+// the decoded row included, median of 40 polls) at 1.5x the 10 and 307
+// they measured with a reader and a logging path per caller; the shared
+// codec measures 11 and 310.
+func TestWALWorkBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are not stable under the race detector")
+	}
+	if testing.Short() {
+		t.Skip("cohort generation is expensive")
+	}
+	raw, err := discri.Generate(discri.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := &walCountingFS{}
+	s, err := oltp.OpenWith(t.TempDir(), raw.Schema(), oltp.Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	next := 0
+	commit := func() {
+		tx := s.Begin()
+		if _, err := tx.Insert(raw.Row(next % raw.Len())); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	commit() // the segment header lands with the first sync
+
+	appends := obs.Default().Counter("ddgms_oltp_wal_appends_total", "")
+	fs.syncs, fs.bytes = 0, 0
+	before := appends.Value()
+	commit()
+	const walBytes = 2334
+	if fs.syncs != 1 || appends.Value()-before != 2 || fs.bytes != walBytes {
+		t.Errorf("one single-row commit: %d fsyncs, %d WAL appends, %d WAL bytes; want 1, 2, %d",
+			fs.syncs, appends.Value()-before, fs.bytes, walBytes)
+	}
+
+	perCommit := testing.AllocsPerRun(40, commit)
+	t.Logf("single-row durable commit: %.0f allocs", perCommit)
+	const commitBudget = 15
+	if perCommit > commitBudget {
+		t.Errorf("single-row durable commit allocates %.0f, budget %d", perCommit, commitBudget)
+	}
+
+	cur, err := s.DurableLSN()
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := make([]uint64, 40)
+	for k := range samples {
+		commit()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		txs, end, err := s.TailWAL(cur, 0)
+		runtime.ReadMemStats(&after)
+		if err != nil || len(txs) != 1 {
+			t.Fatalf("TailWAL = %d transactions, %v; want one", len(txs), err)
+		}
+		samples[k], cur = after.Mallocs-before.Mallocs, end
+	}
+	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	median := samples[len(samples)/2]
+	t.Logf("one-transaction TailWAL poll: %d allocs (median of %d)", median, len(samples))
+	const pollBudget = 460
+	if median > pollBudget {
+		t.Errorf("one-transaction TailWAL poll allocates %d, budget %d", median, pollBudget)
 	}
 }

@@ -217,9 +217,9 @@ func dirBytes(b *testing.B, dir string) int64 {
 func waitFollowerAt(b *testing.B, f *repl.Follower, target oltp.WALCursor) {
 	b.Helper()
 	deadline := time.Now().Add(30 * time.Second)
-	for f.Cursor().Less(target) {
+	for f.Status().Cursor.Less(target) {
 		if time.Now().After(deadline) {
-			b.Fatalf("follower stuck at %s, want %s", f.Cursor(), target)
+			b.Fatalf("follower stuck at %s, want %s", *f.Status().Cursor, target)
 		}
 		time.Sleep(100 * time.Microsecond)
 	}

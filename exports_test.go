@@ -35,8 +35,6 @@ var unreachedAllowed = map[string]string{
 	"govern.Breaker.State":         "the breaker tests read the state machine's position; operators see the ddgms_govern_breaker_state gauge",
 	"govern.Budget.Used":           "the cancellation tests read the charged rows to show a scan stopped early",
 	"mining.DecisionTree.Describe": "the mining tests pin the fitted tree's text form; no command prints a tree",
-	"repl.Follower.Cursor":         "the replication and election tests wait on the applied position; nodes report it through Status",
-	"repl.Primary.Epoch":           "the election tests check the led epoch; nodes report it through Status",
 	"star.FactTable.Append":        "the star tests pin the map-keyed append's validation; the builder loads through appendKeys",
 }
 

@@ -12,6 +12,7 @@ import (
 	"github.com/ddgms/ddgms/internal/cube"
 	"github.com/ddgms/ddgms/internal/discri"
 	"github.com/ddgms/ddgms/internal/etl"
+	"github.com/ddgms/ddgms/internal/kb"
 	"github.com/ddgms/ddgms/internal/mining"
 	"github.com/ddgms/ddgms/internal/oltp"
 	"github.com/ddgms/ddgms/internal/star"
@@ -402,14 +403,24 @@ func TestFeedbackLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.KB().Reinforce(id)
-	p.KB().Reinforce(id)
+	for i := 0; i < 2; i++ {
+		if err := p.ReinforceFinding(id); err != nil {
+			t.Fatal(err)
+		}
+	}
 	f, err := p.KB().Get(id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.Status != "established" {
 		t.Errorf("finding status = %s", f.Status)
+	}
+	if err := p.ReinforceFinding("F9999"); err == nil {
+		t.Error("reinforcing an unknown finding must fail")
+	}
+	p.KB().ApplyEvent(kb.Event{Op: kb.EvRetract, ID: id})
+	if err := p.ReinforceFinding(id); err == nil {
+		t.Error("reinforcing a retracted finding must fail")
 	}
 }
 

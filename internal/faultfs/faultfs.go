@@ -38,8 +38,9 @@ type FS interface {
 	Create(path string) (File, error)
 	// OpenAppend opens path for appending, creating it if absent.
 	OpenAppend(path string) (File, error)
-	// Open opens path for reading.
-	Open(path string) (io.ReadCloser, error)
+	// Open opens path for reading. Readers seek: a change-feed poll reads
+	// only a segment's unread suffix.
+	Open(path string) (io.ReadSeekCloser, error)
 	// ReadDir lists the file names (not full paths) in dir, sorted.
 	ReadDir(dir string) ([]string, error)
 	// Remove deletes path.
@@ -66,7 +67,7 @@ func (OS) OpenAppend(path string) (File, error) {
 	return os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 }
 
-func (OS) Open(path string) (io.ReadCloser, error) { return os.Open(path) }
+func (OS) Open(path string) (io.ReadSeekCloser, error) { return os.Open(path) }
 
 func (OS) ReadDir(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
@@ -203,7 +204,7 @@ func (f *Fault) OpenAppend(path string) (File, error) {
 	return &faultFile{fs: f, inner: inner, path: path}, nil
 }
 
-func (f *Fault) Open(path string) (io.ReadCloser, error) {
+func (f *Fault) Open(path string) (io.ReadSeekCloser, error) {
 	f.mu.Lock()
 	crashed := f.crashed
 	f.mu.Unlock()

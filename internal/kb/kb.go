@@ -76,7 +76,7 @@ func (b *Base) Add(topic, statement, source string) (string, error) {
 	defer b.mu.Unlock()
 	for _, f := range b.findings {
 		if f.Topic == topic && f.Statement == statement && f.Status != Retracted {
-			b.reinforceLocked(f)
+			b.reinforceAtLocked(f, b.now())
 			return f.ID, nil
 		}
 	}
@@ -88,30 +88,6 @@ func (b *Base) Add(topic, statement, source string) (string, error) {
 		Evidence: 1, Status: Candidate, CreatedAt: now, UpdatedAt: now,
 	}
 	return id, nil
-}
-
-// Reinforce adds one evidence observation to a finding, promoting it when
-// the threshold is reached.
-func (b *Base) Reinforce(id string) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	f, ok := b.findings[id]
-	if !ok {
-		return fmt.Errorf("kb: unknown finding %q", id)
-	}
-	if f.Status == Retracted {
-		return fmt.Errorf("kb: finding %q is retracted", id)
-	}
-	b.reinforceLocked(f)
-	return nil
-}
-
-func (b *Base) reinforceLocked(f *Finding) {
-	f.Evidence++
-	f.UpdatedAt = b.now()
-	if f.Status == Candidate && f.Evidence >= b.PromotionThreshold {
-		f.Status = Established
-	}
 }
 
 // Get returns a copy of a finding.

@@ -6,6 +6,13 @@ import (
 	"time"
 )
 
+// reinforce adds one evidence observation through the event path, the
+// only one that changes a finding once recorded: the store replays it
+// from the WAL and replication ships it.
+func reinforce(b *Base, id string) {
+	b.ApplyEvent(Event{Op: EvReinforce, ID: id, At: b.now().UnixNano()})
+}
+
 func TestAddAndPromotion(t *testing.T) {
 	b := New(3)
 	id, err := b.Add("diabetes", "absent reflex + mid glucose predicts diabetes", "mining")
@@ -20,11 +27,11 @@ func TestAddAndPromotion(t *testing.T) {
 		t.Errorf("new finding = %+v", f)
 	}
 	// Two reinforcements reach the threshold of 3.
-	b.Reinforce(id)
+	reinforce(b, id)
 	if f, _ = b.Get(id); f.Status != Candidate {
 		t.Errorf("premature promotion at evidence %d", f.Evidence)
 	}
-	b.Reinforce(id)
+	reinforce(b, id)
 	if f, _ = b.Get(id); f.Status != Established || f.Evidence != 3 {
 		t.Errorf("after threshold = %+v", f)
 	}
@@ -63,8 +70,11 @@ func TestValidation(t *testing.T) {
 	if _, err := b.Add("topic", "  ", "x"); err == nil {
 		t.Error("blank statement must fail")
 	}
-	if err := b.Reinforce("F9999"); err == nil {
-		t.Error("unknown id must fail")
+	// An event against an unknown id is committed already, so it is
+	// ignored; refusing one is core.Platform.ReinforceFinding's job.
+	reinforce(b, "F9999")
+	if b.Len() != 0 {
+		t.Error("reinforcing an unknown id created a finding")
 	}
 	if _, err := b.Get("F9999"); err == nil {
 		t.Error("get unknown id must fail")
@@ -75,8 +85,9 @@ func TestRetract(t *testing.T) {
 	b := New(2)
 	id, _ := b.Add("t", "s", "x")
 	b.ApplyEvent(Event{Op: EvRetract, ID: id})
-	if err := b.Reinforce(id); err == nil {
-		t.Error("reinforcing a retracted finding must fail")
+	reinforce(b, id)
+	if f, _ := b.Get(id); f.Evidence != 1 || f.Status != Retracted {
+		t.Errorf("reinforcing a retracted finding changed it: %+v", f)
 	}
 	if got := b.Search(""); len(got) != 0 {
 		t.Errorf("retracted finding still searchable: %+v", got)
@@ -95,7 +106,7 @@ func TestSearch(t *testing.T) {
 	b := New(3)
 	b.Add("diabetes", "gender effect in older diabetics", "olap")
 	id2, _ := b.Add("hypertension", "HT-years dip at 70-80", "olap")
-	b.Reinforce(id2)
+	reinforce(b, id2)
 	hits := b.Search("hyperten")
 	if len(hits) != 1 || hits[0].ID != id2 {
 		t.Errorf("search = %+v", hits)
@@ -115,7 +126,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	b := New(2)
 	b.now = func() time.Time { return time.Date(2013, 4, 8, 12, 0, 0, 0, time.UTC) }
 	id1, _ := b.Add("diabetes", "finding one", "olap")
-	b.Reinforce(id1)
+	reinforce(b, id1)
 	b.Add("ecg", "finding two", "mining")
 	// The state image round-trips through Snapshot and an EvState apply.
 	loaded := New(0)
@@ -146,7 +157,7 @@ func TestConcurrentAccess(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				b.Reinforce(id)
+				reinforce(b, id)
 				b.Search("t")
 			}
 		}()

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"path/filepath"
 	"sort"
@@ -38,14 +37,8 @@ func (s *Store) writeCheckpoint(fs faultfs.FS, dir string, seq uint64) (int64, e
 	var scratch bytes.Buffer
 
 	frame := func(payload []byte) error {
-		written += frameHeader + int64(len(payload))
-		var hdr [frameHeader]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-		if _, err := bw.Write(hdr[:]); err != nil {
-			return err
-		}
-		_, err := bw.Write(payload)
+		n, err := writeFrame(bw, payload)
+		written += n
 		return err
 	}
 
@@ -129,21 +122,13 @@ func (s *Store) loadCheckpoint(fs faultfs.FS, dir string, seq uint64) error {
 	}
 
 	off := len(ckptMagic)
+	// The file was published whole, so a torn frame is rot here too.
 	nextFrame := func() ([]byte, error) {
-		rem := len(data) - off
-		if rem < frameHeader {
-			return nil, fmt.Errorf("%w: checkpoint %s: truncated frame header at offset %d", errCorrupt, name, off)
+		payload, next, fault := readFrame(data, off)
+		if fault != nil {
+			return nil, fmt.Errorf("%w: checkpoint %s: %s at offset %d", errCorrupt, name, fault.what, off)
 		}
-		length := binary.LittleEndian.Uint32(data[off : off+4])
-		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if length > maxFrame || rem < frameHeader+int(length) {
-			return nil, fmt.Errorf("%w: checkpoint %s: truncated record at offset %d", errCorrupt, name, off)
-		}
-		payload := data[off+frameHeader : off+frameHeader+int(length)]
-		if crc32.Checksum(payload, castagnoli) != sum {
-			return nil, fmt.Errorf("%w: checkpoint %s: checksum mismatch at offset %d", errCorrupt, name, off)
-		}
-		off += frameHeader + int(length)
+		off = next
 		return payload, nil
 	}
 

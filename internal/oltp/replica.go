@@ -74,13 +74,13 @@ func (s *Store) ApplyReplicated(txs []CommittedTx) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ids := make([]uint64, len(txs))
-	for i := range ids {
+	local := make([]CommittedTx, len(txs))
+	for i := range txs {
 		s.nextTx++
-		ids[i] = s.nextTx
+		local[i] = CommittedTx{Tx: s.nextTx, Changes: txs[i].Changes}
 	}
 	if s.dir != "" {
-		if err := s.logReplicated(ids, txs); err != nil {
+		if err := s.logTxs(local); err != nil {
 			commitError.Inc()
 			return err
 		}
@@ -95,48 +95,6 @@ func (s *Store) ApplyReplicated(txs []CommittedTx) error {
 	}
 	s.lastCommitNano = time.Now().UnixNano()
 	s.notifyCommit()
-	return nil
-}
-
-// logReplicated is logCommit for a batch of replicated transactions:
-// segment housekeeping, then each transaction's data records and commit
-// marker, then one sync covering them all. Any failure poisons the WAL
-// for the same reason as in logCommit. The caller holds s.mu.
-func (s *Store) logReplicated(ids []uint64, txs []CommittedTx) error {
-	s.walMu.Lock()
-	defer s.walMu.Unlock()
-	if err := s.walUsableLocked(); err != nil {
-		return err
-	}
-	switch {
-	case s.walSinceCkpt >= s.opts.CheckpointBytes:
-		if err := s.checkpointLocked(); err != nil {
-			return fmt.Errorf("oltp: checkpointing WAL: %w", err)
-		}
-	case s.wal.size >= s.opts.SegmentBytes:
-		if err := s.rotateLocked(); err != nil {
-			return fmt.Errorf("oltp: rotating WAL: %w", err)
-		}
-	}
-	before := s.wal.size
-	appends := 0
-	for i := range txs {
-		for _, ch := range txs[i].Changes {
-			if err := s.wal.append(walRecord{tx: ids[i], op: walOp(ch.Op), id: ch.ID, row: ch.Row}); err != nil {
-				return s.failWalLocked(fmt.Errorf("oltp: writing WAL: %w", err))
-			}
-		}
-		if err := s.wal.append(walRecord{tx: ids[i], op: opCommit}); err != nil {
-			return s.failWalLocked(fmt.Errorf("oltp: writing WAL commit: %w", err))
-		}
-		appends += len(txs[i].Changes) + 1
-	}
-	if err := s.wal.sync(); err != nil {
-		return s.failWalLocked(fmt.Errorf("oltp: syncing WAL: %w", err))
-	}
-	metricWalAppends.Add(uint64(appends))
-	metricWalFsyncs.Inc()
-	s.walSinceCkpt += s.wal.size - before
 	return nil
 }
 

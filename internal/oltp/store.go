@@ -487,7 +487,7 @@ func (t *Tx) Commit() error {
 
 	// Durability: WAL first, then apply.
 	if s.dir != "" {
-		if err := s.logCommit(t); err != nil {
+		if err := s.logTxs([]CommittedTx{{Tx: t.id, Changes: t.changes()}}); err != nil {
 			commitError.Inc()
 			return err
 		}
@@ -632,14 +632,30 @@ func (s *Store) retainFloorLocked() uint64 {
 	return floor
 }
 
-// logCommit makes t's write set durable: segment housekeeping (rotation or
-// checkpoint when thresholds are crossed, both at a record boundary before
-// this transaction's first byte), then the data records, the commit marker
-// and a sync. Any failure poisons the WAL — a partial record may be on
-// disk, and appending after it would make the next replay read garbage —
-// so every later commit fails fast until the store is reopened. The
-// caller holds s.mu.
-func (s *Store) logCommit(t *Tx) error {
+// changes lists t's write set as the log records it: the row writes in
+// first-write order, then the meta payloads.
+func (t *Tx) changes() []Change {
+	out := make([]Change, 0, len(t.order)+len(t.metas))
+	for _, id := range t.order {
+		w := t.writes[id]
+		out = append(out, Change{Op: ChangeOp(w.op), ID: id, Row: w.row})
+	}
+	for _, m := range t.metas {
+		out = append(out, MetaChange(m))
+	}
+	return out
+}
+
+// logTxs makes transactions durable before they are applied, for local
+// commits and replicated batches alike: segment housekeeping (rotation
+// or checkpoint when thresholds are crossed, both at a record boundary
+// before the first transaction's first byte, so no transaction spans
+// segments), then each transaction's records and its commit marker, then
+// one sync covering them all. Any failure poisons the WAL — a partial
+// record may be on disk, and appending after it would make the next
+// replay read garbage — so every later commit fails fast until the store
+// is reopened. The caller holds s.mu.
+func (s *Store) logTxs(txs []CommittedTx) error {
 	lockStart := time.Now()
 	s.walMu.Lock()
 	metricLockWaitSeconds.ObserveSince(lockStart)
@@ -658,24 +674,22 @@ func (s *Store) logCommit(t *Tx) error {
 		}
 	}
 	before := s.wal.size
-	for _, id := range t.order {
-		w := t.writes[id]
-		if err := s.wal.append(walRecord{tx: t.id, op: w.op, id: id, row: w.row}); err != nil {
-			return s.failWalLocked(fmt.Errorf("oltp: writing WAL: %w", err))
+	appends := 0
+	for _, tx := range txs {
+		for _, ch := range tx.Changes {
+			if err := s.wal.append(walRecord{tx: tx.Tx, op: walOp(ch.Op), id: ch.ID, row: ch.Row}); err != nil {
+				return s.failWalLocked(fmt.Errorf("oltp: writing WAL: %w", err))
+			}
 		}
-	}
-	for _, m := range t.metas {
-		if err := s.wal.append(walRecord{tx: t.id, op: opMeta, row: metaRow(m)}); err != nil {
-			return s.failWalLocked(fmt.Errorf("oltp: writing WAL meta: %w", err))
+		if err := s.wal.append(walRecord{tx: tx.Tx, op: opCommit}); err != nil {
+			return s.failWalLocked(fmt.Errorf("oltp: writing WAL commit: %w", err))
 		}
-	}
-	if err := s.wal.append(walRecord{tx: t.id, op: opCommit}); err != nil {
-		return s.failWalLocked(fmt.Errorf("oltp: writing WAL commit: %w", err))
+		appends += len(tx.Changes) + 1
 	}
 	if err := s.wal.sync(); err != nil {
 		return s.failWalLocked(fmt.Errorf("oltp: syncing WAL: %w", err))
 	}
-	metricWalAppends.Add(uint64(len(t.order) + len(t.metas) + 1))
+	metricWalAppends.Add(uint64(appends))
 	metricWalFsyncs.Inc()
 	s.walSinceCkpt += s.wal.size - before
 	return nil

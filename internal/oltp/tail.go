@@ -1,12 +1,8 @@
 package oltp
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"path/filepath"
 
 	"github.com/ddgms/ddgms/internal/storage"
 )
@@ -165,162 +161,47 @@ func (s *Store) TailWAL(from WALCursor, maxTx int) ([]CommittedTx, WALCursor, er
 		}())
 	}
 
-	var (
-		txs     []CommittedTx
-		pending = make(map[uint64][]Change)
-		cur     = from
-	)
+	var txs []CommittedTx
+	cur := from
 	for seq := from.Seq; seq <= tailSeq; seq++ {
-		name := segName(seq)
+		tail := seq == tailSeq
 		start := magic
 		if seq == from.Seq && from.Off > start {
 			start = from.Off
 		}
-		data, size, err := s.readSegmentFrom(name, start)
+		data, size, err := s.readSegmentFrom(seq, start, tail)
+		if errors.Is(err, errShortHeader) {
+			cur = WALCursor{Seq: seq, Off: magic}
+			break // segment created, nothing durable in it yet
+		}
 		if err != nil {
-			if errors.Is(err, errShortHeader) {
-				if seq == tailSeq {
-					cur = WALCursor{Seq: seq, Off: magic}
-					break // segment created, nothing durable in it yet
-				}
-				return txs, cur, fmt.Errorf("%w: segment %s: truncated header (%d bytes)", errCorrupt, name, size)
-			}
-			if errors.Is(err, errBadMagic) {
-				return txs, cur, fmt.Errorf("%w: segment %s: bad magic at offset 0", errCorrupt, name)
-			}
 			return txs, cur, err
 		}
-
 		limit := size
-		if seq == tailSeq && tailEnd < limit {
+		if tail && tailEnd < limit {
 			limit = tailEnd // never read past the fsynced prefix
 		}
-
-		off := start
-		if off > limit {
-			return txs, cur, fmt.Errorf("%w (cursor offset %d past end %d of segment %d)", ErrTailGap, off, limit, seq)
+		if start > limit {
+			return txs, cur, fmt.Errorf("%w (cursor offset %d past end %d of segment %d)", ErrTailGap, start, limit, seq)
 		}
-		cur = WALCursor{Seq: seq, Off: off}
-		for off < limit {
-			rem := limit - off
-			if rem < frameHeader {
-				if seq == tailSeq {
-					break // incomplete durable tail; stop before it
-				}
-				return txs, cur, fmt.Errorf("%w: segment %s: truncated frame header at offset %d", errCorrupt, name, off)
-			}
-			length := binary.LittleEndian.Uint32(data[off-start : off-start+4])
-			sum := binary.LittleEndian.Uint32(data[off-start+4 : off-start+8])
-			if length > maxFrame {
-				return txs, cur, fmt.Errorf("%w: segment %s: implausible record length %d at offset %d", errCorrupt, name, length, off)
-			}
-			if rem < frameHeader+int64(length) {
-				if seq == tailSeq {
-					break
-				}
-				return txs, cur, fmt.Errorf("%w: segment %s: truncated record at offset %d", errCorrupt, name, off)
-			}
-			payload := data[off-start+frameHeader : off-start+frameHeader+int64(length)]
-			if crc32.Checksum(payload, castagnoli) != sum {
-				return txs, cur, fmt.Errorf("%w: segment %s: checksum mismatch at offset %d", errCorrupt, name, off)
-			}
-			rec, err := decodeRecordPayload(payload)
-			if err != nil {
-				return txs, cur, fmt.Errorf("%w: segment %s: undecodable record at offset %d: %v", errCorrupt, name, off, err)
-			}
-			off += frameHeader + int64(length)
-			if rec.op == opCommit {
-				if chs := pending[rec.tx]; len(chs) > 0 {
-					txs = append(txs, CommittedTx{Tx: rec.tx, Changes: chs, End: WALCursor{Seq: seq, Off: off}})
-					delete(pending, rec.tx)
-					cur = WALCursor{Seq: seq, Off: off}
-					if maxTx > 0 && len(txs) >= maxTx {
-						return txs, cur, nil
-					}
-				}
-				continue
-			}
-			pending[rec.tx] = append(pending[rec.tx], Change{Op: ChangeOp(rec.op), ID: rec.id, Row: rec.row})
+		cur = WALCursor{Seq: seq, Off: start}
+		full := false
+		_, _, err = scanSegment(seq, data[:limit-start], start, tail, func(tx uint64, changes []Change, end int64) bool {
+			cur = WALCursor{Seq: seq, Off: end}
+			txs = append(txs, CommittedTx{Tx: tx, Changes: changes, End: cur})
+			full = maxTx > 0 && len(txs) >= maxTx
+			return !full
+		})
+		if err != nil || full {
+			return txs, cur, err
 		}
-		// Transactions never span segments, so whatever is still pending
-		// at a segment boundary was abandoned by a poisoned log and will
-		// never commit; it is safe to advance past it.
-		for tx := range pending {
-			delete(pending, tx)
-		}
-		if seq == tailSeq {
+		if tail {
 			cur = WALCursor{Seq: seq, Off: limit}
 		} else {
 			cur = WALCursor{Seq: seq + 1, Off: magic}
 		}
 	}
 	return txs, cur, nil
-}
-
-// Sentinel errors readSegmentFrom reports so TailWAL can keep its exact
-// diagnostics.
-var (
-	errShortHeader = errors.New("oltp: segment shorter than header")
-	errBadMagic    = errors.New("oltp: segment header magic mismatch")
-)
-
-// readSegmentFrom opens a WAL segment, verifies its header, and returns
-// the bytes from offset start onward plus the segment's total size. A
-// polling consumer holds a cursor near the tail of a large segment; when
-// the file supports seeking this reads only the unconsumed suffix rather
-// than the whole segment, so poll cost tracks the unread bytes, not the
-// log size. On errShortHeader the returned size is the bytes present.
-func (s *Store) readSegmentFrom(name string, start int64) ([]byte, int64, error) {
-	magic := int64(len(segMagic))
-	f, err := s.fs.Open(filepath.Join(s.dir, name))
-	if err != nil {
-		return nil, 0, fmt.Errorf("oltp: opening WAL segment for tail: %w", err)
-	}
-	defer f.Close()
-	hdr := make([]byte, magic)
-	n, err := io.ReadFull(f, hdr)
-	if err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, int64(n), errShortHeader
-		}
-		return nil, 0, fmt.Errorf("oltp: reading WAL segment %s: %w", name, err)
-	}
-	if string(hdr) != segMagic {
-		return nil, 0, errBadMagic
-	}
-	if sk, ok := f.(io.Seeker); ok {
-		size, err := sk.Seek(0, io.SeekEnd)
-		if err != nil {
-			return nil, 0, fmt.Errorf("oltp: sizing WAL segment %s: %w", name, err)
-		}
-		if start >= size {
-			return nil, size, nil
-		}
-		if _, err := sk.Seek(start, io.SeekStart); err != nil {
-			return nil, 0, fmt.Errorf("oltp: seeking WAL segment %s: %w", name, err)
-		}
-		data, err := io.ReadAll(f)
-		if err != nil {
-			return nil, 0, fmt.Errorf("oltp: reading WAL segment %s: %w", name, err)
-		}
-		return data, start + int64(len(data)), nil
-	}
-	// Non-seekable filesystems fall back to discarding the consumed
-	// prefix; a short copy means the segment ends before start.
-	if skip := start - magic; skip > 0 {
-		n, err := io.CopyN(io.Discard, f, skip)
-		if err == io.EOF {
-			return nil, magic + n, nil
-		}
-		if err != nil {
-			return nil, 0, fmt.Errorf("oltp: reading WAL segment %s: %w", name, err)
-		}
-	}
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return nil, 0, fmt.Errorf("oltp: reading WAL segment %s: %w", name, err)
-	}
-	return data, start + int64(len(data)), nil
 }
 
 // DurableLSN reports the current durable end of the log: the cursor a

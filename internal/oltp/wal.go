@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"path/filepath"
@@ -40,46 +39,6 @@ type walRecord struct {
 	id  RowID
 	row Row
 }
-
-// On-disk format, version 2 (format 1 was a single unframed wal.log; no
-// reader for it remains, and a directory holding one is refused — see
-// scanWalDir). The log is a sequence of numbered segment files
-// wal-NNNNNNNN.seg, each starting with an 8-byte magic and containing
-// framed records:
-//
-//	frame   length  uint32 LE   (payload bytes)
-//	        crc     uint32 LE   (CRC32-C of payload)
-//	        payload
-//
-//	payload op   1 byte
-//	        tx   uvarint
-//	        id   uvarint        (data records only)
-//	        nval uvarint        (data records with rows only)
-//	        vals nval × value   (kind byte + payload)
-//
-// Commit markers consist of just op+tx. Recovery replays records of
-// committed transactions across segments in sequence order. An incomplete
-// frame at the end of the LAST segment is a torn tail from a crash: it is
-// physically truncated away and the store continues. A checksum mismatch,
-// an implausible frame length, or an incomplete frame anywhere else is
-// mid-log corruption and recovery fails loudly with the segment and byte
-// offset — a flipped bit is never silently replayed.
-//
-// A checkpoint file checkpoint-NNNNNNNN.ckpt holds a full snapshot of
-// committed state; its number is the first segment sequence that must be
-// replayed on top of it. Checkpoints are written to a temp file, synced
-// and renamed, so a crash never exposes a partial checkpoint; after a
-// checkpoint lands, older segments and checkpoints are deleted.
-
-const (
-	segMagic  = "DDGWSEG2"
-	ckptMagic = "DDGWCKP2"
-
-	frameHeader = 8       // uint32 length + uint32 crc
-	maxFrame    = 1 << 26 // sanity bound on one record
-)
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // errCorrupt distinguishes detected log corruption from I/O failures.
 var errCorrupt = errors.New("oltp: WAL corrupt")
@@ -150,18 +109,9 @@ func (w *walWriter) append(rec walRecord) error {
 	if err := encodeRecordPayload(&w.scratch, rec); err != nil {
 		return err
 	}
-	payload := w.scratch.Bytes()
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	if _, err := w.bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.bw.Write(payload); err != nil {
-		return err
-	}
-	w.size += int64(frameHeader + len(payload))
-	return nil
+	n, err := writeFrame(w.bw, w.scratch.Bytes())
+	w.size += n
+	return err
 }
 
 func (w *walWriter) sync() error {
@@ -191,9 +141,8 @@ func (w *walWriter) close() error {
 	return err
 }
 
-// encodeRecordPayload writes the unframed record encoding (shared between
-// format 1, where records are concatenated bare, and format 2, where each
-// payload is framed with a length and checksum).
+// encodeRecordPayload writes one record's payload, the bytes a frame
+// carries.
 func encodeRecordPayload(buf *bytes.Buffer, rec walRecord) error {
 	buf.WriteByte(byte(rec.op))
 	writeUvarint(buf, rec.tx)
@@ -231,99 +180,6 @@ func decodeRecordPayload(payload []byte) (walRecord, error) {
 		return walRecord{}, fmt.Errorf("oltp: %d trailing bytes after record", br.Len())
 	}
 	return rec, nil
-}
-
-// replayState carries pending (uncommitted) transactions across segment
-// boundaries during recovery, and the highest transaction id seen so the
-// reopened store never reuses one.
-type replayState struct {
-	pending map[uint64][]*writeOp
-	maxTx   uint64
-}
-
-func newReplayState() *replayState {
-	return &replayState{pending: make(map[uint64][]*writeOp)}
-}
-
-// applyRecord feeds one recovered record through the commit protocol.
-func (s *Store) applyRecord(st *replayState, rec walRecord) {
-	if rec.tx > st.maxTx {
-		st.maxTx = rec.tx
-	}
-	if rec.op == opCommit {
-		for _, w := range st.pending[rec.tx] {
-			s.applyLocked(w)
-		}
-		delete(st.pending, rec.tx)
-		return
-	}
-	st.pending[rec.tx] = append(st.pending[rec.tx], &writeOp{op: rec.op, id: rec.id, row: rec.row})
-}
-
-// replaySegment scans one segment. last marks the final segment of the
-// log, whose incomplete tail frame (if any) is a legitimate torn write;
-// the returned validSize is the byte offset up to which the segment is
-// intact, so the caller can truncate the tear away. Everywhere else an
-// incomplete or checksum-failing frame is corruption, reported with its
-// offset.
-func (s *Store) replaySegment(fs faultfs.FS, dir string, seq uint64, last bool, st *replayState) (validSize int64, err error) {
-	name := segName(seq)
-	f, err := fs.Open(filepath.Join(dir, name))
-	if err != nil {
-		return 0, fmt.Errorf("oltp: opening WAL segment for replay: %w", err)
-	}
-	data, err := io.ReadAll(f)
-	f.Close()
-	if err != nil {
-		return 0, fmt.Errorf("oltp: reading WAL segment %s: %w", name, err)
-	}
-
-	if len(data) < len(segMagic) {
-		// Shorter than the magic: only a torn segment creation can do this,
-		// and only to the last segment.
-		if last {
-			return -1, nil // signal: recreate this segment from scratch
-		}
-		return 0, fmt.Errorf("%w: segment %s: truncated header (%d bytes)", errCorrupt, name, len(data))
-	}
-	if string(data[:len(segMagic)]) != segMagic {
-		return 0, fmt.Errorf("%w: segment %s: bad magic at offset 0", errCorrupt, name)
-	}
-
-	off := len(segMagic)
-	for off < len(data) {
-		rem := len(data) - off
-		if rem < frameHeader {
-			if last {
-				return int64(off), nil
-			}
-			return 0, fmt.Errorf("%w: segment %s: truncated frame header at offset %d", errCorrupt, name, off)
-		}
-		length := binary.LittleEndian.Uint32(data[off : off+4])
-		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if length > maxFrame {
-			// A torn write leaves a strict prefix of valid bytes, so a
-			// fully-present header with an absurd length can only be rot.
-			return 0, fmt.Errorf("%w: segment %s: implausible record length %d at offset %d", errCorrupt, name, length, off)
-		}
-		if rem < frameHeader+int(length) {
-			if last {
-				return int64(off), nil
-			}
-			return 0, fmt.Errorf("%w: segment %s: truncated record at offset %d", errCorrupt, name, off)
-		}
-		payload := data[off+frameHeader : off+frameHeader+int(length)]
-		if crc32.Checksum(payload, castagnoli) != sum {
-			return 0, fmt.Errorf("%w: segment %s: checksum mismatch at offset %d", errCorrupt, name, off)
-		}
-		rec, err := decodeRecordPayload(payload)
-		if err != nil {
-			return 0, fmt.Errorf("%w: segment %s: undecodable record at offset %d: %v", errCorrupt, name, off, err)
-		}
-		s.applyRecord(st, rec)
-		off += frameHeader + int(length)
-	}
-	return int64(off), nil
 }
 
 // walLayout is what a directory listing says about the log.
@@ -413,20 +269,30 @@ func (s *Store) recover(fs faultfs.FS, dir string) error {
 		}
 	}
 
-	st := newReplayState()
 	tailSize := int64(-1)
+	magic := int64(len(segMagic))
 	for i, seq := range replay {
 		last := i == len(replay)-1
-		size, err := s.replaySegment(fs, dir, seq, last, st)
+		data, _, err := s.readSegmentFrom(seq, magic, last)
+		if errors.Is(err, errShortHeader) {
+			break // the tail died before its header landed: recreate it
+		}
 		if err != nil {
 			return err
 		}
-		if last {
-			tailSize = size
+		end, maxTx, err := scanSegment(seq, data, magic, last, func(_ uint64, changes []Change, _ int64) bool {
+			for _, ch := range changes {
+				s.applyLocked(&writeOp{op: walOp(ch.Op), id: ch.ID, row: ch.Row})
+			}
+			return true
+		})
+		if err != nil {
+			return err
 		}
-	}
-	if st.maxTx > s.nextTx {
-		s.nextTx = st.maxTx
+		s.nextTx = max(s.nextTx, maxTx)
+		if last {
+			tailSize = end
+		}
 	}
 
 	switch {

@@ -164,13 +164,6 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 // bootstrap a warehouse from.
 func (f *Follower) Ready() <-chan struct{} { return f.ready }
 
-// Cursor is the primary-log position durably applied so far.
-func (f *Follower) Cursor() oltp.WALCursor {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.cur
-}
-
 // Epoch is the highest replication epoch this follower has durably
 // adopted; Promote leads the next one.
 func (f *Follower) Epoch() uint64 {

@@ -157,9 +157,6 @@ func StartPrimary(cfg PrimaryConfig) (*Primary, error) {
 // Addr is the listener's address, for followers to dial.
 func (p *Primary) Addr() string { return p.ln.Addr().String() }
 
-// Epoch is the replication epoch this primary leads.
-func (p *Primary) Epoch() uint64 { return p.epoch }
-
 // Fenced reports whether this primary observed a higher epoch and
 // fenced itself.
 func (p *Primary) Fenced() bool {

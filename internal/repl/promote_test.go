@@ -93,8 +93,8 @@ func TestPromoteTakesOverWritesAndRehomesSurvivors(t *testing.T) {
 	pA.Close() // primary dies
 
 	pB := promote(t, fB)
-	if pB.Epoch() != 2 {
-		t.Fatalf("promoted primary epoch = %d, want 2", pB.Epoch())
+	if pB.Status().Epoch != 2 {
+		t.Fatalf("promoted primary epoch = %d, want 2", pB.Status().Epoch)
 	}
 	if st := pB.Status(); st.Role != "primary" || st.Epoch != 2 || st.Fenced {
 		t.Fatalf("promoted status: %+v", st)
@@ -303,8 +303,8 @@ func TestPromoteFailureReversible(t *testing.T) {
 	pA.Close()
 	pB := promote(t, fB)
 	commitN(t, fsB, 5, 900)
-	if pB.Epoch() != 2 {
-		t.Fatalf("retried promotion epoch = %d, want 2", pB.Epoch())
+	if pB.Status().Epoch != 2 {
+		t.Fatalf("retried promotion epoch = %d, want 2", pB.Status().Epoch)
 	}
 }
 
@@ -356,8 +356,8 @@ func TestPromotionEpochSurvivesRestart(t *testing.T) {
 	pA.Close()
 
 	pB := promote(t, fB)
-	if pB.Epoch() != 2 {
-		t.Fatalf("epoch = %d, want 2", pB.Epoch())
+	if pB.Status().Epoch != 2 {
+		t.Fatalf("epoch = %d, want 2", pB.Status().Epoch)
 	}
 	pB.Close()
 
@@ -382,7 +382,7 @@ func TestPromotionEpochSurvivesRestart(t *testing.T) {
 		t.Fatalf("StartPrimary (restart): %v", err)
 	}
 	defer pB2.Close()
-	if pB2.Epoch() != 2 {
-		t.Fatalf("restarted primary epoch = %d, want 2", pB2.Epoch())
+	if pB2.Status().Epoch != 2 {
+		t.Fatalf("restarted primary epoch = %d, want 2", pB2.Status().Epoch)
 	}
 }

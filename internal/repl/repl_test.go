@@ -146,7 +146,7 @@ func waitConverged(t *testing.T, ps *oltp.Store, f *Follower) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		cur := f.Cursor()
+		cur := *f.Status().Cursor
 		if !cur.Less(durable) {
 			return
 		}

@@ -298,8 +298,8 @@ func TestVoterRehomingToWinnerGetsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := VoteRequest{Epoch: 3, ID: "b", Follows: fB.Epoch(), Cursor: fB.Cursor()}
-	voter := Voter{Follower: true, Silent: true, Epoch: fC.Epoch(), Cursor: fC.Cursor()}
+	req := VoteRequest{Epoch: 3, ID: "b", Follows: fB.Epoch(), Cursor: *fB.Status().Cursor}
+	voter := Voter{Follower: true, Silent: true, Epoch: fC.Epoch(), Cursor: *fC.Status().Cursor}
 	if r, err := ballotC.Grant(voter, req); err != nil || !r.Granted {
 		t.Fatalf("c's vote for b at epoch 3: %+v, %v", r, err)
 	}
@@ -313,8 +313,8 @@ func TestVoterRehomingToWinnerGetsSnapshot(t *testing.T) {
 		t.Fatalf("Promote at the won epoch: %v", err)
 	}
 	t.Cleanup(func() { pB.Close() })
-	if pB.Epoch() != 3 {
-		t.Fatalf("winner leads epoch %d, want exactly the won 3", pB.Epoch())
+	if pB.Status().Epoch != 3 {
+		t.Fatalf("winner leads epoch %d, want exactly the won 3", pB.Status().Epoch)
 	}
 	commitN(t, fsB, 5, 1000)
 

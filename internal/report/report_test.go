@@ -27,8 +27,11 @@ func TestWriteFullReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.KB().Reinforce(id)
-	p.KB().Reinforce(id)
+	for i := 0; i < 2; i++ {
+		if err := p.ReinforceFinding(id); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	var sb strings.Builder
 	if err := Write(&sb, p, Options{}); err != nil {

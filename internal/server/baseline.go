@@ -17,20 +17,6 @@ import (
 	"github.com/ddgms/ddgms/internal/value"
 )
 
-// SQLQuerier is the optional platform surface behind POST /sql.
-// *core.Platform satisfies it; a platform without it answers 404 (the
-// server is healthy, it just does not speak DG-SQL).
-type SQLQuerier interface {
-	QuerySQLCtx(ctx context.Context, src string) (*storage.Table, error)
-}
-
-// FlatQuerier is the optional platform surface behind POST /flatquery:
-// the paper's no-warehouse comparator, a direct filtered scan over the
-// flat analysis table. *core.Platform satisfies it.
-type FlatQuerier interface {
-	QueryFlatCtx(ctx context.Context, q flatquery.Query) (*flatquery.Result, error)
-}
-
 // tableDoc is the JSON form of a grouped result table. Trace is attached
 // only when the request asked for ?trace=1.
 type tableDoc struct {
@@ -74,11 +60,6 @@ type sqlRequest struct {
 // (registered as "visits", matching the ddgms sql subcommand) under
 // the governance pipeline.
 func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
-	sq, ok := s.platform.(SQLQuerier)
-	if !ok {
-		s.writeError(w, http.StatusNotFound, "platform does not serve DG-SQL")
-		return
-	}
 	var req sqlRequest
 	if !s.decodeBody(w, r, &req) {
 		return
@@ -88,7 +69,7 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.runGoverned(w, r, "sql", req.SQL, func(ctx context.Context) (traceCarrier, error) {
-		t, err := sq.QuerySQLCtx(ctx, req.SQL)
+		t, err := s.platform.QuerySQLCtx(ctx, req.SQL)
 		if err != nil {
 			return nil, err
 		}
@@ -115,11 +96,6 @@ type flatQueryRequest struct {
 // handleFlatQuery runs one flat-scan baseline query under the
 // governance pipeline.
 func (s *Server) handleFlatQuery(w http.ResponseWriter, r *http.Request) {
-	fq, ok := s.platform.(FlatQuerier)
-	if !ok {
-		s.writeError(w, http.StatusNotFound, "platform does not serve flat queries")
-		return
-	}
 	var req flatQueryRequest
 	if !s.decodeBody(w, r, &req) {
 		return
@@ -153,7 +129,7 @@ func (s *Server) handleFlatQuery(w http.ResponseWriter, r *http.Request) {
 		q.Filters = append(q.Filters, flatquery.Filter{Column: f.Column, Values: vals})
 	}
 	s.runGoverned(w, r, "flatquery", req, func(ctx context.Context) (traceCarrier, error) {
-		res, err := fq.QueryFlatCtx(ctx, q)
+		res, err := s.platform.QueryFlatCtx(ctx, q)
 		if err != nil {
 			return nil, err
 		}

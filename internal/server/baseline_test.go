@@ -60,9 +60,8 @@ func TestFlatQueryEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("status = %d, body = %v", code, doc)
 	}
-	// A platform without the interface would have answered 404; the
-	// exact result shape is flatquery's own concern — the endpoint test
-	// only cares that a grouped result came back.
+	// The exact result shape is flatquery's own concern — the endpoint
+	// test only cares that a grouped result came back.
 	if doc == nil {
 		t.Fatal("empty response document")
 	}

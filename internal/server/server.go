@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"github.com/ddgms/ddgms/internal/cube"
+	"github.com/ddgms/ddgms/internal/flatquery"
 	"github.com/ddgms/ddgms/internal/govern"
 	"github.com/ddgms/ddgms/internal/kb"
 	"github.com/ddgms/ddgms/internal/obs"
@@ -53,66 +54,44 @@ import (
 	"github.com/ddgms/ddgms/internal/refresh"
 	"github.com/ddgms/ddgms/internal/repl"
 	"github.com/ddgms/ddgms/internal/star"
+	"github.com/ddgms/ddgms/internal/storage"
 )
 
 // Platform is the surface the server needs from a DD-DGMS instance.
-// *core.Platform satisfies it; tests substitute wrappers (e.g. a
-// deliberately slow cube) to exercise degradation paths.
+// *core.Platform satisfies it; tests substitute wrappers that embed one
+// (e.g. a deliberately slow cube) to exercise degradation paths.
 type Platform interface {
 	Warehouse() *star.Schema
 	// QueryMDXCtx evaluates inline under the request context: a timeout,
 	// client disconnect or server shutdown cancels the scan inside the
 	// execution kernel, and a span the context carries (?trace=1)
-	// collects the stage spans.
+	// collects the stage spans. QuerySQLCtx (DG-SQL over the flat table,
+	// POST /sql) and QueryFlatCtx (the paper's no-warehouse comparator,
+	// POST /flatquery) run the same way.
 	QueryMDXCtx(ctx context.Context, src string) (*cube.CellSet, error)
+	QuerySQLCtx(ctx context.Context, src string) (*storage.Table, error)
+	QueryFlatCtx(ctx context.Context, q flatquery.Query) (*flatquery.Result, error)
 	KB() *kb.Base
+	// RecordFinding and ReinforceFinding change the knowledge base
+	// through the replicated KB-event path (the OLTP WAL).
 	RecordFinding(topic, statement, source string) (string, error)
-	Store() *oltp.Store
-}
-
-// FreshnessReporter is the optional platform surface behind /freshness.
-// *core.Platform satisfies it; ok=false means the platform is not in
-// follow mode (the endpoint answers 404).
-type FreshnessReporter interface {
-	Freshness() (refresh.Freshness, bool)
-}
-
-// ReplicationReporter is the optional platform surface behind
-// /replication. *core.Platform satisfies it; ok=false means no
-// replication role is attached (the endpoint answers 404).
-type ReplicationReporter interface {
-	Replication() (repl.Status, bool)
-}
-
-// Promoter is the optional platform surface behind POST /promote.
-// *core.Platform always satisfies it; a platform that is not currently
-// a replica answers 409 (nothing to promote), and a platform type
-// without the method at all answers 404.
-type Promoter interface {
-	PromoteToPrimary(listenAddr string) (repl.Status, error)
-}
-
-// PromoteListenDefaulter is the optional platform surface supplying a
-// default replication listen address for POST /promote bodies that omit
-// one. *core.Platform satisfies it (serve -promote-listen).
-type PromoteListenDefaulter interface {
-	PromoteListenAddr() string
-}
-
-// Voter is the optional platform surface behind POST
-// /replication/vote, the node-side election's ballot. *core.Platform
-// satisfies it; an error means the node takes no part in elections
-// (409).
-type Voter interface {
-	Vote(req repl.VoteRequest) (repl.VoteReply, error)
-}
-
-// FindingsReinforcer is the optional platform surface behind POST
-// /findings/reinforce. *core.Platform satisfies it and routes the
-// reinforcement through the replicated KB-event path (the OLTP WAL);
-// platforms without it fall back to mutating the in-memory base.
-type FindingsReinforcer interface {
 	ReinforceFinding(id string) error
+	Store() *oltp.Store
+	// Freshness backs GET /freshness; ok=false means the platform is
+	// not in follow mode (404).
+	Freshness() (refresh.Freshness, bool)
+	// Replication backs GET /replication; ok=false means no replication
+	// role is attached (404).
+	Replication() (repl.Status, bool)
+	// PromoteToPrimary backs POST /promote: a platform that is not
+	// currently a replica answers an error (409). PromoteListenAddr is
+	// the listen address for bodies that omit one (serve
+	// -promote-listen).
+	PromoteToPrimary(listenAddr string) (repl.Status, error)
+	PromoteListenAddr() string
+	// Vote backs POST /replication/vote, the node-side election's
+	// ballot; an error means the node takes no part in elections (409).
+	Vote(req repl.VoteRequest) (repl.VoteReply, error)
 }
 
 // Option customises a Server.
@@ -698,12 +677,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // 404 (not 5xx) when the platform is not following: a batch-mode server
 // is healthy, it just has no lag to report.
 func (s *Server) handleFreshness(w http.ResponseWriter, r *http.Request) {
-	fr, ok := s.platform.(FreshnessReporter)
-	if !ok {
-		s.writeError(w, http.StatusNotFound, "platform does not report freshness")
-		return
-	}
-	f, following := fr.Freshness()
+	f, following := s.platform.Freshness()
 	if !following {
 		s.writeError(w, http.StatusNotFound, "not in follow mode")
 		return
@@ -716,12 +690,7 @@ func (s *Server) handleFreshness(w http.ResponseWriter, r *http.Request) {
 // (not 5xx) when no replication role is attached — a standalone server
 // is healthy, it just has nothing to report.
 func (s *Server) handleReplication(w http.ResponseWriter, r *http.Request) {
-	rr, ok := s.platform.(ReplicationReporter)
-	if !ok {
-		s.writeError(w, http.StatusNotFound, "platform does not report replication")
-		return
-	}
-	st, attached := rr.Replication()
+	st, attached := s.platform.Replication()
 	if !attached {
 		s.writeError(w, http.StatusNotFound, "replication not attached")
 		return
@@ -733,16 +702,11 @@ func (s *Server) handleReplication(w http.ResponseWriter, r *http.Request) {
 // a 200 answer; 409 when the node does not take part in elections. Not
 // proxied by the routing front: a vote is asked of one specific node.
 func (s *Server) handleVote(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.platform.(Voter)
-	if !ok {
-		s.writeError(w, http.StatusNotFound, "platform does not take part in elections")
-		return
-	}
 	var req repl.VoteRequest
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	reply, err := v.Vote(req)
+	reply, err := s.platform.Vote(req)
 	if err != nil {
 		s.writeError(w, http.StatusConflict, "%v", err)
 		return
@@ -763,25 +727,18 @@ type promoteRequest struct {
 // error, not a server fault. Deliberately not proxied by the routing
 // front: promotion targets one specific node.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
-	pr, ok := s.platform.(Promoter)
-	if !ok {
-		s.writeError(w, http.StatusNotFound, "platform does not support promotion")
-		return
-	}
 	var req promoteRequest
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if req.Listen == "" {
-		if d, ok := s.platform.(PromoteListenDefaulter); ok {
-			req.Listen = d.PromoteListenAddr()
-		}
+		req.Listen = s.platform.PromoteListenAddr()
 	}
 	if req.Listen == "" {
 		s.writeError(w, http.StatusBadRequest, "listen address required (where the new primary ships its WAL from)")
 		return
 	}
-	st, err := pr.PromoteToPrimary(req.Listen)
+	st, err := s.platform.PromoteToPrimary(req.Listen)
 	if err != nil {
 		s.writeError(w, http.StatusConflict, "%v", err)
 		return
@@ -828,11 +785,7 @@ func (s *Server) handleFindingsReinforce(w http.ResponseWriter, r *http.Request)
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	reinforce := s.platform.KB().Reinforce
-	if fr, ok := s.platform.(FindingsReinforcer); ok {
-		reinforce = fr.ReinforceFinding
-	}
-	if err := reinforce(req.ID); err != nil {
+	if err := s.platform.ReinforceFinding(req.ID); err != nil {
 		if errors.Is(err, oltp.ErrReplica) {
 			s.writeError(w, http.StatusConflict, "%v", err)
 			return

@@ -36,7 +36,7 @@ go test -race ./...
 stage "frozen benchmark harness builds and smokes against the internal API"
 (cd benchmark && go vet ./... && go test -short ./...)
 
-stage "one entry point per query layer (no new *Traced twin, no kernel-path option, one row selection, no cube member index, one warehouse set-up)"
+stage "one entry point per query layer (no new *Traced twin, no kernel-path option, one row selection, no cube member index, one warehouse set-up, one log codec, one logging path)"
 if grep -rnE '^func .*Traced\(' --include='*.go' internal cmd examples | grep -v '_test\.go:'; then
 	echo "check: a *Traced twin is back; carry the span in the context (obs.StartSpan)" >&2
 	exit 1
@@ -66,6 +66,16 @@ if [ "$(grep -rnE 'p\.follower [!=]= nil' --include='*.go' internal/core | grep 
 	echo "check: a second p.follower nil check; go through the one not-built check, Platform.built" >&2
 	exit 1
 fi
+if grep -rnE 'castagnoli|frameHeader' --include='*.go' internal/oltp | grep -v '_test\.go:' | grep -v '^internal/oltp/frame\.go:'; then
+	echo "check: a second WAL frame codec; read and write frames through internal/oltp/frame.go (readFrame, writeFrame)" >&2
+	exit 1
+fi
+loggers=$(find internal/oltp -name '*.go' ! -name '*_test.go' -exec awk '/^func /{fn=$0} /s\.wal\.sync\(\)/ && fn ~ /^func \(s \*Store\) log/ {print FILENAME ": " fn}' {} + | sort -u)
+if [ "$(printf '%s\n' "$loggers" | grep -c .)" -gt 1 ]; then
+	printf '%s\n' "$loggers"
+	echo "check: a second WAL logging path; local and replicated commits log through Store.logTxs" >&2
+	exit 1
+fi
 
 stage "fault suite (crash recovery + WAL corruption, -count=2)"
 go test -race -run 'Crash|Fault' -count=2 ./internal/oltp/ ./internal/faultfs/
@@ -76,8 +86,8 @@ go test -race -count=2 ./internal/obs/
 stage "refresh-equivalence soak (randomized commit/refresh interleavings, retention pins, follow-loop backoff, -count=2)"
 go test -race -run 'TestRefresh' -count=2 ./internal/refresh/
 
-stage "allocation regression gate (arena kernel, O(delta) refresh, columnar set-up, refresh batch, filtered scans, sliced cube miss; no race detector)"
-go test -run 'TestGroupByCodedAllocBudget|TestApplyDeltaAllocScaling|TestSetupAllocBudget|TestRefreshBatchAllocBudget|TestSQLFilteredAllocBudget|TestFlatQueryFilteredAllocBudget|TestCubeSlicedMissAllocBudget' .
+stage "allocation regression gate (arena kernel, O(delta) refresh, columnar set-up, refresh batch, filtered scans, sliced cube miss, WAL work per commit and per poll; no race detector)"
+go test -run 'TestGroupByCodedAllocBudget|TestApplyDeltaAllocScaling|TestSetupAllocBudget|TestRefreshBatchAllocBudget|TestSQLFilteredAllocBudget|TestFlatQueryFilteredAllocBudget|TestCubeSlicedMissAllocBudget|TestWALWorkBudget' .
 
 stage "replication partition soak (fault sweep, kill/restart, disk bound, snapshot bootstrap, -count=2)"
 go test -race -run 'TestFaultSweep|TestFollowerRestart|TestPrimaryDiskBounded|TestSnapshotBootstrap' -count=2 ./internal/repl/
